@@ -265,8 +265,8 @@ fn smoke_plan() -> FaultPlan {
 /// each required to allocate nothing per steady-state epoch. Exits nonzero
 /// (panics) on regression; writes no JSON. Both Q-table layouts are always
 /// exercised fault-free; `layout` selects which one the fault-injected
-/// window drives (so `--smoke --quantized` gates the quantized — and, when
-/// the `simd` feature is on, the SIMD — hot path under faults too).
+/// window drives (so `--smoke --quantized` gates the quantized hot path,
+/// block-scanned through the SIMD kernel, under faults too).
 fn smoke(layout: QTableLayout) {
     let (clean, _) = measure(64, 30, 50, QTableLayout::Scalar);
     println!(

@@ -197,11 +197,11 @@ fn quantized_steady_state_allocates_nothing() {
 #[test]
 fn quantized_fleet_steady_state_allocates_nothing() {
     // Fleet-scope arm of the quantized gate: four chips on the banked
-    // fixed-point layout under the rack arbiter. When the `simd` feature is
-    // on, this is the arm that proves the SIMD decide path *and* the
-    // batched per-shard ε-draw refill (the `eps_draws` block the controller
-    // fills from each core's own stream) stay allocation-free — the draw
-    // buffer is sized at build time and refilled in place.
+    // fixed-point layout under the rack arbiter. This is the arm that proves
+    // the block-scanned decide path *and* the per-shard ε-draw refill (the
+    // `eps_draws` block the controller fills from each core's own stream)
+    // stay allocation-free — the draw buffer is sized at build time and
+    // refilled in place.
     let scenario = Scenario {
         cores: 16,
         budget_frac: 0.6,

@@ -5,7 +5,7 @@ use crate::budget::{AllocScratch, BudgetAllocator};
 use crate::config::OdRlConfig;
 use crate::error::OdRlError;
 use crate::obs::CtrlTracer;
-use crate::reward::RewardShaper;
+use crate::reward::{RewardRows, RewardShaper};
 use crate::state::StateEncoder;
 use crate::watchdog::SensorWatchdog;
 use odrl_controllers::PowerController;
@@ -13,7 +13,7 @@ use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed, ShardSplit};
 use odrl_manycore::{Observation, Stage, StageTimers, SystemSpec};
 use odrl_market::{MarketAllocator, MarketRound, MarketScratch};
-use odrl_obs::{Event, EventCounts, EventRecord};
+use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing};
 use odrl_power::{LevelId, Watts};
 use odrl_rl::snapshot as rl_snapshot;
 use odrl_rl::{
@@ -23,6 +23,7 @@ use odrl_rl::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-core learner: plain/SARSA tabular agent or a double-Q pair,
@@ -38,42 +39,23 @@ impl CoreAgent {
     /// selects the action *and* captures the TD bootstrap the pending
     /// transition will be priced with — the argmax the TD target needs
     /// and the greedy choice the policy needs are the same scan. The flag
-    /// is `true` when the action came from an exploration draw.
+    /// is `true` when the action came from an exploration draw. `draw` is
+    /// the block-refilled ε uniform (when [`CoreAgent::pre_draws`]) and
+    /// `scan` the block-scanned `(argmax, max)` of the `s_next` row (only
+    /// when [`CoreAgent::quant_row`] offered one).
+    #[inline]
     fn decide<R: Rng + ?Sized>(
         &mut self,
         algorithm: Algorithm,
         s_next: usize,
+        draw: Option<u64>,
+        scan: Option<(usize, f64)>,
         rng: &mut R,
         cache: &mut EpsCache,
     ) -> Result<(usize, bool, f64), RlError> {
         match self {
-            Self::Single(agent) => match algorithm {
-                Algorithm::Sarsa => agent.decide_sarsa_explored(s_next, rng, cache),
-                _ => agent.decide_q_explored(s_next, rng, cache),
-            },
-            Self::Double(agent) => agent.decide_explored(s_next, rng, cache),
-        }
-    }
-
-    /// Like [`CoreAgent::decide`] with the leading ε draw supplied by the
-    /// controller's batched block refill (`simd` feature): `draw` is the
-    /// raw `next_u64` this core's RNG would have produced. Per-core draw
-    /// order is unchanged, so seeded runs match the unbatched path.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    fn decide_prepared<R: Rng + ?Sized>(
-        &mut self,
-        algorithm: Algorithm,
-        s_next: usize,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        match self {
-            Self::Single(agent) => match algorithm {
-                Algorithm::Sarsa => agent.decide_sarsa_prepared(s_next, draw, rng, cache),
-                _ => agent.decide_q_prepared(s_next, draw, rng, cache),
-            },
-            Self::Double(agent) => agent.decide_prepared(s_next, draw, rng, cache),
+            Self::Single(agent) => agent.decide(algorithm, s_next, draw, scan, rng, cache),
+            Self::Double(agent) => agent.decide(s_next, draw, rng, cache),
         }
     }
 
@@ -81,7 +63,6 @@ impl CoreAgent {
     /// when this agent can consume a block-scanned argmax (single-agent
     /// quantized storage only — a double agent scans the sum of two
     /// tables, which the block kernel does not model).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     #[inline]
     fn quant_row(&self, s_next: usize) -> Option<(&[i16], f32)> {
         match self {
@@ -90,35 +71,9 @@ impl CoreAgent {
         }
     }
 
-    /// [`CoreAgent::decide_prepared`] with the row scan hoisted into a
-    /// [`odrl_rl::kernel::scan_rows`] batch: `best`/`max_v` are that
-    /// batch's results for this agent. Only reachable behind
-    /// [`CoreAgent::quant_row`] returning `Some`, so the double-agent arm
-    /// is unreachable.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn decide_scanned<R: Rng + ?Sized>(
-        &mut self,
-        algorithm: Algorithm,
-        s_next: usize,
-        best: usize,
-        max_v: f64,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        match self {
-            Self::Single(agent) => match algorithm {
-                Algorithm::Sarsa => agent.decide_sarsa_scanned(s_next, best, draw, rng, cache),
-                _ => agent.decide_q_scanned(s_next, best, max_v, draw, rng, cache),
-            },
-            Self::Double(agent) => agent.decide_prepared(s_next, draw, rng, cache),
-        }
-    }
-
     /// Whether this agent's policy consumes exactly one leading uniform
-    /// draw per decision — the gate for the batched ε refill.
+    /// draw per decision — the gate for the block ε refill.
+    #[inline]
     fn pre_draws(&self) -> bool {
         match self {
             Self::Single(a) => a.policy_pre_draws(),
@@ -129,29 +84,11 @@ impl CoreAgent {
     /// The learn half: applies the TD update for `(s, a, reward)` with the
     /// bootstrap captured by the same epoch's [`CoreAgent::decide`].
     /// Returns the TD error (the learning-health diagnostics signal).
+    #[inline]
     fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
         match self {
             Self::Single(agent) => agent.learn(s, a, reward, bootstrap),
             Self::Double(agent) => agent.learn(s, a, reward, bootstrap),
-        }
-    }
-
-    /// [`CoreAgent::learn`] through the agents' inlinable entry points —
-    /// the batched learn pass's variant (`simd` feature), so the TD-step
-    /// chain flattens into the shard loop instead of paying three
-    /// cross-crate calls per core.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    #[inline]
-    fn learn_prepared(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        bootstrap: f64,
-    ) -> Result<f64, RlError> {
-        match self {
-            Self::Single(agent) => agent.learn_prepared(s, a, reward, bootstrap),
-            Self::Double(agent) => agent.learn_prepared(s, a, reward, bootstrap),
         }
     }
 
@@ -191,8 +128,9 @@ impl CoreAgent {
         }
     }
 
-    /// Hints the CPU to pull state `s`'s Q-row(s) toward L1 — issued one
-    /// decide ahead so the row is resident when its scan starts.
+    /// Hints the CPU to pull state `s`'s Q-row(s) and row scale(s) toward
+    /// L1 — issued for a whole block during the encode pass, so each row
+    /// is resident by the time its scan starts.
     #[inline]
     fn prefetch(&self, s: usize) {
         match self {
@@ -204,27 +142,10 @@ impl CoreAgent {
         }
     }
 
-    /// Like [`CoreAgent::prefetch`] but covers the row scale too — the
-    /// batched decide pass (`simd` feature) runs this several agents
-    /// ahead, because the lighter SIMD scan no longer has enough work per
-    /// core to hide a miss behind a single-step pipeline.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    #[inline]
-    fn prefetch_select(&self, s: usize) {
-        match self {
-            Self::Single(a) => a.q().prefetch_select(s),
-            Self::Double(a) => {
-                a.qa().prefetch_select(s);
-                a.qb().prefetch_select(s);
-            }
-        }
-    }
-
     /// Hints the CPU at everything the pending TD update of `(s, a)` will
     /// touch (bank lane, row scale, visit counter — separate allocations
-    /// on the quantized layout). The learn pass (`simd` feature) issues
-    /// this several agents ahead.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
+    /// on the quantized layout). The learn pass issues this one block
+    /// ahead.
     #[inline]
     fn prefetch_update(&self, s: usize, a: usize) {
         match self {
@@ -330,19 +251,15 @@ pub struct OdRlController {
     /// chunk-base slot inside the parallel region and folded into the
     /// stage timers afterwards. Scratch, sized once.
     rl_ns: Vec<[u64; 2]>,
-    /// Pre-drawn raw ε draws, one `next_u64` per core, refilled block-wide
-    /// inside each shard by the batched decide pass (`simd` feature).
-    /// Scratch, sized once.
-    eps_draws: Vec<u64>,
-    /// Memory-boundedness bin per core, cached by the batched decide
-    /// pass's encode sweep and reused by the learn pass (the same
-    /// observation feeds both, so re-deriving it would repeat two
-    /// divisions per core). Scratch, sized once.
+    /// Pre-drawn raw ε draws, one `next_u64` per core whose policy
+    /// pre-draws (see `Policy::pre_draws_uniform`), refilled block-wide
+    /// inside each shard by the RL block pipeline. Scratch, sized once.
+    eps_draws: Vec<Option<u64>>,
+    /// Memory-boundedness bin per core, cached by the pipeline's encode
+    /// pass and reused by its learn pass (the same observation feeds both,
+    /// so re-deriving it would repeat two divisions per core). Scratch,
+    /// sized once.
     mem_phase: Vec<u16>,
-    /// Whether every agent's policy pre-draws exactly one leading uniform
-    /// (see `Policy::pre_draws_uniform`) — the gate for the batched ε
-    /// refill. Recomputed whenever the agents are replaced.
-    eps_batchable: bool,
     /// Telemetry-health tracker, present when the config enables it.
     watchdog: Option<SensorWatchdog>,
     /// Unreliable budget-message link, present after
@@ -468,7 +385,6 @@ impl OdRlController {
             .watchdog
             .enabled
             .then(|| SensorWatchdog::new(config.watchdog, spec.cores));
-        let eps_batchable = agents.iter().all(CoreAgent::pre_draws);
         Ok(Self {
             shaper: RewardShaper::new(spec.cores, encoder.num_mem_bins(), config.overshoot_penalty),
             budgets: BudgetAllocator::fair_split(initial_budget, spec.cores),
@@ -487,9 +403,8 @@ impl OdRlController {
             spare: Vec::new(),
             boots: vec![0.0; spec.cores],
             rl_ns: vec![[0, 0]; spec.cores],
-            eps_draws: vec![0; spec.cores],
+            eps_draws: vec![None; spec.cores],
             mem_phase: vec![0; spec.cores],
-            eps_batchable,
             watchdog,
             channel: None,
             mask: UpdateMask::new(spec.cores),
@@ -647,9 +562,6 @@ impl OdRlController {
             });
         }
         self.agents = snapshot.agents;
-        // Imported agents may carry any policy; re-derive the batched-ε
-        // eligibility from what actually arrived.
-        self.eps_batchable = self.agents.iter().all(CoreAgent::pre_draws);
         // Rewards already earned under the old tables are stale.
         self.pending = None;
         Ok(())
@@ -708,6 +620,558 @@ impl OdRlController {
         }
         self.total_budget = budget;
     }
+
+    /// Coarse grain: update marginal estimates every epoch, reallocate
+    /// every K epochs. The new allocation is written into the budget
+    /// double buffer and swapped in, so periodic reallocations stay
+    /// allocation-free at steady state. With an unreliable budget channel
+    /// attached the shares travel as messages instead: each core's new
+    /// share is sent on its link, and only what arrives is applied — an
+    /// agent whose message is lost keeps its old share.
+    fn reallocate(&mut self, obs: &Observation, n: usize, epoch: u64) {
+        let t_realloc = Instant::now();
+        if let Some(allocator) = &mut self.allocator {
+            allocator.observe(obs);
+            if self.epochs > 0 && self.epochs.is_multiple_of(self.config.realloc_period) {
+                allocator.reallocate_into(
+                    obs,
+                    &self.budgets,
+                    obs.budget,
+                    &mut self.alloc_scratch,
+                    &mut self.budgets_next,
+                );
+                if let Some(tr) = self.tracer.as_deref_mut() {
+                    let moved: f64 = self
+                        .budgets_next
+                        .iter()
+                        .zip(&self.budgets)
+                        .map(|(new, old)| (*new - *old).abs().value())
+                        .sum();
+                    tr.record_realloc(epoch, moved);
+                }
+                match &mut self.channel {
+                    None => std::mem::swap(&mut self.budgets, &mut self.budgets_next),
+                    Some(ch) => {
+                        for (i, b) in self.budgets_next.iter().enumerate().take(n) {
+                            ch.send(i, b.value());
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(ch) = &mut self.channel {
+            for (i, b) in self.budgets.iter_mut().enumerate().take(n) {
+                if let Some(v) = ch.poll(i) {
+                    *b = Watts::new(v);
+                }
+            }
+        }
+        self.timers.record(Stage::Realloc, t_realloc);
+    }
+
+    /// A dead core burns no watts: hand its share to the survivors so the
+    /// chip budget keeps getting spent on work. The freed watts go out
+    /// evenly; the next reallocation re-optimises the split (and restores
+    /// a floor share to a core that rejoins).
+    fn redistribute_dead_shares(&mut self, n: usize, epoch: u64) {
+        let Some(wd) = self.watchdog.as_ref().filter(|wd| wd.any_dead()) else {
+            return;
+        };
+        let mut freed = 0.0;
+        let mut alive = 0usize;
+        for i in 0..n {
+            if wd.is_dead(i) {
+                freed += self.budgets[i].value();
+                self.budgets[i] = Watts::ZERO;
+            } else {
+                alive += 1;
+            }
+        }
+        if freed > 0.0 && alive > 0 {
+            let bonus = Watts::new(freed / alive as f64);
+            for i in 0..n {
+                if !wd.is_dead(i) {
+                    self.budgets[i] += bonus;
+                }
+            }
+            if let Some(tr) = self.tracer.as_deref_mut() {
+                tr.record_redistribution(epoch, freed);
+            }
+        }
+    }
+
+    /// Predictive slack market (see `odrl-market`): each market epoch
+    /// every core forecasts its next-epoch demand, cores holding more than
+    /// they need donate the predicted slack into the reclaim pool and
+    /// over-budget cores apply for it — a fast path that moves watts
+    /// between reallocations instead of waiting out the reactive
+    /// `realloc_period`. Runs in the serial coarse-grain section, so shard
+    /// counts cannot affect it. With an unreliable budget channel attached
+    /// the post-market shares travel as messages on the same lossy links
+    /// reallocations use, so fault plans (lost / delayed / stale) exercise
+    /// the market path too.
+    fn run_market(&mut self, obs: &Observation, n: usize, epoch: u64) {
+        let Some(market) = &mut self.market else {
+            return;
+        };
+        if self.epochs == 0 || !self.epochs.is_multiple_of(market.period()) {
+            return;
+        }
+        let t_market = Instant::now();
+        let (powers, shares) = self.market_scratch.stage();
+        for (core, b) in obs.cores.iter().zip(&self.budgets).take(n) {
+            powers.push(core.power.value());
+            shares.push(b.value());
+        }
+        // Cores with untrustworthy telemetry sit the round out: a dead or
+        // stuck sensor must neither feed the predictor nor price a
+        // donation.
+        if let Some(wd) = &self.watchdog {
+            for i in 0..n {
+                if wd.is_dead(i) || wd.is_stale(i) {
+                    self.market_scratch.deactivate(i);
+                }
+            }
+        }
+        let round = market.step(obs.budget.value(), &mut self.market_scratch);
+        if round.moved() {
+            match &mut self.channel {
+                None => {
+                    for (b, s) in self
+                        .budgets
+                        .iter_mut()
+                        .zip(self.market_scratch.shares())
+                        .take(n)
+                    {
+                        *b = Watts::new(*s);
+                    }
+                }
+                Some(ch) => {
+                    for (i, s) in self.market_scratch.shares().iter().enumerate().take(n) {
+                        ch.send(i, *s);
+                        if let Some(v) = ch.poll(i) {
+                            self.budgets[i] = Watts::new(v);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.record_market(epoch, &round);
+        }
+        self.last_market_round = Some(round);
+        self.timers.record(Stage::Realloc, t_market);
+    }
+
+    /// Chip-level utilisation feedback (see `utilisation_scale`), with
+    /// AIMD dynamics: additive fill while under budget, multiplicative
+    /// back-off on any overshoot epoch. The multiplicative decrease is
+    /// what keeps homogeneous workloads — where all cores hit their share
+    /// boundary in lock-step — just below the chip budget instead of
+    /// oscillating across it. Also tracks each core's power ceiling
+    /// (decaying max) for the affordability state dimension; stale and
+    /// dead readings are frozen out, since a stuck register must not decay
+    /// (or define) a ceiling the core never actually drew.
+    fn track_power(&mut self, obs: &Observation) {
+        if obs.total_power.value() > 0.0 && obs.budget.value() > 0.0 {
+            let err = (obs.budget - obs.total_power).value() / obs.budget.value();
+            if err >= 0.0 {
+                self.utilisation_scale += 0.01 * err;
+            } else {
+                self.utilisation_scale *= 0.95;
+            }
+            self.utilisation_scale = self.utilisation_scale.clamp(0.9, 1.6);
+        }
+        let wd = self.watchdog.as_ref();
+        for (i, (seen, core)) in self.max_power_seen.iter_mut().zip(&obs.cores).enumerate() {
+            if wd.is_some_and(|w| w.is_dead(i) || w.is_stale(i)) {
+                continue;
+            }
+            *seen = (*seen * 0.999).max(core.power.value());
+        }
+    }
+
+    /// Fine grain: closes the RL loop per core through the block pipeline
+    /// ([`RlPass::run_shard`]). Each core touches only its own agent,
+    /// exploration RNG and reward row, so the cores shard across threads
+    /// with bit-identical results (per-core streams plus contiguous chunks
+    /// written in place).
+    fn rl_pipeline(&mut self, obs: &Observation, n: usize, epoch: u64, out: &mut [LevelId]) {
+        let t_rl = Instant::now();
+        let old_pending = self.pending.take();
+        let mut decisions = std::mem::take(&mut self.spare);
+        decisions.clear();
+        decisions.resize(n, (0, 0));
+        // Validity ping-pong: `mask_prev` now covers the pending pairs,
+        // `mask` is re-armed for the decisions recorded below.
+        std::mem::swap(&mut self.mask, &mut self.mask_prev);
+        self.mask.reset();
+        let chunk = n.div_ceil(self.config.parallelism.shards(n));
+        let tracer = self.tracer.as_deref();
+        let pass = RlPass {
+            config: &self.config,
+            encoder: &self.encoder,
+            obs,
+            budgets: &self.budgets,
+            scale: self.utilisation_scale,
+            max_seen: &self.max_power_seen,
+            pending: old_pending.as_deref(),
+            prev_valid: self.mask_prev.as_slice(),
+            wd: self.watchdog.as_ref(),
+            // Exploration events are recorded inside the sharded loop, so
+            // each shard writes a private ring (`base / chunk` — the same
+            // chunking `shard_chunks` applies). Locking is uncontended and
+            // only happens on the rare exploration epochs.
+            trace_rings: tracer.map(CtrlTracer::shard_rings),
+            // Learning-health taps mirror the ring layout: each shard folds
+            // its TD-error / Q-span / visit-spread samples into a private
+            // accumulator and merges it once at shard end, so the summary
+            // algebra sees the same exact integer adds at any shard count.
+            diag_shards: tracer.and_then(CtrlTracer::shard_diags),
+            // Q-row statistics (greedy-Q span, visit spread) cost a full
+            // row scan per decide, and a full TD-error summary record is
+            // ~15 integer/float ops per core, so both sample on the
+            // diagnostics period — keyed on the epoch alone, hence
+            // shard-invariant. Off-period epochs keep only the TD peak
+            // (two compares) so watermark rules still see every blowup the
+            // epoch it happens; the decision/exploration tallies are plain
+            // increments and run every epoch.
+            diag_rows: tracer
+                .is_some_and(|t| t.diag_enabled() && epoch.is_multiple_of(t.diag_period().max(1))),
+            epoch,
+            chunk,
+        };
+        let (rows, _) = self.shaper.rows_view().split_at_mut(n);
+        let (mask_bits, _) = self.mask.as_mut_slice().split_at_mut(n);
+        shard_chunks(
+            self.config.parallelism,
+            (
+                &mut self.agents[..n],
+                &mut self.rngs[..n],
+                rows,
+                &mut decisions[..n],
+                mask_bits,
+                &mut self.boots[..n],
+                &mut self.eps_draws[..n],
+                &mut self.mem_phase[..n],
+                &mut self.rl_ns[..n],
+            ),
+            |base, shard| pass.run_shard(base, shard),
+        );
+        // Fold the per-shard stamps: shards ran concurrently, so each
+        // half's wall-clock contribution is the widest shard.
+        let (mut decide_ns, mut learn_ns) = (0u64, 0u64);
+        for &[d, l] in self.rl_ns[..n].iter().step_by(chunk) {
+            decide_ns = decide_ns.max(d);
+            learn_ns = learn_ns.max(l);
+        }
+        self.timers.add_nanos(Stage::RlDecide, decide_ns);
+        self.timers.add_nanos(Stage::RlLearn, learn_ns);
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.record_rl_split(decide_ns, learn_ns);
+        }
+        for (slot, &(_, a)) in out.iter_mut().zip(decisions.iter()) {
+            *slot = LevelId(a);
+        }
+        self.spare = old_pending.unwrap_or_default();
+        self.pending = Some(decisions);
+        self.timers.record(Stage::Rl, t_rl);
+    }
+
+    /// Serial diagnostics epilogue. The quantized-health scan walks every
+    /// agent's table, so it is period-gated; the channel tap hands the
+    /// tracer the lifetime delivery counters (the tracer differences them
+    /// into a per-epoch loss rate).
+    fn record_diagnostics(&mut self, n: usize, epoch: u64) {
+        let Some(tr) = self.tracer.as_deref_mut().filter(|tr| tr.diag_enabled()) else {
+            return;
+        };
+        if epoch.is_multiple_of(tr.diag_period()) {
+            let (mut doublings, mut saturated, mut lanes) = (0u64, 0u64, 0u64);
+            for agent in &self.agents[..n] {
+                if let Some(h) = agent.quant_health() {
+                    doublings += h.doublings;
+                    saturated += h.saturated;
+                    lanes += h.lanes;
+                }
+            }
+            tr.record_quant_health(doublings, saturated, lanes);
+        }
+        if let Some(ch) = &self.channel {
+            tr.record_channel(ch.messages_sent(), ch.messages_delivered());
+        }
+    }
+}
+
+/// One shard's per-core slices of the RL state, as `shard_chunks` splits
+/// them: agents, exploration streams, reward rows, this epoch's
+/// `(state, action)` decisions, their validity bits, TD bootstraps, ε
+/// draws, mem bins, and the shard's `[decide_ns, learn_ns]` stamp slot.
+type RlShard<'a> = (
+    &'a mut [CoreAgent],
+    &'a mut [StdRng],
+    RewardRows<'a>,
+    &'a mut [(usize, usize)],
+    &'a mut [bool],
+    &'a mut [f64],
+    &'a mut [Option<u64>],
+    &'a mut [u16],
+    &'a mut [[u64; 2]],
+);
+
+/// What every shard of the RL block pipeline reads: this epoch's
+/// observation plus the controller state the coarse-grain steps left
+/// behind, frozen for the fine-grain pass.
+struct RlPass<'a> {
+    config: &'a OdRlConfig,
+    encoder: &'a StateEncoder,
+    obs: &'a Observation,
+    budgets: &'a [Watts],
+    scale: f64,
+    max_seen: &'a [f64],
+    /// Last epoch's `(state, action)` pairs, awaiting their reward.
+    pending: Option<&'a [(usize, usize)]>,
+    /// Validity of the pending pairs.
+    prev_valid: &'a [bool],
+    wd: Option<&'a SensorWatchdog>,
+    trace_rings: Option<&'a [Mutex<TraceRing>]>,
+    diag_shards: Option<&'a [Mutex<LearnDiag>]>,
+    diag_rows: bool,
+    epoch: u64,
+    chunk: usize,
+}
+
+/// Cores per RL pipeline block: a whole-shard pass walks more agent rows
+/// than L1/L2 hold, so by the time a later pass returned to an agent its
+/// prefetched row was evicted again; a 64-agent block stays resident
+/// across all four passes.
+const BLOCK: usize = 64;
+
+impl RlPass<'_> {
+    /// Runs the RL block pipeline over one shard (cores `base..`), block
+    /// by block:
+    ///
+    /// 1. encode every state, prefetch its row, and prefetch the next
+    ///    block's pending update targets;
+    /// 2. refill the block's ε draws — one `next_u64` per live core whose
+    ///    policy pre-draws, from that core's own stream, so per-core draw
+    ///    order (ε uniform, then the action draw only when exploring)
+    ///    matches drawing at decision time; other policies draw inside
+    ///    `decide`;
+    /// 3. scan the block's rows in one [`odrl_rl::kernel::scan_rows`]
+    ///    call (single-agent quantized storage) and select;
+    /// 4. learn: price last epoch's transition and TD-step it while the
+    ///    agent's scale line and the core's observation are still hot.
+    ///
+    /// Core j's decide completes before its learn, cores touch only their
+    /// own tables and shaper rows, and blocks run in core order, so trace
+    /// records and all per-core values are independent of the blocking
+    /// and of the shard count. Per-block timer stamps keep the
+    /// decide/learn substage split honest at ~3 clock reads per block.
+    fn run_shard(&self, base: usize, shard: RlShard<'_>) {
+        let (agents, rngs, mut rows, dec, valid, boots, draws, mem_phase, rl_ns) = shard;
+        let len = agents.len();
+        // All the parallel arrays are exactly `len` items (one-time
+        // asserts, so the indexed passes run without per-iteration bounds
+        // checks).
+        assert!(
+            dec.len() == len
+                && draws.len() == len
+                && boots.len() == len
+                && valid.len() == len
+                && mem_phase.len() == len
+                && rngs.len() == len
+        );
+        // Per-shard epsilon memo: every lockstep agent shares the same
+        // (schedule, step) pair, so one `exp()` serves the whole shard.
+        let mut cache = EpsCache::new();
+        // Stack-local diagnostics accumulator; merged into the shard slot
+        // once at the end so the hot loops never touch the mutex.
+        let diag_on = self.diag_shards.is_some();
+        let mut diag = LearnDiag::new();
+        let (mut decide_ns, mut learn_ns) = (0u64, 0u64);
+        self.prefetch_updates(agents, base, 0, BLOCK.min(len));
+        let mut blk = 0usize;
+        while blk < len {
+            let end = (blk + BLOCK).min(len);
+            let t0 = Instant::now();
+            // Pass 1: encode + prefetch. The update targets of block B+1
+            // are requested here, giving them two full passes to land
+            // before B+1's learn touches them.
+            for j in blk..end {
+                let (s, mb) = self.encode(base + j);
+                dec[j].0 = s;
+                mem_phase[j] = mb as u16;
+                agents[j].prefetch(s);
+            }
+            self.prefetch_updates(agents, base, end, (end + BLOCK).min(len));
+            // Pass 2: ε refill.
+            for j in blk..end {
+                draws[j] =
+                    (agents[j].pre_draws() && !self.is_dead(base + j)).then(|| rngs[j].next_u64());
+            }
+            // Pass 3a: one dispatched kernel call scans the whole block's
+            // rows when every agent offers a banked row. Each result is
+            // exactly what that agent's own scan would compute; dead
+            // cores' rows are scanned too (a pure read) and the result
+            // ignored.
+            let mut scans = [(0u16, 0f64); BLOCK];
+            let scanned = {
+                const EMPTY_ROW: &[i16] = &[];
+                let mut rows_buf: [(&[i16], f32); BLOCK] = [(EMPTY_ROW, 0.0); BLOCK];
+                let ok = (blk..end).all(|j| match agents[j].quant_row(dec[j].0) {
+                    Some(pair) => {
+                        rows_buf[j - blk] = pair;
+                        true
+                    }
+                    None => false,
+                });
+                if ok {
+                    odrl_rl::kernel::scan_rows(&rows_buf[..end - blk], &mut scans[..end - blk]);
+                }
+                ok
+            };
+            // Pass 3b: select.
+            for j in blk..end {
+                let i = base + j;
+                let s_next = dec[j].0;
+                // A dead core takes no decision: pin it to the floor and
+                // taint the recorded pair so the agent never learns from a
+                // transition it did not choose.
+                if self.is_dead(i) {
+                    valid[j] = false;
+                    dec[j] = (s_next, 0);
+                    boots[j] = 0.0;
+                    continue;
+                }
+                let scan = scanned.then(|| {
+                    let (best, max_v) = scans[j - blk];
+                    (usize::from(best), max_v)
+                });
+                let (a_next, explored, bootstrap) = agents[j]
+                    .decide(
+                        self.config.algorithm,
+                        s_next,
+                        draws[j],
+                        scan,
+                        &mut rngs[j],
+                        &mut cache,
+                    )
+                    .expect("encoded state and indices are in range");
+                boots[j] = bootstrap;
+                if diag_on {
+                    diag.decisions += 1;
+                    if explored {
+                        diag.explorations += 1;
+                    }
+                    if self.diag_rows {
+                        if let Ok(st) = agents[j].row_stats(s_next) {
+                            diag.q_span.record(st.q_span());
+                            diag.visit_span.record(st.visit_spread() as f64);
+                        }
+                    }
+                }
+                if explored {
+                    if let Some(rings) = self.trace_rings {
+                        rings[base / self.chunk]
+                            .lock()
+                            .expect("shard ring poisoned")
+                            .record(
+                                self.epoch,
+                                i as u32,
+                                Event::RlChoice {
+                                    action: a_next as u8,
+                                    explored: true,
+                                },
+                            );
+                    }
+                }
+                dec[j] = (s_next, a_next);
+            }
+            let t1 = Instant::now();
+            decide_ns += t1.duration_since(t0).as_nanos() as u64;
+            // Pass 4: learn, with the bootstrap pass 3 read from the
+            // pre-update table. The reward draws no randomness.
+            if let Some(pending) = self.pending {
+                for j in blk..end {
+                    let i = base + j;
+                    if !self.prev_valid[i] || self.is_dead(i) {
+                        continue;
+                    }
+                    let (s, a) = pending[i];
+                    let r = self.reward(&mut rows, j, i, usize::from(mem_phase[j]));
+                    let td = agents[j]
+                        .learn(s, a, r, boots[j])
+                        .expect("recorded state and action are in range");
+                    if self.diag_rows {
+                        diag.td_error.record(td);
+                    } else if diag_on {
+                        diag.td_error.record_extreme(td);
+                    }
+                }
+            }
+            learn_ns += t1.elapsed().as_nanos() as u64;
+            blk = end;
+        }
+        rl_ns[0] = [decide_ns, learn_ns];
+        if let Some(ds) = self.diag_shards {
+            ds[base / self.chunk]
+                .lock()
+                .expect("shard diag poisoned")
+                .merge(&diag);
+        }
+    }
+
+    /// Core `i`'s state and mem bin: same arithmetic as
+    /// `OdRlController::affordability`, with the decaying power ceiling
+    /// read from the frozen slice.
+    #[inline]
+    fn encode(&self, i: usize) -> (usize, usize) {
+        let p_max = self.max_seen[i];
+        let afford = if p_max > 0.0 {
+            (self.budgets[i] * self.scale).value() / p_max
+        } else {
+            f64::INFINITY
+        };
+        self.encoder.encode_with_mem(&self.obs.cores[i], afford)
+    }
+
+    #[inline]
+    fn is_dead(&self, i: usize) -> bool {
+        self.wd.is_some_and(|w| w.is_dead(i))
+    }
+
+    /// Prices core `i`'s (shard row `j`) pending transition. A stale
+    /// sensor prices it with the last good reading against a
+    /// margin-reduced budget: conservative while partially blind.
+    #[inline]
+    fn reward(&self, rows: &mut RewardRows<'_>, j: usize, i: usize, phase: usize) -> f64 {
+        let core = &self.obs.cores[i];
+        let (power, local_budget) = match self.wd {
+            Some(w) if w.is_stale(i) => {
+                (w.held_power(i), self.budgets[i] * (self.scale * w.margin()))
+            }
+            _ => (core.power, self.budgets[i] * self.scale),
+        };
+        let mut r = rows.reward(j, phase, core.ips, power, local_budget);
+        if let Some(limit) = self.config.thermal_limit {
+            let excess = (core.temperature.value() - limit).max(0.0);
+            r -= self.config.thermal_penalty * excess / 10.0;
+        }
+        r
+    }
+
+    /// Prefetches the pending TD-update targets of shard cores
+    /// `from..to` (last epoch's decisions are known before any pass runs).
+    #[inline]
+    fn prefetch_updates(&self, agents: &[CoreAgent], base: usize, from: usize, to: usize) {
+        if let Some(pending) = self.pending {
+            for k in from..to {
+                let (s, a) = pending[base + k];
+                agents[k].prefetch_update(s, a);
+            }
+        }
+    }
 }
 
 impl PowerController for OdRlController {
@@ -750,673 +1214,16 @@ impl PowerController for OdRlController {
             if let Some(p) = self.pending.take() {
                 self.spare = p;
             }
-            if let (Some(tr), Some(t0)) = (self.tracer.as_deref_mut(), t0) {
-                tr.end_epoch(epoch, t0);
+        } else {
+            if let Some(ch) = &mut self.channel {
+                ch.begin_epoch(self.epochs);
             }
-            self.timers.bump_epoch();
-            self.epochs += 1;
-            return;
-        }
-
-        if let Some(ch) = &mut self.channel {
-            ch.begin_epoch(self.epochs);
-        }
-
-        // Coarse grain: update marginal estimates every epoch, reallocate
-        // every K epochs. The new allocation is written into the budget
-        // double buffer and swapped in, so periodic reallocations stay
-        // allocation-free at steady state. With an unreliable budget
-        // channel attached the shares travel as messages instead: each
-        // core's new share is sent on its link, and only what arrives is
-        // applied — an agent whose message is lost keeps its old share.
-        let t_realloc = Instant::now();
-        if let Some(allocator) = &mut self.allocator {
-            allocator.observe(obs);
-            if self.epochs > 0 && self.epochs.is_multiple_of(self.config.realloc_period) {
-                allocator.reallocate_into(
-                    obs,
-                    &self.budgets,
-                    obs.budget,
-                    &mut self.alloc_scratch,
-                    &mut self.budgets_next,
-                );
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    let moved: f64 = self
-                        .budgets_next
-                        .iter()
-                        .zip(&self.budgets)
-                        .map(|(new, old)| (*new - *old).abs().value())
-                        .sum();
-                    tr.record_realloc(epoch, moved);
-                }
-                match &mut self.channel {
-                    None => std::mem::swap(&mut self.budgets, &mut self.budgets_next),
-                    Some(ch) => {
-                        for (i, b) in self.budgets_next.iter().enumerate().take(n) {
-                            ch.send(i, b.value());
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(ch) = &mut self.channel {
-            for (i, b) in self.budgets.iter_mut().enumerate().take(n) {
-                if let Some(v) = ch.poll(i) {
-                    *b = Watts::new(v);
-                }
-            }
-        }
-        self.timers.record(Stage::Realloc, t_realloc);
-
-        // A dead core burns no watts: hand its share to the survivors so
-        // the chip budget keeps getting spent on work. The freed watts go
-        // out evenly; the next reallocation re-optimises the split (and
-        // restores a floor share to a core that rejoins).
-        if let Some(wd) = &self.watchdog {
-            if wd.any_dead() {
-                let mut freed = 0.0;
-                let mut alive = 0usize;
-                for i in 0..n {
-                    if wd.is_dead(i) {
-                        freed += self.budgets[i].value();
-                        self.budgets[i] = Watts::ZERO;
-                    } else {
-                        alive += 1;
-                    }
-                }
-                if freed > 0.0 && alive > 0 {
-                    let bonus = Watts::new(freed / alive as f64);
-                    for i in 0..n {
-                        if !wd.is_dead(i) {
-                            self.budgets[i] += bonus;
-                        }
-                    }
-                    if let Some(tr) = self.tracer.as_deref_mut() {
-                        tr.record_redistribution(epoch, freed);
-                    }
-                }
-            }
-        }
-
-        // Predictive slack market (see `odrl-market`): each market epoch
-        // every core forecasts its next-epoch demand, cores holding more
-        // than they need donate the predicted slack into the reclaim pool
-        // and over-budget cores apply for it — a fast path that moves
-        // watts between reallocations instead of waiting out the reactive
-        // `realloc_period`. Runs in this serial coarse-grain section, so
-        // shard counts cannot affect it. With an unreliable budget channel
-        // attached the post-market shares travel as messages on the same
-        // lossy links reallocations use, so fault plans (lost / delayed /
-        // stale) exercise the market path too.
-        if let Some(market) = &mut self.market {
-            if self.epochs > 0 && self.epochs.is_multiple_of(market.period()) {
-                let t_market = Instant::now();
-                let (powers, shares) = self.market_scratch.stage();
-                for (core, b) in obs.cores.iter().zip(&self.budgets).take(n) {
-                    powers.push(core.power.value());
-                    shares.push(b.value());
-                }
-                // Cores with untrustworthy telemetry sit the round out:
-                // a dead or stuck sensor must neither feed the predictor
-                // nor price a donation.
-                if let Some(wd) = &self.watchdog {
-                    for i in 0..n {
-                        if wd.is_dead(i) || wd.is_stale(i) {
-                            self.market_scratch.deactivate(i);
-                        }
-                    }
-                }
-                let round = market.step(obs.budget.value(), &mut self.market_scratch);
-                if round.moved() {
-                    match &mut self.channel {
-                        None => {
-                            for (b, s) in self
-                                .budgets
-                                .iter_mut()
-                                .zip(self.market_scratch.shares())
-                                .take(n)
-                            {
-                                *b = Watts::new(*s);
-                            }
-                        }
-                        Some(ch) => {
-                            for (i, s) in
-                                self.market_scratch.shares().iter().enumerate().take(n)
-                            {
-                                ch.send(i, *s);
-                                if let Some(v) = ch.poll(i) {
-                                    self.budgets[i] = Watts::new(v);
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    tr.record_market(epoch, &round);
-                }
-                self.last_market_round = Some(round);
-                self.timers.record(Stage::Realloc, t_market);
-            }
-        }
-
-        // Chip-level utilisation feedback (see `utilisation_scale`), with
-        // AIMD dynamics: additive fill while under budget, multiplicative
-        // back-off on any overshoot epoch. The multiplicative decrease is
-        // what keeps homogeneous workloads — where all cores hit their
-        // share boundary in lock-step — just below the chip budget instead
-        // of oscillating across it.
-        if obs.total_power.value() > 0.0 && obs.budget.value() > 0.0 {
-            let err = (obs.budget - obs.total_power).value() / obs.budget.value();
-            if err >= 0.0 {
-                self.utilisation_scale += 0.01 * err;
-            } else {
-                self.utilisation_scale *= 0.95;
-            }
-            self.utilisation_scale = self.utilisation_scale.clamp(0.9, 1.6);
-        }
-
-        // Track each core's power ceiling (decaying max) for the
-        // affordability state dimension. Stale and dead readings are
-        // frozen out: a stuck register must not decay (or define) a
-        // ceiling the core never actually drew.
-        let wd = self.watchdog.as_ref();
-        for (i, (seen, core)) in self.max_power_seen.iter_mut().zip(&obs.cores).enumerate() {
-            if wd.is_some_and(|w| w.is_dead(i) || w.is_stale(i)) {
-                continue;
-            }
-            *seen = (*seen * 0.999).max(core.power.value());
-        }
-
-        // Fine grain: close the RL loop per core. Each core touches only
-        // its own agent, exploration RNG and reward row, so the loop shards
-        // across threads with bit-identical results (per-core streams plus
-        // contiguous chunks written in place).
-        let t_rl = Instant::now();
-        let old_pending = self.pending.take();
-        let mut decisions = std::mem::take(&mut self.spare);
-        decisions.clear();
-        decisions.resize(n, (0, 0));
-        // Validity ping-pong: `mask_prev` now covers the pending pairs,
-        // `mask` is re-armed for the decisions recorded below.
-        std::mem::swap(&mut self.mask, &mut self.mask_prev);
-        self.mask.reset();
-        let chunk = {
-            let config = &self.config;
-            let encoder = &self.encoder;
-            let budgets = &self.budgets;
-            let scale = self.utilisation_scale;
-            let max_seen = &self.max_power_seen;
-            let old_pending = old_pending.as_deref();
-            let wd = self.watchdog.as_ref();
-            let prev_valid = self.mask_prev.as_slice();
-            // Exploration events are recorded inside the sharded loop, so
-            // each shard writes a private ring (`base / chunk` — the same
-            // chunking `shard_chunks` applies). Locking is uncontended and
-            // only happens on the rare exploration epochs.
-            let trace_rings = self.tracer.as_deref().map(CtrlTracer::shard_rings);
-            // Learning-health taps mirror the ring layout: each shard folds
-            // its TD-error / Q-span / visit-spread samples into a private
-            // accumulator and merges it once at shard end, so the summary
-            // algebra sees the same exact integer adds at any shard count.
-            let diag_shards = self.tracer.as_deref().and_then(CtrlTracer::shard_diags);
-            // Q-row statistics (greedy-Q span, visit spread) cost a full
-            // row scan per decide, and a full TD-error summary record is
-            // ~15 integer/float ops per core, so both sample on the
-            // diagnostics period — keyed on the epoch alone, hence
-            // shard-invariant. Off-period epochs keep only the TD peak
-            // (two compares) so watermark rules still see every blowup
-            // the epoch it happens; the decision/exploration tallies are
-            // plain increments and run every epoch.
-            let diag_rows = self
-                .tracer
-                .as_deref()
-                .is_some_and(|t| t.diag_enabled() && epoch.is_multiple_of(t.diag_period().max(1)));
-            let chunk = n.div_ceil(config.parallelism.shards(n));
-            // The batched decide path splits the per-core loop into
-            // lane-friendly passes (encode → ε refill → scan/select). It
-            // requires every policy to pre-draw exactly one uniform and is
-            // compiled in only with the `simd` feature, so feature-off
-            // builds run the interleaved loop byte-for-byte.
-            let batched = cfg!(feature = "simd") && self.eps_batchable;
-            let (rows, _) = self.shaper.rows_view().split_at_mut(n);
-            let (mask_bits, _) = self.mask.as_mut_slice().split_at_mut(n);
-            shard_chunks(
-                config.parallelism,
-                (
-                    &mut self.agents[..n],
-                    &mut self.rngs[..n],
-                    rows,
-                    &mut decisions[..n],
-                    mask_bits,
-                    &mut self.boots[..n],
-                    &mut self.eps_draws[..n],
-                    &mut self.mem_phase[..n],
-                    &mut self.rl_ns[..n],
-                ),
-                move |base, (agents, rngs, mut rows, dec, valid, boots, draws, mem_phase, rl_ns)| {
-                    // Per-shard epsilon memo: every lockstep agent shares the
-                    // same (schedule, step) pair, so one `exp()` serves the
-                    // whole shard instead of one per core.
-                    let mut cache = EpsCache::new();
-                    let len = agents.len();
-                    // Stack-local diagnostics accumulator; merged into the
-                    // shard slot once at the end so the hot loops never
-                    // touch the mutex.
-                    let diag_on = diag_shards.is_some();
-                    let mut diag = odrl_obs::LearnDiag::new();
-                    // Encode in place (no separate serial pass over the
-                    // cores): same arithmetic as `affordability`, with the
-                    // decaying power ceiling read from the shared immutable
-                    // slice.
-                    let encode = |i: usize| {
-                        let p_max = max_seen[i];
-                        let afford = if p_max > 0.0 {
-                            (budgets[i] * scale).value() / p_max
-                        } else {
-                            f64::INFINITY
-                        };
-                        encoder.encode(&obs.cores[i], afford)
-                    };
-                    // Batched-pass variant: also captures the mem bin so
-                    // the learn pass can reuse it.
-                    #[cfg(feature = "simd")]
-                    let encode_mem = |i: usize| {
-                        let p_max = max_seen[i];
-                        let afford = if p_max > 0.0 {
-                            (budgets[i] * scale).value() / p_max
-                        } else {
-                            f64::INFINITY
-                        };
-                        encoder.encode_with_mem(&obs.cores[i], afford)
-                    };
-                    if batched {
-                        // Batched decide + learn, fused block by block
-                        // (cache tiling: a whole-shard pass walks more
-                        // agent rows than L1/L2 hold, so by the time a
-                        // later pass returned to an agent its prefetched
-                        // row was evicted again; a 64-agent block stays
-                        // resident across all four passes). Per block:
-                        // (1) encode every state, prefetch its row and
-                        // the pending update's target lanes.
-                        // (2) Refill the block's ε draws — one `next_u64`
-                        // per live core from that core's own stream, so
-                        // per-core draw order (ε uniform, then the action
-                        // draw only when exploring) matches the
-                        // interleaved path exactly. (3) Scan + select
-                        // with the ε branch consuming the pre-drawn
-                        // value. (4) Learn: price last epoch's transition
-                        // and TD-step it while the agent's scale line and
-                        // the core's observation are still hot from the
-                        // decide passes. Core j's decide completes before
-                        // its learn, cores touch only their own tables
-                        // and shaper rows, and blocks run in core order,
-                        // so trace records and all per-core values are
-                        // bit-identical to the split whole-shard passes.
-                        //
-                        // Per-block timer stamps keep the decide/learn
-                        // substage split honest: ~3 clock reads per 64
-                        // cores is ~1 ns/core of overhead.
-                        //
-                        // All the parallel arrays are exactly `len` items
-                        // (one-time asserts, so the indexed passes below
-                        // run without per-iteration bounds checks).
-                        assert!(
-                            dec.len() == len
-                                && draws.len() == len
-                                && boots.len() == len
-                                && valid.len() == len
-                                && mem_phase.len() == len
-                                && rngs.len() == len
-                        );
-                        const BLOCK: usize = 64;
-                        let (mut decide_acc, mut learn_acc) = (0u64, 0u64);
-                        // Last epoch's update targets are known before any
-                        // pass runs, so their lanes prefetch one block
-                        // ahead: block B's pass 2 requests block B+1's
-                        // lines, giving them two full passes (~2 µs) to
-                        // land before B+1's learn touches them, and
-                        // keeping the requests out of the encode pass,
-                        // which is already streaming the observations.
-                        let prefetch_updates =
-                            |agents: &[CoreAgent], from: usize, to: usize| {
-                                if let Some(pending) = old_pending {
-                                    for k in from..to {
-                                        let (ps, pa) = pending[base + k];
-                                        agents[k].prefetch_update(ps, pa);
-                                    }
-                                }
-                            };
-                        prefetch_updates(agents, 0, BLOCK.min(len));
-                        let mut blk = 0usize;
-                        while blk < len {
-                            let end = (blk + BLOCK).min(len);
-                            let t0 = Instant::now();
-                            for j in blk..end {
-                                #[cfg(feature = "simd")]
-                                let (s, mb) = encode_mem(base + j);
-                                #[cfg(not(feature = "simd"))]
-                                let (s, mb) = (encode(base + j), 0usize);
-                                dec[j].0 = s;
-                                mem_phase[j] = mb as u16;
-                                agents[j].prefetch_select(s);
-                            }
-                            prefetch_updates(agents, end, (end + BLOCK).min(len));
-                            for j in blk..end {
-                                if wd.is_some_and(|w| w.is_dead(base + j)) {
-                                    continue;
-                                }
-                                draws[j] = rngs[j].next_u64();
-                            }
-                            // Pass 3a: one dispatched kernel call scans
-                            // the whole block's rows (single-agent
-                            // quantized layout only — `quant_row` returns
-                            // `None` otherwise and the per-core scans
-                            // below take over). Each row's result is
-                            // exactly what that core's `decide_prepared`
-                            // would have computed, so pass 3b just feeds
-                            // it back; dead cores' rows are scanned too
-                            // (a pure read) and the result ignored.
-                            let mut scans = [(0u16, 0f64); BLOCK];
-                            let scanned = {
-                                const EMPTY_ROW: &[i16] = &[];
-                                let mut rows_buf: [(&[i16], f32); BLOCK] =
-                                    [(EMPTY_ROW, 0.0); BLOCK];
-                                let m = end - blk;
-                                let mut ok = true;
-                                for j in blk..end {
-                                    match agents[j].quant_row(dec[j].0) {
-                                        Some(pair) => rows_buf[j - blk] = pair,
-                                        None => {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                }
-                                if ok {
-                                    odrl_rl::kernel::scan_rows(&rows_buf[..m], &mut scans[..m]);
-                                }
-                                ok
-                            };
-                            for j in blk..end {
-                                let i = base + j;
-                                let s_next = dec[j].0;
-                                // A dead core takes no decision: pin it
-                                // to the floor and taint the recorded
-                                // pair so the agent never learns from a
-                                // transition it did not choose.
-                                if wd.is_some_and(|w| w.is_dead(i)) {
-                                    valid[j] = false;
-                                    dec[j] = (s_next, 0);
-                                    boots[j] = 0.0;
-                                    continue;
-                                }
-                                let (a_next, explored, bootstrap) = if scanned {
-                                    let (b, mv) = scans[j - blk];
-                                    agents[j].decide_scanned(
-                                        config.algorithm,
-                                        s_next,
-                                        usize::from(b),
-                                        mv,
-                                        draws[j],
-                                        &mut rngs[j],
-                                        &mut cache,
-                                    )
-                                } else {
-                                    agents[j].decide_prepared(
-                                        config.algorithm,
-                                        s_next,
-                                        draws[j],
-                                        &mut rngs[j],
-                                        &mut cache,
-                                    )
-                                }
-                                .expect("encoded state and indices are in range");
-                                boots[j] = bootstrap;
-                                if diag_on {
-                                    diag.decisions += 1;
-                                    if explored {
-                                        diag.explorations += 1;
-                                    }
-                                    if diag_rows {
-                                        if let Ok(st) = agents[j].row_stats(s_next) {
-                                            diag.q_span.record(st.q_span());
-                                            diag.visit_span.record(st.visit_spread() as f64);
-                                        }
-                                    }
-                                }
-                                if explored {
-                                    if let Some(rings) = trace_rings {
-                                        rings[base / chunk]
-                                            .lock()
-                                            .expect("shard ring poisoned")
-                                            .record(
-                                                epoch,
-                                                i as u32,
-                                                Event::RlChoice {
-                                                    action: a_next as u8,
-                                                    explored: true,
-                                                },
-                                            );
-                                    }
-                                }
-                                dec[j] = (s_next, a_next);
-                            }
-                            let t1 = Instant::now();
-                            decide_acc += t1.duration_since(t0).as_nanos() as u64;
-                            if let Some(pending) = old_pending {
-                                for j in blk..end {
-                                    let agent = &mut agents[j];
-                                    let i = base + j;
-                                    if !prev_valid[i] || wd.is_some_and(|w| w.is_dead(i)) {
-                                        continue;
-                                    }
-                                    let (s, a) = pending[i];
-                                    // The encode sweep above cached this
-                                    // epoch's mem bin, saving the two
-                                    // divisions `mem_bin` would redo.
-                                    let phase = usize::from(mem_phase[j]);
-                                    // A stale sensor prices the transition
-                                    // with the last good reading against a
-                                    // margin-reduced budget: conservative
-                                    // while partially blind.
-                                    let (power, local_budget) = match wd {
-                                        Some(w) if w.is_stale(i) => {
-                                            (w.held_power(i), budgets[i] * (scale * w.margin()))
-                                        }
-                                        _ => (obs.cores[i].power, budgets[i] * scale),
-                                    };
-                                    let mut r = rows.reward(
-                                        j,
-                                        phase,
-                                        obs.cores[i].ips,
-                                        power,
-                                        local_budget,
-                                    );
-                                    if let Some(limit) = config.thermal_limit {
-                                        let excess =
-                                            (obs.cores[i].temperature.value() - limit).max(0.0);
-                                        r -= config.thermal_penalty * excess / 10.0;
-                                    }
-                                    let td = agent
-                                        .learn_prepared(s, a, r, boots[j])
-                                        .expect("recorded state and action are in range");
-                                    if diag_rows {
-                                        diag.td_error.record(td);
-                                    } else if diag_on {
-                                        diag.td_error.record_extreme(td);
-                                    }
-                                }
-                            }
-                            learn_acc += t1.elapsed().as_nanos() as u64;
-                            blk = end;
-                        }
-                        rl_ns[0] = [decide_acc, learn_acc];
-                    } else {
-                        let t_decide = Instant::now();
-                        // Decide pass, software-pipelined one core ahead:
-                        // while core j's row is scanned, core j+1's state
-                        // is encoded and its Q-row prefetched, hiding the
-                        // row's memory latency behind the previous scan.
-                        // Per-core RNG streams keep the draws independent
-                        // of this order.
-                        if len > 0 {
-                            dec[0].0 = encode(base);
-                            agents[0].prefetch(dec[0].0);
-                        }
-                        for j in 0..len {
-                            if j + 1 < len {
-                                let s = encode(base + j + 1);
-                                dec[j + 1].0 = s;
-                                agents[j + 1].prefetch(s);
-                            }
-                            let i = base + j;
-                            let s_next = dec[j].0;
-                            // A dead core takes no decision: pin it to the
-                            // floor and taint the recorded pair so the
-                            // agent never learns from a transition it did
-                            // not choose.
-                            if wd.is_some_and(|w| w.is_dead(i)) {
-                                valid[j] = false;
-                                dec[j] = (s_next, 0);
-                                boots[j] = 0.0;
-                                continue;
-                            }
-                            let (a_next, explored, bootstrap) = agents[j]
-                                .decide(config.algorithm, s_next, &mut rngs[j], &mut cache)
-                                .expect("encoded state and indices are in range");
-                            boots[j] = bootstrap;
-                            if diag_on {
-                                diag.decisions += 1;
-                                if explored {
-                                    diag.explorations += 1;
-                                }
-                                if diag_rows {
-                                    if let Ok(st) = agents[j].row_stats(s_next) {
-                                        diag.q_span.record(st.q_span());
-                                        diag.visit_span.record(st.visit_spread() as f64);
-                                    }
-                                }
-                            }
-                            if explored {
-                                if let Some(rings) = trace_rings {
-                                    rings[base / chunk]
-                                        .lock()
-                                        .expect("shard ring poisoned")
-                                        .record(
-                                            epoch,
-                                            i as u32,
-                                            Event::RlChoice {
-                                                action: a_next as u8,
-                                                explored: true,
-                                            },
-                                        );
-                                }
-                            }
-                            dec[j] = (s_next, a_next);
-                        }
-                        let decide_ns = t_decide.elapsed().as_nanos() as u64;
-                        // Learn pass: price last epoch's transition and
-                        // apply the TD update with the bootstrap the decide
-                        // pass read from the pre-update table — exactly
-                        // what the fused select+update computed, so
-                        // splitting the passes is bit-identical. The reward
-                        // draws no randomness and each core touches only
-                        // its own shaper row, so the reordering changes
-                        // nothing else.
-                        let t_learn = Instant::now();
-                        if let Some(pending) = old_pending {
-                            for (j, agent) in agents.iter_mut().enumerate() {
-                                let i = base + j;
-                                if !prev_valid[i] || wd.is_some_and(|w| w.is_dead(i)) {
-                                    continue;
-                                }
-                                let (s, a) = pending[i];
-                                let phase = encoder.mem_bin(&obs.cores[i]);
-                                // A stale sensor prices the transition with
-                                // the last good reading against a
-                                // margin-reduced budget: conservative while
-                                // partially blind.
-                                let (power, local_budget) = match wd {
-                                    Some(w) if w.is_stale(i) => {
-                                        (w.held_power(i), budgets[i] * (scale * w.margin()))
-                                    }
-                                    _ => (obs.cores[i].power, budgets[i] * scale),
-                                };
-                                let mut r = rows.reward(
-                                    j,
-                                    phase,
-                                    obs.cores[i].ips,
-                                    power,
-                                    local_budget,
-                                );
-                                if let Some(limit) = config.thermal_limit {
-                                    let excess =
-                                        (obs.cores[i].temperature.value() - limit).max(0.0);
-                                    r -= config.thermal_penalty * excess / 10.0;
-                                }
-                                let td = agent
-                                    .learn(s, a, r, boots[j])
-                                    .expect("recorded state and action are in range");
-                                if diag_rows {
-                                    diag.td_error.record(td);
-                                } else if diag_on {
-                                    diag.td_error.record_extreme(td);
-                                }
-                            }
-                        }
-                        rl_ns[0] = [decide_ns, t_learn.elapsed().as_nanos() as u64];
-                    }
-                    if let Some(ds) = diag_shards {
-                        ds[base / chunk]
-                            .lock()
-                            .expect("shard diag poisoned")
-                            .merge(&diag);
-                    }
-                },
-            );
-            chunk
-        };
-        // Fold the per-shard stamps: shards ran concurrently, so each
-        // half's wall-clock contribution is the widest shard.
-        let (mut decide_ns, mut learn_ns) = (0u64, 0u64);
-        let mut b = 0;
-        while b < n {
-            decide_ns = decide_ns.max(self.rl_ns[b][0]);
-            learn_ns = learn_ns.max(self.rl_ns[b][1]);
-            b += chunk;
-        }
-        self.timers.add_nanos(Stage::RlDecide, decide_ns);
-        self.timers.add_nanos(Stage::RlLearn, learn_ns);
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.record_rl_split(decide_ns, learn_ns);
-        }
-        for (slot, &(_, a)) in out.iter_mut().zip(decisions.iter()) {
-            *slot = LevelId(a);
-        }
-        self.spare = old_pending.unwrap_or_default();
-        self.pending = Some(decisions);
-        self.timers.record(Stage::Rl, t_rl);
-        // Serial diagnostics epilogue. The quantized-health scan walks
-        // every agent's table, so it is period-gated; the channel tap
-        // hands the tracer the lifetime delivery counters (the tracer
-        // differences them into a per-epoch loss rate).
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            if tr.diag_enabled() {
-                if epoch.is_multiple_of(tr.diag_period()) {
-                    let (mut doublings, mut saturated, mut lanes) = (0u64, 0u64, 0u64);
-                    for agent in &self.agents[..n] {
-                        if let Some(h) = agent.quant_health() {
-                            doublings += h.doublings;
-                            saturated += h.saturated;
-                            lanes += h.lanes;
-                        }
-                    }
-                    tr.record_quant_health(doublings, saturated, lanes);
-                }
-                if let Some(ch) = &self.channel {
-                    tr.record_channel(ch.messages_sent(), ch.messages_delivered());
-                }
-            }
+            self.reallocate(obs, n, epoch);
+            self.redistribute_dead_shares(n, epoch);
+            self.run_market(obs, n, epoch);
+            self.track_power(obs);
+            self.rl_pipeline(obs, n, epoch, out);
+            self.record_diagnostics(n, epoch);
         }
         if let (Some(tr), Some(t0)) = (self.tracer.as_deref_mut(), t0) {
             tr.end_epoch(epoch, t0);
@@ -2287,5 +2094,123 @@ mod tests {
             OdRlController::new(OdRlConfig::default(), &empty, Watts::new(10.0)),
             Err(OdRlError::EmptySpec)
         ));
+    }
+
+    /// Policies that do not pre-draw one ε uniform (greedy, softmax,
+    /// UCB1 — only reachable through an imported snapshot) draw inside
+    /// the decide call instead. Pins the action and budget stream of such
+    /// controllers, alone and mixed with ε-greedy agents, over single and
+    /// double agents on both layouts, and checks it is shard-invariant.
+    #[test]
+    fn imported_non_epsilon_policies_are_pinned_and_shard_invariant() {
+        use odrl_manycore::Parallelism;
+        use odrl_rl::{QTableLayout, Schedule};
+        const CORES: usize = 96;
+        const GOLDEN: u64 = 17422482150650160346;
+
+        let softmax = Policy::Softmax {
+            temperature: Schedule::constant(0.5).unwrap(),
+        };
+        let ucb = Policy::Ucb1 { c: 0.5 };
+        let eps = Policy::default_epsilon_greedy();
+        let cases: [&[Policy]; 4] = [
+            &[Policy::Greedy],
+            &[softmax],
+            &[ucb],
+            &[Policy::Greedy, softmax, ucb, eps],
+        ];
+        let fnv = |h: &mut u64, bytes: &[u8]| {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let run = |layout: QTableLayout, case: usize, par: Parallelism| {
+            let config = SystemConfig::builder()
+                .cores(CORES)
+                .seed(17)
+                .build()
+                .unwrap();
+            let budget = Watts::new(0.55 * config.max_power().value());
+            let mut system = System::new(config).unwrap();
+            let cfg = OdRlConfig {
+                seed: 17,
+                layout,
+                parallelism: par,
+                algorithm: if case.is_multiple_of(2) {
+                    Algorithm::QLearning
+                } else {
+                    Algorithm::Sarsa
+                },
+                ..OdRlConfig::default()
+            };
+            let mut ctrl = OdRlController::new(cfg.clone(), &system.spec(), budget).unwrap();
+            let (states, actions) = {
+                let t = ctrl.export_policy();
+                (t.states(), t.actions())
+            };
+            let optimistic = 1.0 / (1.0 - cfg.gamma);
+            let agents = (0..CORES)
+                .map(|i| {
+                    let policy = cases[case][i % cases[case].len()];
+                    if i % 2 == 0 {
+                        CoreAgent::Single(
+                            Agent::builder(states, actions)
+                                .gamma(cfg.gamma)
+                                .alpha(cfg.alpha)
+                                .policy(policy)
+                                .layout(layout)
+                                .optimistic(optimistic)
+                                .build()
+                                .unwrap(),
+                        )
+                    } else {
+                        CoreAgent::Double(
+                            DoubleAgent::builder(states, actions)
+                                .gamma(cfg.gamma)
+                                .alpha(cfg.alpha)
+                                .policy(policy)
+                                .layout(layout)
+                                .optimistic(optimistic / 2.0)
+                                .build()
+                                .unwrap(),
+                        )
+                    }
+                })
+                .collect();
+            ctrl.import_policy(PolicySnapshot {
+                states,
+                actions,
+                agents,
+            })
+            .unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut out = vec![LevelId(0); CORES];
+            for _ in 0..200 {
+                let obs = system.observation(budget);
+                ctrl.decide_into(&obs, &mut out);
+                for a in &out {
+                    fnv(&mut h, &(a.index() as u16).to_le_bytes());
+                }
+                for b in ctrl.budgets() {
+                    fnv(&mut h, &b.value().to_bits().to_le_bytes());
+                }
+                system.step(&out).unwrap();
+            }
+            h
+        };
+        let mut all = 0xcbf2_9ce4_8422_2325u64;
+        for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
+            for case in 0..cases.len() {
+                let serial = run(layout, case, Parallelism::Serial);
+                let sharded = run(layout, case, Parallelism::Threads(4));
+                assert_eq!(
+                    serial, sharded,
+                    "{layout:?} case {case}: shard count leaked"
+                );
+                fnv(&mut all, &serial.to_le_bytes());
+            }
+        }
+        assert_eq!(all, GOLDEN, "imported-policy stream drifted from golden");
     }
 }

@@ -11,7 +11,8 @@ use std::path::Path;
 
 /// Which TD update rule a controller applies ([`Agent::update`] implements
 /// Q-learning; [`Agent::update_sarsa`] implements SARSA — this enum lets
-/// configurations name the choice).
+/// configurations name the choice, and picks the bootstrap
+/// [`Agent::decide`] returns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Algorithm {
@@ -125,7 +126,7 @@ impl Agent {
         s_next: usize,
     ) -> Result<f64, RlError> {
         let bootstrap = self.q.max_value(s_next)?;
-        self.td_update(s, a, reward, bootstrap)
+        self.learn(s, a, reward, bootstrap)
     }
 
     /// SARSA update with an explicit next action `a'`, returning the TD
@@ -143,194 +144,49 @@ impl Agent {
         a_next: usize,
     ) -> Result<f64, RlError> {
         let bootstrap = self.q.get(s_next, a_next)?;
-        self.td_update(s, a, reward, bootstrap)
+        self.learn(s, a, reward, bootstrap)
     }
 
-    /// Fused select + Q-learning update: selects an action in `s_next` and,
-    /// if `prev = (s, a, reward)` describes the transition that led here,
-    /// applies the Q-learning update for it — sharing a single pass over
-    /// the `s_next` row between the greedy selection and the bootstrap max.
+    /// The decide half of a decide/learn pair: selects an action in
+    /// `s_next` and returns `(action, explored, bootstrap)`. `explored` is
+    /// `true` when the action came from the ε branch; `bootstrap` is the
+    /// TD bootstrap to hand [`Agent::learn`] once the pending transition's
+    /// reward is known — `max_a Q(s_next, a)` for Q-learning, or
+    /// `Q(s_next, action)` for [`Algorithm::Sarsa`] (on-policy). The
+    /// greedy choice and the Q-learning bootstrap come from one row scan.
     ///
-    /// Behaviour (Q values, step counter, RNG draw sequence) is identical
-    /// to [`Agent::select`] followed by [`Agent::update`]; policies that
-    /// need more than the argmax (softmax, UCB1) transparently take the
-    /// unfused selection path.
+    /// A batch caller may hand over work it already did for a block of
+    /// agents:
+    ///
+    /// * `draw` — the leading ε uniform as the raw `next_u64` this agent's
+    ///   RNG would have produced (only meaningful when
+    ///   [`Agent::policy_pre_draws`] is true; other policies ignore it and
+    ///   draw from `rng` as usual);
+    /// * `scan` — `(argmax, max)` of the `s_next` row from a
+    ///   [`crate::kernel::scan_rows`] batch over [`Agent::quant_row`].
+    ///
+    /// Either way decide → learn is bit-identical to [`Agent::select`]
+    /// followed by [`Agent::update`] / [`Agent::update_sarsa`]: same
+    /// actions, same table state, same RNG position.
     ///
     /// # Errors
     ///
-    /// As [`Agent::select`] and [`Agent::update`].
-    pub fn select_update_q<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<usize, RlError> {
-        self.select_update_q_explored(prev, s_next, rng, cache)
-            .map(|(a, _)| a)
-    }
-
-    /// Like [`Agent::select_update_q`] but also reports whether the
-    /// selection explored (ε branch). Identical RNG draws and Q updates;
-    /// the unfused fallback (softmax, UCB1) reports `false`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::select_update_q`].
-    pub fn select_update_q_explored<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool), RlError> {
-        let (a_next, explored, bootstrap) = self.decide_q_explored(s_next, rng, cache)?;
-        if let Some((s, a, reward)) = prev {
-            self.learn(s, a, reward, bootstrap)?;
-        }
-        Ok((a_next, explored))
-    }
-
-    /// The decision half of [`Agent::select_update_q_explored`]: selects an
-    /// action in `s_next` and returns `(action, explored, bootstrap)`,
-    /// where `bootstrap` is the Q-learning bootstrap `max_a Q(s_next, a)`
-    /// to feed [`Agent::learn`] once the transition's reward is known.
-    ///
-    /// Splitting decide from learn lets a controller run all decisions as
-    /// one pass and all TD updates as another (e.g. to time them apart);
-    /// the sequence decide → learn is bit-identical to the fused call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::select`].
-    pub fn decide_q_explored<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (best, max_v) = self.q.best_action_and_max(s_next)?;
-        let (a_next, explored) = match self.policy.select_from_argmax_explored(
-            self.q.actions(),
-            best,
-            self.step,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => (
-                self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                false,
-            ),
-        };
-        self.step += 1;
-        Ok((a_next, explored, max_v))
-    }
-
-    /// Fused select + SARSA update: like [`Agent::select_update_q`] but the
-    /// bootstrap is the value of the action actually selected in `s_next`,
-    /// matching [`Agent::select`] followed by [`Agent::update_sarsa`] with
-    /// that action.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::select`] and [`Agent::update_sarsa`].
-    pub fn select_update_sarsa<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<usize, RlError> {
-        self.select_update_sarsa_explored(prev, s_next, rng, cache)
-            .map(|(a, _)| a)
-    }
-
-    /// Like [`Agent::select_update_sarsa`] but also reports whether the
-    /// selection explored (ε branch). Identical RNG draws and Q updates;
-    /// the unfused fallback (softmax, UCB1) reports `false`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::select_update_sarsa`].
-    pub fn select_update_sarsa_explored<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool), RlError> {
-        let (a_next, explored, bootstrap) = self.decide_sarsa_explored(s_next, rng, cache)?;
-        if let Some((s, a, reward)) = prev {
-            self.learn(s, a, reward, bootstrap)?;
-        }
-        Ok((a_next, explored))
-    }
-
-    /// The decision half of [`Agent::select_update_sarsa_explored`]: like
-    /// [`Agent::decide_q_explored`] but the returned bootstrap is
-    /// `Q(s_next, a_next)` for the action actually selected (on-policy).
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::select`].
-    pub fn decide_sarsa_explored<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (best, _) = self.q.best_action_and_max(s_next)?;
-        let (a_next, explored) = match self.policy.select_from_argmax_explored(
-            self.q.actions(),
-            best,
-            self.step,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => (
-                self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                false,
-            ),
-        };
-        self.step += 1;
-        let bootstrap = self.q.get(s_next, a_next)?;
-        Ok((a_next, explored, bootstrap))
-    }
-
-    /// Whether this agent's policy consumes exactly one leading uniform
-    /// draw per decision (see [`Policy::pre_draws_uniform`]) — the gate a
-    /// controller must check before routing this agent through the
-    /// batched-draw `decide_*_prepared` entry points.
-    #[must_use]
-    pub fn policy_pre_draws(&self) -> bool {
-        self.policy.pre_draws_uniform()
-    }
-
-    /// Like [`Agent::decide_q_explored`] with the leading ε draw supplied
-    /// by the caller as the raw `next_u64` value this agent's RNG would
-    /// have produced. Lets a controller refill a block of draws (one
-    /// `next_u64` per agent) ahead of the scan pass; per-agent draw order
-    /// is unchanged, so seeded runs are bit-identical to the unbatched
-    /// path. Falls back to the unbatched selection (consuming `rng`
-    /// normally, ignoring `draw`) if the policy does not pre-draw — the
-    /// caller keeps streams aligned by checking
-    /// [`Agent::policy_pre_draws`] before pre-drawing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::decide_q_explored`].
+    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
     #[inline]
-    pub fn decide_q_prepared<R: Rng + ?Sized>(
+    pub fn decide<R: Rng + ?Sized>(
         &mut self,
+        algorithm: Algorithm,
         s_next: usize,
-        draw: u64,
+        draw: Option<u64>,
+        scan: Option<(usize, f64)>,
         rng: &mut R,
         cache: &mut EpsCache,
     ) -> Result<(usize, bool, f64), RlError> {
-        let (best, max_v) = self.q.best_action_and_max(s_next)?;
-        let (a_next, explored) = match self.policy.select_prepared(
+        let (best, max_v) = match scan {
+            Some(pair) => pair,
+            None => self.q.best_action_and_max(s_next)?,
+        };
+        let (a_next, explored) = match self.policy.select_from_argmax(
             self.q.actions(),
             best,
             self.step,
@@ -339,185 +195,59 @@ impl Agent {
             cache,
         ) {
             Some(pair) => pair,
-            None => match self
-                .policy
-                .select_from_argmax_explored(self.q.actions(), best, self.step, rng, cache)
-            {
-                Some(pair) => pair,
-                None => (
-                    self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                    false,
-                ),
-            },
+            None => (
+                self.policy.select_storage(&self.q, s_next, self.step, rng)?,
+                false,
+            ),
         };
         self.step += 1;
-        Ok((a_next, explored, max_v))
+        let bootstrap = match algorithm {
+            Algorithm::Sarsa => self.q.get(s_next, a_next)?,
+            _ => max_v,
+        };
+        Ok((a_next, explored, bootstrap))
+    }
+
+    /// Whether this agent's policy consumes exactly one leading uniform
+    /// draw per decision (see [`Policy::pre_draws_uniform`]) — the gate a
+    /// controller checks before pre-drawing the `draw` it hands
+    /// [`Agent::decide`].
+    #[must_use]
+    pub fn policy_pre_draws(&self) -> bool {
+        self.policy.pre_draws_uniform()
     }
 
     /// The banked row and scale this agent's next decision in `s_next`
     /// would scan, or `None` when the storage is not quantized. A batch
     /// caller collects one pair per agent, scans them all in one
-    /// [`crate::kernel::scan_rows`] call, and feeds the results back
-    /// through [`Agent::decide_q_scanned`] /
-    /// [`Agent::decide_sarsa_scanned`].
+    /// [`crate::kernel::scan_rows`] call, and feeds each result back as
+    /// the `scan` argument of [`Agent::decide`].
     #[inline]
     #[must_use]
     pub fn quant_row(&self, s_next: usize) -> Option<(&[i16], f32)> {
         self.q.quant_row(s_next)
     }
 
-    /// [`Agent::decide_q_prepared`] with the row scan hoisted out: `best`
-    /// and `max_v` are the argmax and scaled maximum a
-    /// [`crate::kernel::scan_rows`] batch produced for this agent's
-    /// `s_next` row. Selection, exploration accounting and the returned
-    /// bootstrap are unchanged, so seeded runs stay bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::decide_q_prepared`].
-    #[inline]
-    pub fn decide_q_scanned<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        best: usize,
-        max_v: f64,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (a_next, explored) = match self.policy.select_prepared(
-            self.q.actions(),
-            best,
-            self.step,
-            draw,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => match self
-                .policy
-                .select_from_argmax_explored(self.q.actions(), best, self.step, rng, cache)
-            {
-                Some(pair) => pair,
-                None => (
-                    self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                    false,
-                ),
-            },
-        };
-        self.step += 1;
-        Ok((a_next, explored, max_v))
-    }
-
-    /// [`Agent::decide_sarsa_prepared`] with the row scan hoisted out (see
-    /// [`Agent::decide_q_scanned`]); the bootstrap is the value of the
-    /// action actually selected, read after selection as before.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::decide_sarsa_prepared`].
-    #[inline]
-    pub fn decide_sarsa_scanned<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        best: usize,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (a_next, explored) = match self.policy.select_prepared(
-            self.q.actions(),
-            best,
-            self.step,
-            draw,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => match self
-                .policy
-                .select_from_argmax_explored(self.q.actions(), best, self.step, rng, cache)
-            {
-                Some(pair) => pair,
-                None => (
-                    self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                    false,
-                ),
-            },
-        };
-        self.step += 1;
-        let bootstrap = self.q.get(s_next, a_next)?;
-        Ok((a_next, explored, bootstrap))
-    }
-
-    /// Like [`Agent::decide_sarsa_explored`] with the leading ε draw
-    /// supplied by the caller (see [`Agent::decide_q_prepared`] for the
-    /// batching contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::decide_sarsa_explored`].
-    #[inline]
-    pub fn decide_sarsa_prepared<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (best, _) = self.q.best_action_and_max(s_next)?;
-        let (a_next, explored) = match self.policy.select_prepared(
-            self.q.actions(),
-            best,
-            self.step,
-            draw,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => match self
-                .policy
-                .select_from_argmax_explored(self.q.actions(), best, self.step, rng, cache)
-            {
-                Some(pair) => pair,
-                None => (
-                    self.policy.select_storage(&self.q, s_next, self.step, rng)?,
-                    false,
-                ),
-            },
-        };
-        self.step += 1;
-        let bootstrap = self.q.get(s_next, a_next)?;
-        Ok((a_next, explored, bootstrap))
-    }
-
     /// The learning half of a decide/learn pair: applies the TD update for
     /// `(s, a, reward)` against a bootstrap previously returned by
-    /// [`Agent::decide_q_explored`] or [`Agent::decide_sarsa_explored`].
-    /// Returns the TD error `target − Q(s, a)`.
+    /// [`Agent::decide`]. Returns the TD error `target − Q(s, a)`.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices or
     /// [`RlError::InvalidParameter`] for a non-finite reward.
-    pub fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
-        self.td_update(s, a, reward, bootstrap)
-    }
-
-    /// [`learn`](Self::learn) with an inlinable body — the batched learn
-    /// pass's entry point (`simd` feature). Kept separate from `learn` so
-    /// the interleaved reference path's codegen, and therefore the
-    /// published baseline bench entries, stay untouched.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     #[inline]
-    pub fn learn_prepared(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        bootstrap: f64,
-    ) -> Result<f64, RlError> {
-        self.td_update(s, a, reward, bootstrap)
+    pub fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
+        if !reward.is_finite() {
+            return Err(RlError::InvalidParameter {
+                name: "reward",
+                value: reward,
+            });
+        }
+        let target = reward + self.gamma * bootstrap;
+        // Per-(s,a) learning rate driven by visit count gives the
+        // Robbins-Monro convergence conditions when using InverseTime.
+        self.q.td_step(s, a, &self.alpha, target)
     }
 
     /// Serializes the agent to the versioned binary snapshot format (see
@@ -593,39 +323,6 @@ impl Agent {
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
         Self::from_snapshot_bytes(&bytes).map_err(SnapshotError::Format)
-    }
-
-    #[inline]
-    fn td_update(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        bootstrap: f64,
-    ) -> Result<f64, RlError> {
-        if !reward.is_finite() {
-            return Err(RlError::InvalidParameter {
-                name: "reward",
-                value: reward,
-            });
-        }
-        let target = reward + self.gamma * bootstrap;
-        #[cfg(feature = "simd")]
-        {
-            // Fused storage-side update: one bounds check instead of four,
-            // bit-identical table state to the chain below.
-            self.q.td_step(s, a, &self.alpha, target)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            let visits = self.q.visit(s, a)?;
-            // Per-(s,a) learning rate driven by visit count gives the
-            // Robbins-Monro convergence conditions when using InverseTime.
-            let alpha = self.alpha.value(visits - 1);
-            let old = self.q.get(s, a)?;
-            self.q.set(s, a, old + alpha * (target - old))?;
-            Ok(target - old)
-        }
     }
 }
 

@@ -168,59 +168,8 @@ impl DoubleAgent {
         // Select with the updated table, evaluate with the other.
         let a_star = upd.best_action(s_next)?;
         let bootstrap = eval.get(s_next, a_star)?;
-        let visits = upd.visit(s, a)?;
-        let alpha = self.alpha.value(visits - 1);
-        let old = upd.get(s, a)?;
-        let target = reward + self.gamma * bootstrap;
-        upd.set(s, a, old + alpha * (target - old))?;
+        upd.td_step(s, a, &self.alpha, reward + self.gamma * bootstrap)?;
         Ok(())
-    }
-
-    /// Fused select + double-Q update: selects in `s_next` on the combined
-    /// tables and, if `prev = (s, a, reward)` describes the transition that
-    /// led here, applies the double-Q update for it. A single pass over the
-    /// two `s_next` rows yields the combined argmax for selection *and* each
-    /// table's own argmax for the decoupled bootstrap, where the unfused
-    /// path scans the rows twice.
-    ///
-    /// Behaviour (tables, counters, RNG draw sequence) is identical to
-    /// [`DoubleAgent::select`] followed by [`DoubleAgent::update`];
-    /// policies that need more than the argmax (softmax, UCB1) take the
-    /// unfused selection path.
-    ///
-    /// # Errors
-    ///
-    /// As [`DoubleAgent::select`] and [`DoubleAgent::update`].
-    pub fn select_update<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<usize, RlError> {
-        self.select_update_explored(prev, s_next, rng, cache)
-            .map(|(a, _)| a)
-    }
-
-    /// Like [`DoubleAgent::select_update`] but also reports whether the
-    /// selection explored (ε branch). Identical RNG draws and table
-    /// updates; the unfused fallback (softmax, UCB1) reports `false`.
-    ///
-    /// # Errors
-    ///
-    /// As [`DoubleAgent::select_update`].
-    pub fn select_update_explored<R: Rng + ?Sized>(
-        &mut self,
-        prev: Option<(usize, usize, f64)>,
-        s_next: usize,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool), RlError> {
-        let (a_next, explored, bootstrap) = self.decide_explored(s_next, rng, cache)?;
-        if let Some((s, a, reward)) = prev {
-            self.learn(s, a, reward, bootstrap)?;
-        }
-        Ok((a_next, explored))
     }
 
     /// One fused pass over both `s` rows: combined argmax for selection
@@ -245,7 +194,6 @@ impl DoubleAgent {
             }
             return Ok((best_c, best_a, best_b));
         }
-        #[cfg(feature = "simd")]
         if let (QTableStorage::Quantized(qa), QTableStorage::Quantized(qb)) = (&self.qa, &self.qb) {
             // Per-table argmax via the SIMD kernel: one positive scale per
             // row makes the i16 argmax equal the dequantized argmax, ties
@@ -291,20 +239,29 @@ impl DoubleAgent {
         Ok((best_c, best_a, best_b))
     }
 
-    /// The decision half of [`DoubleAgent::select_update_explored`]:
-    /// selects in `s_next` on the combined tables and returns
-    /// `(action, explored, bootstrap)`, where the bootstrap is already the
-    /// decoupled double-Q one — the table next in the update rotation picks
-    /// the argmax, the other evaluates it. The rotation itself advances in
-    /// [`DoubleAgent::learn`], so a decide without a learn (no completed
-    /// transition) leaves it untouched, exactly like the fused call.
+    /// The decide half of a decide/learn pair: selects in `s_next` on the
+    /// combined tables and returns `(action, explored, bootstrap)`, where
+    /// the bootstrap is already the decoupled double-Q one — the table next
+    /// in the update rotation picks the argmax, the other evaluates it. A
+    /// single pass over the two `s_next` rows yields the combined argmax
+    /// for selection *and* each table's own argmax for the bootstrap. The
+    /// rotation itself advances in [`DoubleAgent::learn`], so a decide
+    /// without a learn (no completed transition) leaves it untouched.
+    ///
+    /// `draw` optionally supplies the leading ε uniform as the raw
+    /// `next_u64` this agent's RNG would have produced (see
+    /// [`crate::Agent::decide`] for the batching contract); policies that
+    /// do not pre-draw ignore it. Decide → learn is bit-identical to
+    /// [`DoubleAgent::select`] followed by [`DoubleAgent::update`].
     ///
     /// # Errors
     ///
-    /// As [`DoubleAgent::select`].
-    pub fn decide_explored<R: Rng + ?Sized>(
+    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
+    #[inline]
+    pub fn decide<R: Rng + ?Sized>(
         &mut self,
         s_next: usize,
+        draw: Option<u64>,
         rng: &mut R,
         cache: &mut EpsCache,
     ) -> Result<(usize, bool, f64), RlError> {
@@ -318,7 +275,7 @@ impl DoubleAgent {
         };
         let (a_next, explored) = match self
             .policy
-            .select_from_argmax_explored(len, best_c, self.step, rng, cache)
+            .select_from_argmax(len, best_c, self.step, draw, rng, cache)
         {
             Some(pair) => pair,
             None => {
@@ -345,91 +302,17 @@ impl DoubleAgent {
         self.policy.pre_draws_uniform()
     }
 
-    /// Like [`DoubleAgent::decide_explored`] with the leading ε draw
-    /// supplied by the caller as the raw `next_u64` value this agent's RNG
-    /// would have produced (see `Agent::decide_q_prepared` for the
-    /// batching contract). Falls back to the unbatched selection
-    /// (consuming `rng` normally, ignoring `draw`) if the policy does not
-    /// pre-draw.
-    ///
-    /// # Errors
-    ///
-    /// As [`DoubleAgent::decide_explored`].
-    #[inline]
-    pub fn decide_prepared<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        let (best_c, best_a, best_b) = self.scan_next(s_next)?;
-        let len = self.qa.actions();
-        // Peek the rotation parity without advancing it: learn() flips it.
-        let bootstrap = if self.updates.is_multiple_of(2) {
-            self.qb.get(s_next, best_a)?
-        } else {
-            self.qa.get(s_next, best_b)?
-        };
-        let (a_next, explored) = match self
-            .policy
-            .select_prepared(len, best_c, self.step, draw, rng, cache)
-        {
-            Some(pair) => pair,
-            None => match self
-                .policy
-                .select_from_argmax_explored(len, best_c, self.step, rng, cache)
-            {
-                Some(pair) => pair,
-                None => {
-                    let (qa, qb) = (&self.qa, &self.qb);
-                    (
-                        self.policy.select_with(
-                            len,
-                            |i| qa.value_at(s_next, i) + qb.value_at(s_next, i),
-                            self.step,
-                            rng,
-                        ),
-                        false,
-                    )
-                }
-            },
-        };
-        self.step += 1;
-        Ok((a_next, explored, bootstrap))
-    }
-
     /// The learning half of a decide/learn pair: applies the double-Q
     /// update for `(s, a, reward)` against a bootstrap returned by
-    /// [`DoubleAgent::decide_explored`], advancing the table rotation.
-    /// Returns the TD error `target − Q(s, a)` against the updated table.
+    /// [`DoubleAgent::decide`], advancing the table rotation. Returns the
+    /// TD error `target − Q(s, a)` against the updated table.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices or
     /// [`RlError::InvalidParameter`] for a non-finite reward.
+    #[inline]
     pub fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
-        self.learn_impl(s, a, reward, bootstrap)
-    }
-
-    /// [`learn`](Self::learn) with an inlinable body — the batched learn
-    /// pass's entry point (`simd` feature). Kept separate from `learn` so
-    /// the interleaved reference path's codegen, and therefore the
-    /// published baseline bench entries, stay untouched.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    #[inline]
-    pub fn learn_prepared(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        bootstrap: f64,
-    ) -> Result<f64, RlError> {
-        self.learn_impl(s, a, reward, bootstrap)
-    }
-
-    #[inline]
-    fn learn_impl(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
         if !reward.is_finite() {
             return Err(RlError::InvalidParameter {
                 name: "reward",
@@ -439,21 +322,7 @@ impl DoubleAgent {
         let update_a = self.updates.is_multiple_of(2);
         self.updates += 1;
         let upd = if update_a { &mut self.qa } else { &mut self.qb };
-        let target = reward + self.gamma * bootstrap;
-        #[cfg(feature = "simd")]
-        {
-            // Fused storage-side update: one bounds check instead of four,
-            // bit-identical table state to the chain below.
-            upd.td_step(s, a, &self.alpha, target)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            let visits = upd.visit(s, a)?;
-            let alpha = self.alpha.value(visits - 1);
-            let old = upd.get(s, a)?;
-            upd.set(s, a, old + alpha * (target - old))?;
-            Ok(target - old)
-        }
+        upd.td_step(s, a, &self.alpha, reward + self.gamma * bootstrap)
     }
 
     /// Serializes the agent to the versioned binary snapshot format (see

@@ -7,27 +7,27 @@
 //! with wide integer max/compare instructions and pad lanes can never win
 //! (a real lane is always `> i16::MIN`), so no masking is needed.
 //!
-//! [`scan_row`] is the single entry point. On `x86_64` it dispatches at
+//! [`scan_row`] scans one row. On `x86_64` it dispatches at
 //! runtime between an AVX2 path (one 256-bit bank per iteration) and the
 //! baseline SSE2 path (two 128-bit loads per bank); elsewhere it falls back
 //! to [`scan_row_portable`], a chunked two-pass scan written so LLVM
 //! auto-vectorizes the inner max reduction. All three return bit-identical
-//! results: the *lowest* index attaining the row maximum, exactly like the
-//! scalar select chain in `QuantizedTable::best_action_and_max`.
+//! results: the *lowest* index attaining the row maximum, exactly like a
+//! scalar select chain over the row. The portable scan is also the
+//! reference the equivalence tests hold the x86_64 paths to.
 //!
-//! The module is always compiled (so equivalence tests can compare paths in
-//! any build); the `simd` cargo feature only controls whether the hot
-//! decide/learn paths *route* through it.
+//! [`scan_rows`] is the block form the controller's decide pipeline calls:
+//! one dispatch per block of agents instead of one per row.
 
 use crate::storage::QUANT_LANES;
 
 /// Converts one raw 64-bit RNG draw into the same `[0, 1)` double that
 /// `rng.gen::<f64>()` produces (53 high bits scaled by 2⁻⁵³).
 ///
-/// Used by the batched-epsilon decide path: callers pre-fill a block of
+/// Used by the block decide pipeline: callers pre-fill a block of
 /// `next_u64` draws (one per agent) and the ε test consumes them through
-/// this function, keeping each agent's RNG stream bit-identical to the
-/// interleaved per-core draw order.
+/// this function, keeping each agent's RNG stream bit-identical to drawing
+/// the uniform at decision time.
 #[inline]
 #[must_use]
 pub fn draw_to_unit_f64(u: u64) -> f64 {

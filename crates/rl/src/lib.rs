@@ -8,8 +8,6 @@
 //!   rates;
 //! * [`DoubleAgent`] — double Q-learning (two tables, decoupled selection
 //!   and evaluation) for noise-robust value estimates;
-//! * [`TraceAgent`] — Watkins Q(λ) with sparse eligibility traces for
-//!   faster credit propagation;
 //! * [`Policy`] — greedy, ε-greedy and softmax action selection;
 //! * [`Schedule`] — constant / exponential / inverse-time / linear decay
 //!   for learning and exploration rates (always floored: an on-line
@@ -55,7 +53,6 @@ pub mod qtable;
 pub mod schedule;
 pub mod snapshot;
 pub mod storage;
-pub mod traces;
 
 pub use agent::{Agent, AgentBuilder, Algorithm};
 pub use discretize::{StateSpace, UniformBins};
@@ -70,4 +67,3 @@ pub use snapshot::{
     SNAPSHOT_VERSION,
 };
 pub use storage::{QTableLayout, QTableStorage, QuantHealth, QuantizedTable, RowStats, QUANT_LANES};
-pub use traces::{TraceAgent, TraceAgentBuilder};

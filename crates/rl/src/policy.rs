@@ -191,33 +191,26 @@ impl Policy {
 
     /// Completes a selection from a *precomputed* greedy action, for agents
     /// that have already scanned the row (e.g. to fuse argmax with the TD
-    /// bootstrap). Greedy and ε-greedy never need the values themselves —
-    /// only the argmax plus the RNG draws — so for those this is drop-in
+    /// bootstrap), and reports whether it *explored* (took the ε branch).
+    /// Greedy and ε-greedy never need the values themselves — only the
+    /// argmax plus the RNG draws — so for those this is drop-in
     /// bit-identical to [`Policy::select_with`] (same RNG call sequence).
     /// Returns `None` for [`Policy::Softmax`] and [`Policy::Ucb1`], which
-    /// need the full row or visit counts; callers fall back to the unfused
-    /// path.
+    /// need the full row or visit counts; callers fall back to a full
+    /// selection.
+    ///
+    /// `draw` optionally supplies the leading ε uniform as the raw
+    /// `next_u64` value `rng` would have produced (see
+    /// [`Policy::pre_draws_uniform`]). Exploration still draws the action
+    /// index from `rng`, so the per-agent draw *order* (ε uniform, then the
+    /// action draw only when exploring) is the same either way and seeded
+    /// runs are bit-identical. Policies that do not pre-draw ignore it.
     pub fn select_from_argmax<R: Rng + ?Sized>(
         &self,
         len: usize,
         greedy: usize,
         t: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Option<usize> {
-        self.select_from_argmax_explored(len, greedy, t, rng, cache)
-            .map(|(a, _)| a)
-    }
-
-    /// Like [`Policy::select_from_argmax`] but also reports whether the
-    /// selection *explored* (took the ε branch rather than the greedy
-    /// action). Identical RNG draw sequence, so swapping between the two
-    /// never perturbs a seeded run. [`Policy::Greedy`] never explores.
-    pub fn select_from_argmax_explored<R: Rng + ?Sized>(
-        &self,
-        len: usize,
-        greedy: usize,
-        t: u64,
+        draw: Option<u64>,
         rng: &mut R,
         cache: &mut EpsCache,
     ) -> Option<(usize, bool)> {
@@ -225,7 +218,11 @@ impl Policy {
             Self::Greedy => Some((greedy, false)),
             Self::EpsilonGreedy { epsilon } => {
                 let eps = cache.value(epsilon, t);
-                if rng.gen::<f64>() < eps {
+                let u = match draw {
+                    Some(raw) => crate::kernel::draw_to_unit_f64(raw),
+                    None => rng.gen::<f64>(),
+                };
+                if u < eps {
                     Some((rng.gen_range(0..len), true))
                 } else {
                     Some((greedy, false))
@@ -238,48 +235,16 @@ impl Policy {
     /// Whether selection consumes exactly one *leading* uniform draw (the
     /// ε test) before anything else touches the RNG.
     ///
-    /// This is the contract the batched decide path relies on: when every
-    /// agent's policy pre-draws one uniform, a controller may refill a
-    /// block of raw `next_u64` draws (one per agent) up front and feed
-    /// them through [`Policy::select_prepared`] without perturbing any
+    /// This is the contract the block decide pipeline relies on: for an
+    /// agent whose policy pre-draws one uniform, a controller may refill a
+    /// block of raw `next_u64` draws (one per agent) up front and feed them
+    /// through [`Policy::select_from_argmax`] without perturbing any
     /// per-agent RNG stream. [`Policy::Greedy`] draws nothing and the
     /// softmax/UCB1 policies draw differently, so only
     /// [`Policy::EpsilonGreedy`] qualifies.
     #[must_use]
     pub fn pre_draws_uniform(&self) -> bool {
         matches!(self, Self::EpsilonGreedy { .. })
-    }
-
-    /// Like [`Policy::select_from_argmax_explored`], with the leading ε
-    /// draw supplied by the caller as the raw `next_u64` value the RNG
-    /// would have produced. Exploration still draws the action index from
-    /// `rng`, so the per-agent draw *order* (ε uniform, then the action
-    /// draw only when exploring) matches the unbatched path exactly and
-    /// seeded runs are bit-identical either way.
-    ///
-    /// Returns `None` for policies where [`Policy::pre_draws_uniform`] is
-    /// false — callers must check it before pre-drawing.
-    #[inline]
-    pub fn select_prepared<R: Rng + ?Sized>(
-        &self,
-        len: usize,
-        greedy: usize,
-        t: u64,
-        draw: u64,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Option<(usize, bool)> {
-        match self {
-            Self::EpsilonGreedy { epsilon } => {
-                let eps = cache.value(epsilon, t);
-                if crate::kernel::draw_to_unit_f64(draw) < eps {
-                    Some((rng.gen_range(0..len), true))
-                } else {
-                    Some((greedy, false))
-                }
-            }
-            _ => None,
-        }
     }
 
     /// Selects an action from a *virtual* action-value row: `value_fn(a)`

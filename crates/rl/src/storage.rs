@@ -5,8 +5,8 @@
 //! the bit-exact reference every golden test pins. The quantized layout
 //! ([`QuantizedTable`]) banks each state row as `i16` lanes sharing one
 //! per-row power-of-two scale, padded to a fixed lane multiple so the row
-//! scan in the decide hot path is a straight-line integer loop the compiler
-//! autovectorizes. A row occupies `actions.next_multiple_of(16)` lanes —
+//! scan in the decide hot path is a wide integer max/compare (see
+//! [`crate::kernel`]). A row occupies `actions.next_multiple_of(16)` lanes —
 //! 32 bytes for the 8-action OD-RL tables, half a cache line instead of
 //! the 64-byte `f64` row — and visit counts narrow from `u64` to `u32`,
 //! roughly halving the memory the per-epoch decide+learn walk touches.
@@ -251,15 +251,13 @@ impl QuantizedTable {
     }
 
     /// The padded lane row of state `s` (panics on out-of-range states
-    /// like any slice access). Used by the SIMD-routed double-Q scan.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
+    /// like any slice access). Used by the kernel-routed double-Q scan.
     #[inline]
     pub(crate) fn lanes(&self, s: usize) -> &[i16] {
         &self.bank[s * self.stride..(s + 1) * self.stride]
     }
 
     /// Row scale as `f64` without the bounds-checked `Result` wrapper.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     #[inline]
     pub(crate) fn scale_at(&self, s: usize) -> f64 {
         f64::from(self.scales[s])
@@ -344,8 +342,9 @@ impl QuantizedTable {
     }
 
     /// Greedy action and maximum value of state `s` in one integer scan
-    /// over the banked row. The shared positive row scale makes the `i16`
-    /// argmax equal the argmax over dequantized values, ties included.
+    /// over the banked row ([`crate::kernel::scan_row`]). The shared
+    /// positive row scale makes the `i16` argmax equal the argmax over
+    /// dequantized values, ties included.
     ///
     /// # Errors
     ///
@@ -353,8 +352,7 @@ impl QuantizedTable {
     #[inline]
     pub fn best_action_and_max(&self, s: usize) -> Result<(usize, f64), RlError> {
         self.check_state(s)?;
-        let row = &self.bank[s * self.stride..(s + 1) * self.stride];
-        let (best, best_q) = Self::scan(row);
+        let (best, best_q) = crate::kernel::scan_row(self.lanes(s));
         Ok((best, f64::from(best_q) * f64::from(self.scales[s])))
     }
 
@@ -369,36 +367,7 @@ impl QuantizedTable {
     #[inline]
     pub fn row_scale(&self, s: usize) -> Result<(&[i16], f32), RlError> {
         self.check_state(s)?;
-        Ok((
-            &self.bank[s * self.stride..(s + 1) * self.stride],
-            self.scales[s],
-        ))
-    }
-
-    /// Row scan with the `simd` feature on: the explicit kernel (runtime
-    /// AVX2/SSE2 dispatch on x86_64, chunked autovec elsewhere).
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn scan(row: &[i16]) -> (usize, i16) {
-        crate::kernel::scan_row(row)
-    }
-
-    /// Row scan with the `simd` feature off: the original branchless
-    /// select chain, kept byte-for-byte so earlier bench entries stay a
-    /// fair baseline.
-    #[cfg(not(feature = "simd"))]
-    #[inline]
-    fn scan(row: &[i16]) -> (usize, i16) {
-        let mut best = 0usize;
-        let mut best_q = row[0];
-        // Branchless scan over the whole padded row: padding lanes hold
-        // i16::MIN, which no real lane (clamped to ±i16::MAX) can lose to.
-        for (a, &q) in row.iter().enumerate().skip(1) {
-            let better = q > best_q;
-            best = if better { a } else { best };
-            best_q = if better { q } else { best_q };
-        }
-        (best, best_q)
+        Ok((self.lanes(s), self.scales[s]))
     }
 
     /// Fused TD update: one bounds check covers the visit bump, the
@@ -815,44 +784,14 @@ impl QTableStorage {
         }
     }
 
-    /// Hints the prefetcher at the storage behind state `s`'s row, so a
-    /// decide loop can pull the *next* agent's row toward L1 while the
-    /// current agent's scan retires. No-op on non-x86_64 targets and for
-    /// out-of-range states.
+    /// Hints the prefetcher at everything a greedy row scan of state `s`
+    /// will read — the row, plus the banked layout's dequantization scale,
+    /// which lives in a separate allocation and therefore misses
+    /// separately — so a decide loop can pull rows toward L1 ahead of
+    /// their scans. No-op on non-x86_64 targets and for out-of-range
+    /// states.
     #[inline]
     pub fn prefetch_row(&self, s: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let ptr = match self {
-                Self::Scalar(t) => match t.row(s) {
-                    Ok(row) => row.as_ptr().cast::<i8>(),
-                    Err(_) => return,
-                },
-                Self::Quantized(t) => {
-                    if s >= t.states {
-                        return;
-                    }
-                    t.bank[s * t.stride..].as_ptr().cast::<i8>()
-                }
-            };
-            // SAFETY: prefetch is a hint; the pointer derives from a live
-            // in-bounds slice and is never dereferenced architecturally.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = s;
-        }
-    }
-
-    /// Hints the prefetcher at everything a greedy row scan of state `s`
-    /// will read: the banked row *and* its dequantization scale, which
-    /// live in separate allocations and therefore miss separately. Used
-    /// by the batched decide pass to run several agents ahead of the
-    /// scan. No-op on non-x86_64 targets and for out-of-range states.
-    #[inline]
-    pub fn prefetch_select(&self, s: usize) {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};

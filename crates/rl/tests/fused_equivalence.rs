@@ -1,16 +1,20 @@
-//! The fused select-and-update paths must be indistinguishable from the
-//! unfused select-then-update sequence: identical Q tables (bit for bit,
-//! via `PartialEq` on `f64`), identical counters, identical action
-//! sequences, identical RNG consumption — for every policy, including the
-//! ones that fall back to the unfused selection internally.
+//! The decide/learn pair must be indistinguishable from the classic
+//! select-then-update sequence, which serves as the oracle: identical
+//! actions, bitwise-identical tables and counters (compared through the
+//! snapshot encoding, which carries every float as raw bits) and identical
+//! RNG consumption — for every policy, both table layouts and every update
+//! rule, whether or not the caller pre-draws the ε uniform or pre-scans the
+//! row the way the controller's block pipeline does.
 
-use odrl_rl::{Agent, DoubleAgent, EpsCache, Policy, Schedule};
+use odrl_rl::kernel::scan_rows;
+use odrl_rl::{Agent, Algorithm, DoubleAgent, EpsCache, Policy, QTableLayout, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const STATES: usize = 6;
 const ACTIONS: usize = 5;
 const EPOCHS: usize = 400;
+const LAYOUTS: [QTableLayout; 2] = [QTableLayout::Scalar, QTableLayout::Quantized];
 
 fn policies() -> Vec<Policy> {
     vec![
@@ -20,13 +24,24 @@ fn policies() -> Vec<Policy> {
             epsilon: Schedule::constant(1.0).unwrap(),
         },
         // These two cannot be completed from the argmax alone and must take
-        // the fall-back path inside the fused call.
+        // the full-selection path inside `decide`.
         Policy::Softmax {
             temperature: Schedule::constant(0.7).unwrap(),
         },
         Policy::Ucb1 { c: 1.2 },
     ]
 }
+
+/// What the caller hands `decide` besides the state: nothing, a pre-drawn
+/// ε uniform, or a pre-drawn uniform plus the pre-scanned row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Prep {
+    Plain,
+    Draw,
+    DrawAndScan,
+}
+
+const PREPS: [Prep; 3] = [Prep::Plain, Prep::Draw, Prep::DrawAndScan];
 
 /// Deterministic environment: next state and reward from (state, action,
 /// epoch) only, so both twins see identical experience.
@@ -36,107 +51,155 @@ fn env(s: usize, a: usize, t: usize) -> (usize, f64) {
     (s_next, reward)
 }
 
-#[test]
-fn fused_q_learning_matches_select_then_update() {
-    for (pi, policy) in policies().into_iter().enumerate() {
-        let build = || {
-            Agent::builder(STATES, ACTIONS)
-                .gamma(0.85)
-                .alpha(Schedule::inverse_time(0.5, 0.1).unwrap())
-                .policy(policy)
-                .build()
-                .unwrap()
-        };
-        let mut plain = build();
-        let mut fused = build();
-        let mut rng_p = StdRng::seed_from_u64(900 + pi as u64);
-        let mut rng_f = StdRng::seed_from_u64(900 + pi as u64);
-        let mut cache = EpsCache::new();
-        let mut prev: Option<(usize, usize, f64)> = None;
-        let mut s = 0usize;
-        for t in 0..EPOCHS {
-            let a_plain = plain.select(s, &mut rng_p).unwrap();
-            if let Some((ps, pa, pr)) = prev {
-                plain.update(ps, pa, pr, s).unwrap();
-            }
-            let a_fused = fused.select_update_q(prev, s, &mut rng_f, &mut cache).unwrap();
-            assert_eq!(a_plain, a_fused, "policy #{pi} diverged at epoch {t}");
-            assert_eq!(plain, fused, "policy #{pi} state diverged at epoch {t}");
-            let (s_next, r) = env(s, a_plain, t);
-            prev = Some((s, a_plain, r));
-            s = s_next;
+/// The ε draw a block caller would pre-draw for this agent, if any.
+fn pre_draw(prep: Prep, pre_draws: bool, rng: &mut StdRng) -> Option<u64> {
+    (prep != Prep::Plain && pre_draws).then(|| rng.next_u64())
+}
+
+/// The `(argmax, max)` a block caller would hand over: from the block
+/// kernel for banked rows, from the storage scan otherwise.
+fn pre_scan(prep: Prep, agent: &Agent, s: usize) -> Option<(usize, f64)> {
+    if prep != Prep::DrawAndScan {
+        return None;
+    }
+    Some(match agent.quant_row(s) {
+        Some(row) => {
+            let mut out = [(0u16, 0.0f64)];
+            scan_rows(&[row], &mut out);
+            (usize::from(out[0].0), out[0].1)
         }
-        // Equal RNG consumption: the next draw must match too.
-        assert_eq!(rng_p.gen::<u64>(), rng_f.gen::<u64>());
+        None => agent.q().best_action_and_max(s).unwrap(),
+    })
+}
+
+/// Runs `select` + `update`/`update_sarsa` against `decide` + `learn` on
+/// one shared trajectory and asserts they stay identical step by step.
+fn check_single(algorithm: Algorithm, layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
+    let build = || {
+        Agent::builder(STATES, ACTIONS)
+            .gamma(0.85)
+            .alpha(Schedule::inverse_time(0.5, 0.1).unwrap())
+            .policy(policy)
+            .layout(layout)
+            .optimistic(0.5)
+            .build()
+            .unwrap()
+    };
+    let what = format!("{algorithm:?} {layout:?} {policy:?} {prep:?}");
+    let (mut plain, mut split) = (build(), build());
+    let mut rng_p = StdRng::seed_from_u64(seed);
+    let mut rng_s = StdRng::seed_from_u64(seed);
+    let mut cache = EpsCache::new();
+    let mut prev: Option<(usize, usize, f64)> = None;
+    let mut s = 0usize;
+    for t in 0..EPOCHS {
+        let a_plain = plain.select(s, &mut rng_p).unwrap();
+        if let Some((ps, pa, pr)) = prev {
+            match algorithm {
+                Algorithm::Sarsa => plain.update_sarsa(ps, pa, pr, s, a_plain).unwrap(),
+                _ => plain.update(ps, pa, pr, s).unwrap(),
+            };
+        }
+        let draw = pre_draw(prep, split.policy_pre_draws(), &mut rng_s);
+        let scan = pre_scan(prep, &split, s);
+        let (a_split, _, bootstrap) = split
+            .decide(algorithm, s, draw, scan, &mut rng_s, &mut cache)
+            .unwrap();
+        if let Some((ps, pa, pr)) = prev {
+            split.learn(ps, pa, pr, bootstrap).unwrap();
+        }
+        assert_eq!(a_plain, a_split, "{what}: action diverged at epoch {t}");
+        assert_eq!(
+            plain.snapshot_bytes(),
+            split.snapshot_bytes(),
+            "{what}: state diverged at epoch {t}"
+        );
+        let (s_next, r) = env(s, a_plain, t);
+        prev = Some((s, a_plain, r));
+        s = s_next;
+    }
+    // Equal RNG consumption: the next draw must match too.
+    assert_eq!(
+        rng_p.gen::<u64>(),
+        rng_s.gen::<u64>(),
+        "{what}: RNG position"
+    );
+}
+
+#[test]
+fn q_learning_decide_learn_matches_select_then_update() {
+    for layout in LAYOUTS {
+        for (pi, policy) in policies().into_iter().enumerate() {
+            for prep in PREPS {
+                check_single(Algorithm::QLearning, layout, policy, prep, 900 + pi as u64);
+            }
+        }
     }
 }
 
 #[test]
-fn fused_sarsa_matches_select_then_update_sarsa() {
-    for (pi, policy) in policies().into_iter().enumerate() {
-        let build = || {
-            Agent::builder(STATES, ACTIONS)
-                .gamma(0.9)
-                .alpha(Schedule::constant(0.25).unwrap())
-                .policy(policy)
-                .build()
-                .unwrap()
-        };
-        let mut plain = build();
-        let mut fused = build();
-        let mut rng_p = StdRng::seed_from_u64(7_000 + pi as u64);
-        let mut rng_f = StdRng::seed_from_u64(7_000 + pi as u64);
-        let mut cache = EpsCache::new();
-        let mut prev: Option<(usize, usize, f64)> = None;
-        let mut s = 0usize;
-        for t in 0..EPOCHS {
-            let a_plain = plain.select(s, &mut rng_p).unwrap();
-            if let Some((ps, pa, pr)) = prev {
-                plain.update_sarsa(ps, pa, pr, s, a_plain).unwrap();
+fn sarsa_decide_learn_matches_select_then_update_sarsa() {
+    for layout in LAYOUTS {
+        for (pi, policy) in policies().into_iter().enumerate() {
+            for prep in PREPS {
+                check_single(Algorithm::Sarsa, layout, policy, prep, 7_000 + pi as u64);
             }
-            let a_fused = fused.select_update_sarsa(prev, s, &mut rng_f, &mut cache).unwrap();
-            assert_eq!(a_plain, a_fused, "policy #{pi} diverged at epoch {t}");
-            assert_eq!(plain, fused, "policy #{pi} state diverged at epoch {t}");
-            let (s_next, r) = env(s, a_plain, t);
-            prev = Some((s, a_plain, r));
-            s = s_next;
         }
-        assert_eq!(rng_p.gen::<u64>(), rng_f.gen::<u64>());
     }
 }
 
 #[test]
-fn fused_double_q_matches_select_then_update() {
-    for (pi, policy) in policies().into_iter().enumerate() {
-        let build = || {
-            DoubleAgent::builder(STATES, ACTIONS)
-                .gamma(0.8)
-                .alpha(Schedule::inverse_time(1.0, 0.05).unwrap())
-                .policy(policy)
-                .optimistic(0.5)
-                .build()
-                .unwrap()
-        };
-        let mut plain = build();
-        let mut fused = build();
-        let mut rng_p = StdRng::seed_from_u64(31_000 + pi as u64);
-        let mut rng_f = StdRng::seed_from_u64(31_000 + pi as u64);
-        let mut cache = EpsCache::new();
-        let mut prev: Option<(usize, usize, f64)> = None;
-        let mut s = 0usize;
-        for t in 0..EPOCHS {
-            let a_plain = plain.select(s, &mut rng_p).unwrap();
-            if let Some((ps, pa, pr)) = prev {
-                plain.update(ps, pa, pr, s).unwrap();
+fn double_q_decide_learn_matches_select_then_update() {
+    for layout in LAYOUTS {
+        for (pi, policy) in policies().into_iter().enumerate() {
+            // A double agent scans the sum of two tables itself, so only
+            // the ε draw can be handed over.
+            for prep in [Prep::Plain, Prep::Draw] {
+                let build = || {
+                    DoubleAgent::builder(STATES, ACTIONS)
+                        .gamma(0.8)
+                        .alpha(Schedule::inverse_time(1.0, 0.05).unwrap())
+                        .policy(policy)
+                        .layout(layout)
+                        .optimistic(0.5)
+                        .build()
+                        .unwrap()
+                };
+                let what = format!("{layout:?} {policy:?} {prep:?}");
+                let (mut plain, mut split) = (build(), build());
+                let mut rng_p = StdRng::seed_from_u64(31_000 + pi as u64);
+                let mut rng_s = StdRng::seed_from_u64(31_000 + pi as u64);
+                let mut cache = EpsCache::new();
+                let mut prev: Option<(usize, usize, f64)> = None;
+                let mut s = 0usize;
+                for t in 0..EPOCHS {
+                    let a_plain = plain.select(s, &mut rng_p).unwrap();
+                    if let Some((ps, pa, pr)) = prev {
+                        plain.update(ps, pa, pr, s).unwrap();
+                    }
+                    let draw = pre_draw(prep, split.policy_pre_draws(), &mut rng_s);
+                    let (a_split, _, bootstrap) =
+                        split.decide(s, draw, &mut rng_s, &mut cache).unwrap();
+                    if let Some((ps, pa, pr)) = prev {
+                        split.learn(ps, pa, pr, bootstrap).unwrap();
+                    }
+                    assert_eq!(a_plain, a_split, "{what}: action diverged at epoch {t}");
+                    assert_eq!(
+                        plain.snapshot_bytes(),
+                        split.snapshot_bytes(),
+                        "{what}: state diverged at epoch {t}"
+                    );
+                    let (s_next, r) = env(s, a_plain, t);
+                    prev = Some((s, a_plain, r));
+                    s = s_next;
+                }
+                assert_eq!(
+                    rng_p.gen::<u64>(),
+                    rng_s.gen::<u64>(),
+                    "{what}: RNG position"
+                );
             }
-            let a_fused = fused.select_update(prev, s, &mut rng_f, &mut cache).unwrap();
-            assert_eq!(a_plain, a_fused, "policy #{pi} diverged at epoch {t}");
-            assert_eq!(plain, fused, "policy #{pi} state diverged at epoch {t}");
-            let (s_next, r) = env(s, a_plain, t);
-            prev = Some((s, a_plain, r));
-            s = s_next;
         }
-        assert_eq!(rng_p.gen::<u64>(), rng_f.gen::<u64>());
     }
 }
 
@@ -163,21 +226,26 @@ fn fused_best_action_and_max_match_separate_queries() {
 }
 
 #[test]
-fn fused_update_error_paths_match_unfused() {
+fn decide_learn_error_paths_match_select_update() {
     let mut agent = Agent::builder(2, 2).build().unwrap();
     let mut rng = StdRng::seed_from_u64(0);
-    // Invalid next state fails before anything advances.
-    assert!(agent.select_update_q(None, 9, &mut rng, &mut EpsCache::new()).is_err());
-    assert_eq!(agent.step_count(), 0);
-    // Non-finite reward fails after the selection advanced the counter.
+    let mut cache = EpsCache::new();
+    // Invalid state fails before anything advances.
     assert!(agent
-        .select_update_q(Some((0, 0, f64::NAN)), 0, &mut rng, &mut EpsCache::new())
+        .decide(Algorithm::QLearning, 9, None, None, &mut rng, &mut cache)
         .is_err());
+    assert_eq!(agent.step_count(), 0);
+    // A non-finite reward fails the learn half after the decision counted.
+    let (a, _, bootstrap) = agent
+        .decide(Algorithm::QLearning, 0, None, None, &mut rng, &mut cache)
+        .unwrap();
     assert_eq!(agent.step_count(), 1);
+    assert!(agent.learn(0, a, f64::NAN, bootstrap).is_err());
+    assert!(agent.learn(0, 5, 0.0, bootstrap).is_err());
 
     let mut dbl = DoubleAgent::builder(2, 2).build().unwrap();
-    assert!(dbl.select_update(None, 9, &mut rng, &mut EpsCache::new()).is_err());
-    assert!(dbl
-        .select_update(Some((0, 0, f64::INFINITY)), 0, &mut rng, &mut EpsCache::new())
-        .is_err());
+    assert!(dbl.decide(9, None, &mut rng, &mut cache).is_err());
+    assert_eq!(dbl.step_count(), 0);
+    let (a, _, bootstrap) = dbl.decide(0, None, &mut rng, &mut cache).unwrap();
+    assert!(dbl.learn(0, a, f64::INFINITY, bootstrap).is_err());
 }

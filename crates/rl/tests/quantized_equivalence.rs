@@ -10,8 +10,8 @@
 
 use odrl_rl::kernel::{scan_row, scan_row_portable};
 use odrl_rl::{
-    Agent, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT, QUANT_LANES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Agent, Algorithm, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT,
+    QUANT_LANES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,8 +191,7 @@ fn snapshot_rejects_corruption() {
 // the scalar argmax it replaces: same winning index (lowest index attaining
 // the maximum), same maximum, for every bank-remainder geometry the
 // 16-lane padding can produce, with `i16::MIN` pad lanes never winning.
-// These run in both feature states — the kernel module is always compiled,
-// so a scalar-feature CI job still cross-checks the intrinsics paths.
+// The portable scan is the reference every dispatched path is held to.
 
 /// Pad lanes carry `i16::MIN`; real lanes are clamped to `>= -i16::MAX` by
 /// the quantizer, so the sentinel can never tie a real lane.
@@ -353,30 +352,28 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Drives `epochs` decide/learn rounds through either the unbatched
-/// (`prepared = false`) or batched-draw (`prepared = true`) entry points
-/// and returns the FNV-1a hash of the full (action, explored) stream.
+/// Drives 800 decide/learn rounds through [`Agent::decide`], either
+/// letting it draw the ε uniform itself (`prepared = false`) or handing it
+/// a pre-drawn one (`prepared = true`), and returns the FNV-1a hash of the
+/// full (action, explored) stream.
 fn decision_stream_hash(layout: QTableLayout, sarsa: bool, prepared: bool) -> u64 {
     let mut agent = build(layout);
+    let algorithm = if sarsa {
+        Algorithm::Sarsa
+    } else {
+        Algorithm::QLearning
+    };
     let mut rng = StdRng::seed_from_u64(23);
     let mut cache = EpsCache::new();
     let mut s = 0usize;
     let mut bytes = Vec::new();
     for t in 0..800 {
-        let (a, explored, bootstrap) = if prepared {
-            // The controller's batching: one `next_u64` pre-drawn from this
-            // agent's own stream, handed back as the leading ε draw.
-            let draw = rng.next_u64();
-            if sarsa {
-                agent.decide_sarsa_prepared(s, draw, &mut rng, &mut cache).unwrap()
-            } else {
-                agent.decide_q_prepared(s, draw, &mut rng, &mut cache).unwrap()
-            }
-        } else if sarsa {
-            agent.decide_sarsa_explored(s, &mut rng, &mut cache).unwrap()
-        } else {
-            agent.decide_q_explored(s, &mut rng, &mut cache).unwrap()
-        };
+        // The controller's batching: one `next_u64` pre-drawn from this
+        // agent's own stream, handed back as the leading ε draw.
+        let draw = prepared.then(|| rng.next_u64());
+        let (a, explored, bootstrap) = agent
+            .decide(algorithm, s, draw, None, &mut rng, &mut cache)
+            .unwrap();
         let (s_next, r) = env(s, a, t);
         agent.learn(s, a, r, bootstrap).unwrap();
         bytes.push(a as u8);
