@@ -21,7 +21,9 @@
 //! needs to demonstrate.
 //!
 //! Run with: `cargo run --release -p odrl-bench --bin exp_resilience`
-//! (`--smoke` for the small CI variant).
+//! (`--smoke` for the small CI variant). `--trace <path>` also writes the
+//! merged event stream of the heavy-intensity OD-RL cell as JSONL for
+//! `trace_inspect`.
 
 use odrl_bench::{
     run_cells_parallel, run_scenario_faulted, run_scenario_observed, sweep_parallelism,
@@ -33,7 +35,9 @@ use odrl_faults::{
 };
 use odrl_manycore::Parallelism;
 use odrl_metrics::{fmt_num, Table};
+use odrl_obs::{JsonlSink, TraceSink};
 use odrl_workload::MixPolicy;
+use std::io::Write;
 
 /// The fault-intensity ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +178,29 @@ fn recovery_epochs(run: &TracedRun, budget_w: f64, epochs: u64) -> Option<u64> {
     None
 }
 
+/// The cell whose event stream `--trace` exports: the most faults, with
+/// the watchdog and tracing on.
+const TRACED_CELL: (Intensity, ControllerKind) = (Intensity::Heavy, ControllerKind::OdRl);
+
+/// Writes `records` to `path`, one JSON object per line.
+fn export_trace(path: &str, records: &[odrl_obs::EventRecord]) -> std::io::Result<()> {
+    let file = std::fs::File::create(path)?;
+    let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
+    sink.emit_all(records)?;
+    sink.into_inner().flush()
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut smoke = false;
+    let mut trace_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--trace" => trace_path = Some(args.next().expect("--trace needs a path")),
+            other => panic!("unknown argument: {other} (expected --smoke/--trace <path>)"),
+        }
+    }
     let (cores, epochs) = if smoke { (16, 300) } else { (64, 2_000) };
     let kinds = ControllerKind::headline_set();
     println!(
@@ -204,14 +229,21 @@ fn main() {
         .flat_map(|i| kinds.iter().map(move |&k| (i, k)))
         .collect();
     // OD-RL runs carry the structured-event layer (watchdog + tracing);
-    // baselines run uninstrumented, exactly as before.
-    let runs = run_cells_parallel(&cells, sweep_parallelism(), |&(intensity, kind)| {
+    // baselines run uninstrumented, exactly as before. Only the exported
+    // cell keeps its records.
+    let mut runs = run_cells_parallel(&cells, sweep_parallelism(), |&(intensity, kind)| {
         let plan = plan_for(intensity, cores, epochs);
         if matches!(kind, ControllerKind::OdRl | ControllerKind::OdRlLocal) {
             let observed = run_scenario_observed(&scenario, kind, Some(&plan), true);
-            (observed.traced, Some(observed.counts))
+            let records = (trace_path.is_some() && (intensity, kind) == TRACED_CELL)
+                .then_some(observed.records);
+            (observed.traced, Some(observed.counts), records)
         } else {
-            (run_scenario_faulted(&scenario, kind, &plan, false), None)
+            (
+                run_scenario_faulted(&scenario, kind, &plan, false),
+                None,
+                None,
+            )
         }
     });
 
@@ -223,7 +255,7 @@ fn main() {
         "recovery_ep",
         "events",
     ]);
-    for (&(intensity, kind), (run, counts)) in cells.iter().zip(&runs) {
+    for (&(intensity, kind), (run, counts, _)) in cells.iter().zip(&runs) {
         let s = &run.summary;
         let recovery = if intensity == Intensity::None {
             "-".to_string()
@@ -266,6 +298,20 @@ fn main() {
             } else {
                 ""
             }
+        );
+    }
+
+    if let Some(path) = trace_path {
+        let records = runs
+            .iter_mut()
+            .find_map(|(_, _, records)| records.take())
+            .expect("the traced cell is in the sweep");
+        export_trace(&path, &records).expect("writable trace path");
+        println!(
+            "\nwrote {} records of the {} {} cell to {path}",
+            records.len(),
+            TRACED_CELL.0.label(),
+            TRACED_CELL.1.label()
         );
     }
 }

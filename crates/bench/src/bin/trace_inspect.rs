@@ -1,5 +1,5 @@
 //! Trace inspector: filters and windows a structured JSONL trace
-//! (written by `epoch_kernel --trace` or any `odrl_obs::JsonlSink`) and
+//! (written by `exp_resilience --trace` or any `odrl_obs::JsonlSink`) and
 //! prints it as an aligned table plus per-kind totals. Also understands
 //! fleet traces (`--chip`) and metrics snapshots / flight-recorder dumps
 //! (`metrics` mode).

@@ -74,6 +74,8 @@ fn fault_enabled_steady_state_allocates_nothing() {
     // *inside* the measured window. The fault scratch (flag arrays,
     // actuator command ring, channel inboxes) is sized when the plan is
     // attached; refreshing it each epoch must never touch the allocator.
+    // Run for both Q-table layouts, with structured tracing off and on:
+    // the preallocated trace rings and metrics must not allocate either.
     let scenario = Scenario {
         cores: 64,
         budget_frac: 0.6,
@@ -110,38 +112,54 @@ fn fault_enabled_steady_state_allocates_nothing() {
             0,
             100,
         );
-    let ChipRun {
-        mut system,
-        mut controller,
-        budget,
-    } = RunBuilder::new(scenario)
-        .controller(ControllerKind::OdRl)
-        .faults(plan)
-        .watchdog(true)
-        .build_chip()
-        .expect("valid faulted configuration");
-    let mut actions = vec![LevelId(0); 64];
-    let mut obs = system.observation(budget);
+    for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
+        for traced in [false, true] {
+            let ChipRun {
+                mut system,
+                mut controller,
+                budget,
+            } = RunBuilder::new(scenario.clone())
+                .controller(ControllerKind::OdRl)
+                .odrl(OdRlConfig {
+                    layout,
+                    ..OdRlConfig::default()
+                })
+                .faults(plan.clone())
+                .watchdog(true)
+                .obs(traced)
+                .build_chip()
+                .expect("valid faulted configuration");
+            let mut actions = vec![LevelId(0); 64];
+            let mut obs = system.observation(budget);
 
-    for _ in 0..30 {
-        controller.decide_into(&obs, &mut actions);
-        system.step_in_place(&actions).expect("valid actions");
-        system.observation_into(budget, &mut obs);
-    }
+            for _ in 0..30 {
+                controller.decide_into(&obs, &mut actions);
+                system.step_in_place(&actions).expect("valid actions");
+                system.observation_into(budget, &mut obs);
+            }
 
-    let a0 = allocs::allocations();
-    let b0 = allocs::allocated_bytes();
-    for _ in 0..50 {
-        controller.decide_into(&obs, &mut actions);
-        system.step_in_place(&actions).expect("valid actions");
-        system.observation_into(budget, &mut obs);
+            let a0 = allocs::allocations();
+            let b0 = allocs::allocated_bytes();
+            for _ in 0..50 {
+                controller.decide_into(&obs, &mut actions);
+                system.step_in_place(&actions).expect("valid actions");
+                system.observation_into(budget, &mut obs);
+            }
+            let da = allocs::allocations() - a0;
+            let db = allocs::allocated_bytes() - b0;
+            assert_eq!(
+                da, 0,
+                "fault-enabled steady-state epochs ({layout:?}, tracing {traced}) \
+                 allocated {da} times ({db} bytes) over 50 epochs"
+            );
+            if traced {
+                assert!(
+                    controller.event_counts().is_some_and(|c| c.total() > 0),
+                    "the traced run recorded controller events"
+                );
+            }
+        }
     }
-    let da = allocs::allocations() - a0;
-    let db = allocs::allocated_bytes() - b0;
-    assert_eq!(
-        da, 0,
-        "fault-enabled steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
-    );
 }
 
 #[test]

@@ -13,7 +13,7 @@ use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed, ShardSplit};
 use odrl_manycore::{Observation, Stage, StageTimers, SystemSpec};
 use odrl_market::{MarketAllocator, MarketRound, MarketScratch};
-use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing};
+use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing, DIAG_PERIOD};
 use odrl_power::{LevelId, Watts};
 use odrl_rl::snapshot as rl_snapshot;
 use odrl_rl::{
@@ -290,8 +290,7 @@ pub struct OdRlController {
     /// struct when tracing is off).
     tracer: Option<Box<CtrlTracer>>,
     /// Per-stage time spent in the controller side of the epoch pipeline
-    /// (`Rl` and `Realloc`); merge with the system's timers for the full
-    /// epoch breakdown.
+    /// (`Rl` and `Realloc`).
     timers: StageTimers,
     epochs: u64,
     name: &'static str,
@@ -443,16 +442,11 @@ impl OdRlController {
     }
 
     /// Per-stage time spent in this controller's decision path
-    /// ([`Stage::Rl`] and [`Stage::Realloc`]). Merge with
-    /// [`odrl_manycore::System::stage_timers`] for the full epoch
-    /// breakdown.
+    /// ([`Stage::Rl`], its [`Stage::RlDecide`]/[`Stage::RlLearn`] split,
+    /// and [`Stage::Realloc`]); [`odrl_manycore::System::stage_timers`]
+    /// holds the system side of the epoch.
     pub fn stage_timers(&self) -> &StageTimers {
         &self.timers
-    }
-
-    /// Zeroes the per-stage timers (e.g. after benchmark warmup).
-    pub fn reset_stage_timers(&mut self) {
-        self.timers.reset();
     }
 
     /// Routes coarse-grain budget messages through the fault engine's
@@ -837,7 +831,7 @@ impl OdRlController {
             // epoch it happens; the decision/exploration tallies are plain
             // increments and run every epoch.
             diag_rows: tracer
-                .is_some_and(|t| t.diag_enabled() && epoch.is_multiple_of(t.diag_period().max(1))),
+                .is_some_and(|t| t.diag_enabled() && epoch.is_multiple_of(DIAG_PERIOD)),
             epoch,
             chunk,
         };
@@ -886,7 +880,7 @@ impl OdRlController {
         let Some(tr) = self.tracer.as_deref_mut().filter(|tr| tr.diag_enabled()) else {
             return;
         };
-        if epoch.is_multiple_of(tr.diag_period()) {
+        if epoch.is_multiple_of(DIAG_PERIOD) {
             let (mut doublings, mut saturated, mut lanes) = (0u64, 0u64, 0u64);
             for agent in &self.agents[..n] {
                 if let Some(h) = agent.quant_health() {
@@ -1228,7 +1222,6 @@ impl PowerController for OdRlController {
         if let (Some(tr), Some(t0)) = (self.tracer.as_deref_mut(), t0) {
             tr.end_epoch(epoch, t0);
         }
-        self.timers.bump_epoch();
         self.epochs += 1;
     }
 

@@ -19,7 +19,7 @@ use crate::watchdog::SensorWatchdog;
 use odrl_market::MarketRound;
 use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, GaugeId, HistogramId, LearnDiag, MetricsRegistry,
-    MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP,
+    MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP, RING_CAPACITY,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -85,15 +85,12 @@ pub struct CtrlTracer {
     /// Run-cumulative diagnostics, folded from the shard accumulators at
     /// each epoch boundary.
     epoch_diag: LearnDiag,
-    /// Quantized-health scan period (resolved; 0 when diagnostics off).
-    diag_period: u64,
 }
 
 impl CtrlTracer {
     /// Preallocates a tracer for `cores` cores split over at most
     /// `max_shards` RL shards.
     pub fn new(config: &ObsConfig, cores: usize, max_shards: usize) -> Self {
-        let cap = config.effective_ring_capacity();
         let mut metrics = MetricsRegistry::new();
         let h_decide_ns = metrics
             .histogram("decide_latency_ns", 0.0, 1e7, 64)
@@ -145,9 +142,9 @@ impl CtrlTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(cap),
+            ring: TraceRing::with_capacity(RING_CAPACITY),
             shard_rings: (0..max_shards.max(1))
-                .map(|_| Mutex::new(TraceRing::with_capacity(cap)))
+                .map(|_| Mutex::new(TraceRing::with_capacity(RING_CAPACITY)))
                 .collect(),
             metrics,
             h_decide_ns,
@@ -183,11 +180,6 @@ impl CtrlTracer {
                 Vec::new()
             },
             epoch_diag: LearnDiag::new(),
-            diag_period: if config.diagnostics() {
-                config.effective_diag_period()
-            } else {
-                0
-            },
         }
     }
 
@@ -345,11 +337,6 @@ impl CtrlTracer {
     /// Whether learning-health diagnostics are being recorded.
     pub fn diag_enabled(&self) -> bool {
         self.diag.is_some()
-    }
-
-    /// The quantized-health scan period (0 when diagnostics are off).
-    pub fn diag_period(&self) -> u64 {
-        self.diag_period
     }
 
     /// The per-shard diagnostics accumulators the RL loop folds its
@@ -525,7 +512,6 @@ impl Clone for CtrlTracer {
                 .map(|d| Mutex::new(*d.lock().expect("shard diag poisoned")))
                 .collect(),
             epoch_diag: self.epoch_diag,
-            diag_period: self.diag_period,
         }
     }
 }

@@ -58,7 +58,6 @@ pub struct RunBuilder {
     plan: Option<FaultPlan>,
     watchdog: bool,
     obs: bool,
-    diag: bool,
     recorder: Option<RecorderConfig>,
     arbiter_period: u64,
     arbiter_gain: f64,
@@ -83,7 +82,6 @@ impl RunBuilder {
             plan: None,
             watchdog: false,
             obs: false,
-            diag: false,
             recorder: None,
             arbiter_period: defaults.arbiter_period,
             arbiter_gain: defaults.arbiter_gain,
@@ -135,27 +133,15 @@ impl RunBuilder {
         self
     }
 
-    /// Record learning-health diagnostics (TD-error / Q-span /
-    /// visit-spread summaries, exploration rate, quantized-storage
-    /// health) and, on fleet builds, aggregate per-chip snapshots into
-    /// rack-level `FleetMetrics`. Implies [`RunBuilder::obs`].
-    #[must_use]
-    pub fn diag(mut self, diag: bool) -> Self {
-        self.diag = diag;
-        if diag {
-            self.obs = true;
-        }
-        self
-    }
-
     /// Attach the anomaly-triggered flight recorder at rack scope (fleet
-    /// builds only). Implies [`RunBuilder::diag`] (and so
-    /// [`RunBuilder::obs`]). Pass `RecorderConfig::default()` for the
-    /// stock watermark rules.
+    /// builds only). Implies [`RunBuilder::obs`] and learning-health
+    /// diagnostics (TD-error / Q-span / visit-spread summaries,
+    /// exploration rate, quantized-storage health), which on fleet builds
+    /// aggregate per-chip snapshots into rack-level `FleetMetrics`. Pass
+    /// `RecorderConfig::default()` for the stock watermark rules.
     #[must_use]
     pub fn recorder(mut self, config: RecorderConfig) -> Self {
         self.recorder = Some(config);
-        self.diag = true;
         self.obs = true;
         self
     }
@@ -236,7 +222,7 @@ impl RunBuilder {
         if self.watchdog {
             odrl.watchdog = WatchdogConfig::enabled();
         }
-        if self.diag {
+        if self.recorder.is_some() {
             odrl.obs = ObsConfig::with_diagnostics();
         } else if self.obs {
             odrl.obs = ObsConfig::enabled();
@@ -278,7 +264,7 @@ impl RunBuilder {
             plan: self.plan,
             watchdog: self.watchdog,
             obs: self.obs,
-            diag: self.diag,
+            diag: self.recorder.is_some(),
             recorder: self.recorder,
             arbiter_period: self.arbiter_period,
             arbiter_gain: self.arbiter_gain,

@@ -2,15 +2,15 @@
 //!
 //! [`SysTracer`] is the simulator's half of the observability layer (the
 //! controller records its own decision events — see `odrl-core`). It is
-//! constructed only when [`ObsConfig::enabled`] is set, so a disabled run
-//! carries a `None` and every recording site reduces to one branch; when
-//! enabled, every ring and metric buffer is allocated at construction and
-//! steady-state recording never touches the heap.
+//! constructed only when [`odrl_obs::ObsConfig::enabled`] is set, so a
+//! disabled run carries a `None` and every recording site reduces to one
+//! branch; when enabled, every ring and metric buffer is allocated at
+//! construction and steady-state recording never touches the heap.
 
 use odrl_faults::FaultState;
 use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, FaultClass, MetricsRegistry, MetricsSnapshot,
-    ObsConfig, TraceRing, CHIP,
+    TraceRing, CHIP, RING_CAPACITY,
 };
 
 /// Flight recorder for the simulator's events, plus per-kind counters.
@@ -31,8 +31,8 @@ pub struct SysTracer {
 }
 
 impl SysTracer {
-    /// Preallocates a tracer for `cores` cores under `config`.
-    pub fn new(config: &ObsConfig, cores: usize) -> Self {
+    /// Preallocates a tracer for `cores` cores.
+    pub fn new(cores: usize) -> Self {
         let mut metrics = MetricsRegistry::new();
         let c_class_injected = [
             metrics.counter("faults_sensor_injected"),
@@ -48,7 +48,7 @@ impl SysTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(config.effective_ring_capacity()),
+            ring: TraceRing::with_capacity(RING_CAPACITY),
             prev_mask: vec![0; cores],
             prev_chip_mask: 0,
             metrics,

@@ -4,16 +4,19 @@
 //! thermal on the system side, RL select/update → budget reallocation on
 //! the controller side). [`StageTimers`] is a zero-allocation accumulator —
 //! a fixed array of nanosecond counters — that both sides stamp as they
-//! run, so benchmarks can print where an epoch's time actually goes
-//! without any per-epoch heap traffic.
+//! run, so a benchmark can difference two copies around an epoch and see
+//! where its time went without any per-epoch heap traffic.
 
-use std::fmt;
 use std::time::Instant;
+
+/// Number of [`Stage`] variants (the length of the counter array).
+const STAGES: usize = Stage::Realloc as usize + 1;
 
 /// One stage of the epoch pipeline. The first five are recorded by
 /// [`crate::System::step_in_place`]; `Rl` and `Realloc` belong to the
 /// controller's decision path and are recorded by controllers that carry
-/// their own [`StageTimers`].
+/// their own [`StageTimers`]. `Realloc` stays last: it sizes the counter
+/// array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -30,9 +33,8 @@ pub enum Stage {
     Thermal,
     /// Controller: RL state encoding, action selection and TD updates.
     /// This is the whole RL pass wall clock; [`Stage::RlDecide`] and
-    /// [`Stage::RlLearn`] break the same interval down and are excluded
-    /// from [`StageTimers::total_nanos`] so the pipeline total is not
-    /// double-counted — benchmarks should present them as a split of
+    /// [`Stage::RlLearn`] break the same interval down, so a pipeline
+    /// total must not add them to `Rl` — present them as a split of
     /// `rl`, not as extra pipeline stages.
     Rl,
     /// Controller: the action-selection (decide) half of the RL pass —
@@ -46,70 +48,29 @@ pub enum Stage {
     Realloc,
 }
 
-impl Stage {
-    /// Every stage, in pipeline order. `rl_decide` and `rl_learn` follow
-    /// `rl` as its sub-interval split.
-    pub const ALL: [Stage; 9] = [
-        Stage::Workload,
-        Stage::Power,
-        Stage::Sensor,
-        Stage::Noc,
-        Stage::Thermal,
-        Stage::Rl,
-        Stage::RlDecide,
-        Stage::RlLearn,
-        Stage::Realloc,
-    ];
-
-    /// Stable lowercase name (used as a JSON field key by benchmarks).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Workload => "workload",
-            Stage::Power => "power",
-            Stage::Sensor => "sensor",
-            Stage::Noc => "noc",
-            Stage::Thermal => "thermal",
-            Stage::Rl => "rl",
-            Stage::RlDecide => "rl_decide",
-            Stage::RlLearn => "rl_learn",
-            Stage::Realloc => "realloc",
-        }
-    }
-
-    /// Whether this stage is a sub-interval of another stage (and thus
-    /// excluded from pipeline totals).
-    pub fn is_substage(self) -> bool {
-        matches!(self, Stage::RlDecide | Stage::RlLearn)
-    }
-}
-
 /// A zero-allocation per-stage time accumulator.
 ///
-/// Stamp a stage with [`StageTimers::record`] around the work, bump the
-/// epoch count once per epoch, and read totals or per-epoch means at the
-/// end. `merge` combines system- and controller-side timers into one
-/// breakdown.
+/// Stamp a stage with [`StageTimers::record`] around the work and read a
+/// stage's running total with [`StageTimers::nanos`]. The type is `Copy`:
+/// snapshot it before and after a window and difference the totals.
 ///
 /// ```
-/// use odrl_manycore::{Stage, StageTimers, System, SystemConfig};
+/// use odrl_manycore::{Stage, System, SystemConfig};
 /// use odrl_power::LevelId;
 ///
 /// let config = SystemConfig::builder().cores(4).seed(1).build()?;
 /// let mut system = System::new(config)?;
+/// let before = *system.stage_timers();
 /// for _ in 0..3 {
 ///     system.step(&vec![LevelId(2); 4])?;
 /// }
-/// let timers = *system.stage_timers();
-/// assert_eq!(timers.epochs(), 3);
-/// assert!(timers.total_nanos() > 0);
-/// assert!(timers.mean_nanos(Stage::Thermal) > 0.0);
-/// println!("{timers}"); // per-stage table: total ms, µs/epoch, share
+/// let after = *system.stage_timers();
+/// assert!(after.nanos(Stage::Thermal) > before.nanos(Stage::Thermal));
 /// # Ok::<(), odrl_manycore::SystemError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimers {
-    nanos: [u64; Stage::ALL.len()],
-    epochs: u64,
+    nanos: [u64; STAGES],
 }
 
 impl StageTimers {
@@ -132,85 +93,9 @@ impl StageTimers {
         self.nanos[stage as usize] += nanos;
     }
 
-    /// Counts one completed epoch (drives the per-epoch means).
-    #[inline]
-    pub fn bump_epoch(&mut self) {
-        self.epochs += 1;
-    }
-
     /// Total nanoseconds recorded for `stage`.
     pub fn nanos(&self, stage: Stage) -> u64 {
         self.nanos[stage as usize]
-    }
-
-    /// Total nanoseconds recorded across all pipeline stages. Sub-stage
-    /// counters ([`Stage::is_substage`]) are excluded: they re-measure
-    /// intervals already covered by their parent stage.
-    pub fn total_nanos(&self) -> u64 {
-        Stage::ALL
-            .iter()
-            .filter(|s| !s.is_substage())
-            .map(|&s| self.nanos[s as usize])
-            .sum()
-    }
-
-    /// Number of epochs counted.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Mean nanoseconds per epoch for `stage` (0 before any epoch).
-    pub fn mean_nanos(&self, stage: Stage) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.nanos[stage as usize] as f64 / self.epochs as f64
-        }
-    }
-
-    /// Zeroes every counter (e.g. after warmup).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Adds `other`'s counters into `self`. The epoch count becomes the
-    /// maximum of the two — merging a system's timers with its controller's
-    /// must not double-count the epochs both sides stamped.
-    pub fn merge(&mut self, other: &StageTimers) {
-        for (a, b) in self.nanos.iter_mut().zip(other.nanos.iter()) {
-            *a += b;
-        }
-        self.epochs = self.epochs.max(other.epochs);
-    }
-}
-
-impl fmt::Display for StageTimers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total = self.total_nanos().max(1) as f64;
-        writeln!(f, "{:<10} {:>12} {:>14} {:>7}", "stage", "total ms", "us/epoch", "share")?;
-        for stage in Stage::ALL {
-            let ns = self.nanos(stage);
-            writeln!(
-                f,
-                "{:<10} {:>12.3} {:>14.3} {:>6.1}%",
-                stage.name(),
-                ns as f64 / 1e6,
-                self.mean_nanos(stage) / 1e3,
-                ns as f64 / total * 100.0
-            )?;
-        }
-        write!(
-            f,
-            "{:<10} {:>12.3} {:>14.3} {:>6.1}%",
-            "total",
-            self.total_nanos() as f64 / 1e6,
-            if self.epochs == 0 {
-                0.0
-            } else {
-                self.total_nanos() as f64 / self.epochs as f64 / 1e3
-            },
-            100.0
-        )
     }
 }
 
@@ -220,78 +105,18 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn records_and_averages() {
+    fn records_and_adds_per_stage() {
         let mut t = StageTimers::new();
-        assert_eq!(t.total_nanos(), 0);
-        assert_eq!(t.mean_nanos(Stage::Rl), 0.0);
+        assert_eq!(t.nanos(Stage::Rl), 0);
         let t0 = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         t.record(Stage::Rl, t0);
-        t.bump_epoch();
-        t.bump_epoch();
         assert!(t.nanos(Stage::Rl) >= 2_000_000);
-        assert_eq!(t.epochs(), 2);
-        assert!((t.mean_nanos(Stage::Rl) - t.nanos(Stage::Rl) as f64 / 2.0).abs() < 1e-9);
-        assert_eq!(t.total_nanos(), t.nanos(Stage::Rl));
-        t.reset();
-        assert_eq!(t, StageTimers::default());
-    }
-
-    #[test]
-    fn merge_sums_nanos_and_takes_max_epochs() {
-        let mut a = StageTimers::new();
-        let mut b = StageTimers::new();
-        let t0 = Instant::now();
-        a.record(Stage::Power, t0);
-        a.bump_epoch();
-        b.record(Stage::Rl, t0);
-        b.bump_epoch();
-        b.bump_epoch();
-        let power = a.nanos(Stage::Power);
-        let rl = b.nanos(Stage::Rl);
-        a.merge(&b);
-        assert_eq!(a.nanos(Stage::Power), power);
-        assert_eq!(a.nanos(Stage::Rl), rl);
-        assert_eq!(a.epochs(), 2);
-    }
-
-    #[test]
-    fn stage_names_are_stable_and_unique() {
-        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "workload", "power", "sensor", "noc", "thermal", "rl", "rl_decide", "rl_learn",
-                "realloc"
-            ]
-        );
-        let mut dedup = names.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
-    }
-
-    #[test]
-    fn substages_do_not_double_count_totals() {
-        let mut t = StageTimers::new();
-        t.add_nanos(Stage::Rl, 100);
         t.add_nanos(Stage::RlDecide, 60);
         t.add_nanos(Stage::RlLearn, 40);
-        t.add_nanos(Stage::Thermal, 50);
+        t.add_nanos(Stage::RlLearn, 2);
         assert_eq!(t.nanos(Stage::RlDecide), 60);
-        assert_eq!(t.nanos(Stage::RlLearn), 40);
-        assert_eq!(t.total_nanos(), 150);
-    }
-
-    #[test]
-    fn display_renders_every_stage() {
-        let mut t = StageTimers::new();
-        let t0 = Instant::now();
-        t.record(Stage::Thermal, t0);
-        t.bump_epoch();
-        let s = format!("{t}");
-        for stage in Stage::ALL {
-            assert!(s.contains(stage.name()), "missing {}", stage.name());
-        }
-        assert!(s.contains("total"));
+        assert_eq!(t.nanos(Stage::RlLearn), 42);
+        assert_eq!(t.nanos(Stage::Thermal), 0);
     }
 }

@@ -147,10 +147,7 @@ impl System {
         };
         let scratch = EpochScratch::new(&config, &streams);
         let coeffs = config.power.coefficients(&config.vf_table);
-        let tracer = config
-            .obs
-            .enabled
-            .then(|| Box::new(SysTracer::new(&config.obs, n)));
+        let tracer = config.obs.enabled.then(|| Box::new(SysTracer::new(n)));
         Ok(Self {
             config,
             spec,
@@ -286,17 +283,11 @@ impl System {
     }
 
     /// Per-stage time spent in the system side of the epoch pipeline
-    /// (workload/power/sensor/NoC/thermal) since construction or the last
-    /// [`System::reset_stage_timers`]. Controller-side stages (`rl`,
-    /// `realloc`) are recorded by controllers that keep their own
-    /// [`StageTimers`]; merge the two for a full breakdown.
+    /// (workload/power/sensor/NoC/thermal) since construction.
+    /// Controller-side stages (`rl`, `realloc`) are recorded by
+    /// controllers that keep their own [`StageTimers`].
     pub fn stage_timers(&self) -> &StageTimers {
         &self.scratch.timers
-    }
-
-    /// Zeroes the stage timers (e.g. after warmup epochs).
-    pub fn reset_stage_timers(&mut self) {
-        self.scratch.timers.reset();
     }
 
     /// Builds the sensor observation a controller decides from, for a given
@@ -661,7 +652,6 @@ impl System {
         self.grid.step_with_scratch(powers, dt, thermal)?;
         temperature.copy_from_slice(self.grid.temperatures());
         timers.record(Stage::Thermal, t_thermal);
-        timers.bump_epoch();
 
         let total_power: Watts = powers.iter().sum();
         let last_chip = self

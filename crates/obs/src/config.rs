@@ -2,12 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Ring capacity used when [`ObsConfig::ring_capacity`] is 0 ("default").
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+/// Per-ring record capacity. Rings never grow: once full they overwrite
+/// their oldest records.
+pub const RING_CAPACITY: usize = 65_536;
 
-/// Quantized-storage health-scan period (epochs) used when
-/// [`ObsConfig::diag_period`] is 0 ("default").
-pub const DEFAULT_DIAG_PERIOD: u64 = 16;
+/// How often (epochs) the quantized-storage health scan and the
+/// Q-row statistics of the learning-health diagnostics run. The scan
+/// walks every Q-row, so it is period-gated rather than per-epoch.
+pub const DIAG_PERIOD: u64 = 16;
 
 /// Observability switches, embedded in `SystemConfig` and `OdRlConfig`.
 ///
@@ -20,43 +22,23 @@ pub struct ObsConfig {
     /// Whether structured tracing + metrics are recorded.
     #[serde(default)]
     pub enabled: bool,
-    /// Per-ring record capacity; 0 means [`DEFAULT_RING_CAPACITY`].
-    /// Rings never grow: once full they overwrite their oldest records.
-    #[serde(default)]
-    pub ring_capacity: usize,
     /// Whether learning-health diagnostics (TD-error / greedy-Q-span /
     /// exploration summaries and quantized-storage health) are recorded.
     /// Requires `enabled`; off by default like all obs features.
     #[serde(default)]
     pub diag: bool,
-    /// How often (epochs) the quantized-storage health scan runs; 0 means
-    /// [`DEFAULT_DIAG_PERIOD`]. The scan walks every Q-row, so it is
-    /// period-gated rather than per-epoch.
-    #[serde(default)]
-    pub diag_period: u64,
 }
 
 impl ObsConfig {
-    /// Tracing enabled with the default ring capacity.
+    /// Tracing enabled, diagnostics off.
     pub fn enabled() -> Self {
         Self {
             enabled: true,
-            ring_capacity: 0,
             diag: false,
-            diag_period: 0,
         }
     }
 
-    /// Tracing enabled with an explicit per-ring capacity.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
-        Self {
-            ring_capacity: capacity,
-            ..Self::enabled()
-        }
-    }
-
-    /// Tracing and learning-health diagnostics both enabled, with default
-    /// ring capacity and scan period.
+    /// Tracing and learning-health diagnostics both enabled.
     pub fn with_diagnostics() -> Self {
         Self {
             diag: true,
@@ -64,30 +46,10 @@ impl ObsConfig {
         }
     }
 
-    /// The capacity rings are actually built with (resolves the 0 =
-    /// default sentinel).
-    pub fn effective_ring_capacity(&self) -> usize {
-        if self.ring_capacity == 0 {
-            DEFAULT_RING_CAPACITY
-        } else {
-            self.ring_capacity
-        }
-    }
-
     /// Whether learning-health diagnostics are actually on (requires the
     /// tracer itself to be enabled).
     pub fn diagnostics(&self) -> bool {
         self.enabled && self.diag
-    }
-
-    /// The quantized-health scan period actually used (resolves the 0 =
-    /// default sentinel).
-    pub fn effective_diag_period(&self) -> u64 {
-        if self.diag_period == 0 {
-            DEFAULT_DIAG_PERIOD
-        } else {
-            self.diag_period
-        }
     }
 }
 
@@ -187,17 +149,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_off_with_sentinel_capacity() {
-        let c = ObsConfig::default();
-        assert!(!c.enabled);
-        assert_eq!(c.effective_ring_capacity(), DEFAULT_RING_CAPACITY);
-        assert_eq!(ObsConfig::with_ring_capacity(128).effective_ring_capacity(), 128);
+    fn defaults_are_off() {
+        assert!(!ObsConfig::default().enabled);
         assert!(ObsConfig::enabled().enabled);
         // Diagnostics default off and require the tracer to be enabled.
         assert!(!ObsConfig::enabled().diagnostics());
         let d = ObsConfig::with_diagnostics();
         assert!(d.enabled && d.diag && d.diagnostics());
-        assert_eq!(d.effective_diag_period(), DEFAULT_DIAG_PERIOD);
         let orphan = ObsConfig {
             diag: true,
             ..ObsConfig::default()
@@ -210,14 +168,13 @@ mod tests {
         let c: ObsConfig = serde_json::from_str("{}").unwrap();
         assert_eq!(c, ObsConfig::default());
         let c: ObsConfig = serde_json::from_str(r#"{"enabled":true}"#).unwrap();
-        assert!(c.enabled);
-        assert_eq!(c.effective_ring_capacity(), DEFAULT_RING_CAPACITY);
-        let json = serde_json::to_string(&ObsConfig::with_ring_capacity(64)).unwrap();
-        let back: ObsConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.effective_ring_capacity(), 64);
-        // Old configs without the diag fields deserialize to diag-off.
-        let c: ObsConfig = serde_json::from_str(r#"{"enabled":true,"ring_capacity":32}"#).unwrap();
-        assert!(!c.diag && c.diag_period == 0);
+        assert_eq!(c, ObsConfig::enabled());
+        // Unknown fields are ignored, so configs that still carry retired
+        // knobs (the old ring capacity and scan period) keep loading.
+        let c: ObsConfig =
+            serde_json::from_str(r#"{"enabled":true,"capacity":32,"diag":true,"period":4}"#)
+                .unwrap();
+        assert_eq!(c, ObsConfig::with_diagnostics());
         let back: ObsConfig =
             serde_json::from_str(&serde_json::to_string(&ObsConfig::with_diagnostics()).unwrap())
                 .unwrap();

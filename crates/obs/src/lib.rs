@@ -49,7 +49,7 @@ pub mod sink;
 pub mod summary;
 
 pub use aggregate::FleetMetrics;
-pub use config::{EventCounts, ObsConfig, DEFAULT_DIAG_PERIOD, DEFAULT_RING_CAPACITY};
+pub use config::{EventCounts, ObsConfig, DIAG_PERIOD, RING_CAPACITY};
 pub use event::{
     merge_fleet_records, merge_records, AnomalyKind, Event, EventRecord, FaultClass,
     FleetEventRecord, WatchdogFlag, CHIP, RACK,
