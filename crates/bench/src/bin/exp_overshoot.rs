@@ -2,21 +2,21 @@
 //! overshoot").
 //!
 //! For every suite benchmark (homogeneous on 64 cores, 60 % budget), runs
-//! the four headline controllers plus the predictive-market OD-RL arm and
-//! reports overshoot energy, overshoot epoch fraction and peak overshoot,
-//! OD-RL's reduction relative to the *best* baseline on each benchmark,
-//! and the market arm's reduction relative to reactive OD-RL.
+//! the four headline controllers and reports overshoot energy, overshoot
+//! epoch fraction and peak overshoot, plus OD-RL's reduction relative to
+//! each baseline. The per-benchmark tables are seed 1; the closing
+//! suite-total reductions are a 10-seed mean with a bootstrap CI.
 //!
 //! Run with: `cargo run --release -p odrl-bench --bin exp_overshoot`
 
-use odrl_bench::{benchmark_sweep_parallel, sweep_parallelism, ControllerKind};
+use odrl_bench::{
+    benchmark_sweep, benchmark_sweep_parallel, paired_seeds, sweep_parallelism, ControllerKind,
+    REPLICATES,
+};
 use odrl_metrics::{fmt_num, fmt_percent, Table};
 
 fn main() {
-    // Column 0 is the reactive OD-RL reference, column 1 its predictive
-    // market arm; the baseline comparison loops below start at column 2.
-    let mut kinds = ControllerKind::headline_set();
-    kinds.insert(1, ControllerKind::OdRlMarket);
+    let kinds = ControllerKind::headline_set();
     println!("E2: budget overshoot per benchmark (64 cores, 60% budget, 2000 epochs)\n");
     let sweep = benchmark_sweep_parallel(64, 0.6, 2_000, 1, &kinds, sweep_parallelism());
 
@@ -61,7 +61,7 @@ fn main() {
     // taken over benchmarks where the baseline overshoots meaningfully
     // (> 0.01 J — below that both schemes are effectively overshoot-free).
     println!("OD-RL overshoot-energy reduction (paper: up to 98% less):");
-    for (k, kind) in kinds.iter().enumerate().skip(2) {
+    for (k, kind) in kinds.iter().enumerate().skip(1) {
         let mut max_red = f64::NEG_INFINITY;
         let mut any = false;
         for (_, summaries) in &sweep {
@@ -91,14 +91,35 @@ fn main() {
         }
     }
 
-    // The market arm's headline: predicted-slack reclamation should shave
-    // overshoot relative to the purely reactive reference.
-    if totals[0] > 0.0 {
+    // The same suite-total reductions across seeds, paired per seed: one
+    // seed's margin may be noise, the interval says which margins hold.
+    let stats = paired_seeds(&[()], sweep_parallelism(), |_, seed| {
+        let sweep = benchmark_sweep(64, 0.6, 2_000, seed, &kinds);
+        let total = |k: usize| -> f64 {
+            sweep
+                .iter()
+                .map(|(_, s)| s[k].overshoot_energy.value())
+                .sum()
+        };
+        (1..kinds.len())
+            .map(|k| {
+                let base = total(k);
+                if base > 0.0 {
+                    1.0 - total(0) / base
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    });
+    println!("\nsuite-total overshoot reduction, {REPLICATES} seeds, mean [95% bootstrap CI]:");
+    for (kind, stat) in kinds[1..].iter().zip(&stats[0]) {
         println!(
-            "market arm vs reactive OD-RL: {} less suite-total overshoot energy",
-            fmt_percent(1.0 - totals[1] / totals[0])
+            "  vs {:<14} {} [{}, {}]",
+            kind.label(),
+            fmt_percent(stat.mean),
+            fmt_percent(stat.ci95.0),
+            fmt_percent(stat.ci95.1)
         );
-    } else {
-        println!("market arm vs reactive OD-RL: reference is already overshoot-free");
     }
 }

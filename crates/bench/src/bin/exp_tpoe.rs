@@ -2,8 +2,7 @@
 //! 44.3× better throughput per over-the-budget energy").
 //!
 //! Same sweep as E2; reports TpOE = instructions / overshoot-joule per
-//! (benchmark, controller) and OD-RL's ratio over each baseline, plus the
-//! predictive-market arm's TpOE next to the reactive reference.
+//! (benchmark, controller) and OD-RL's ratio over each baseline.
 //!
 //! Run with: `cargo run --release -p odrl-bench --bin exp_tpoe`
 
@@ -11,10 +10,7 @@ use odrl_bench::{benchmark_sweep_parallel, geometric_mean, sweep_parallelism, Co
 use odrl_metrics::{fmt_num, fmt_ratio, Table};
 
 fn main() {
-    // Column 0 is the reactive OD-RL reference, column 1 its predictive
-    // market arm; the baseline comparisons below start at column 2.
-    let mut kinds = ControllerKind::headline_set();
-    kinds.insert(1, ControllerKind::OdRlMarket);
+    let kinds = ControllerKind::headline_set();
     println!("E3: throughput per over-budget energy (64 cores, 60% budget, 2000 epochs)");
     println!("TpOE = total instructions / overshoot energy [instr/J]; inf = no overshoot\n");
     let sweep = benchmark_sweep_parallel(64, 0.6, 2_000, 1, &kinds, sweep_parallelism());
@@ -36,10 +32,9 @@ fn main() {
         for t in &tpoes {
             row.push(fmt_num(*t));
         }
-        // OD-RL's TpOE over the best baseline TpOE (the market arm is a
-        // variant of OD-RL, not a baseline).
+        // OD-RL's TpOE over the best baseline TpOE.
         let odrl = tpoes[0];
-        let best_baseline = tpoes[2..].iter().copied().fold(0.0, f64::max);
+        let best_baseline = tpoes[1..].iter().copied().fold(0.0, f64::max);
         let ratio = if odrl.is_infinite() {
             any_inf = true;
             f64::INFINITY
@@ -68,7 +63,7 @@ fn main() {
         }
     );
     println!("per-baseline (paper: up to 44.3x better TpOE):");
-    for (k, kind) in kinds.iter().enumerate().skip(2) {
+    for (k, kind) in kinds.iter().enumerate().skip(1) {
         let mut best = 0.0f64;
         let mut infinite = false;
         for (_, summaries) in &sweep {
@@ -93,30 +88,4 @@ fn main() {
             }
         );
     }
-
-    // Market arm vs the reactive reference: geometric-mean TpOE ratio over
-    // benchmarks where both arms have a finite TpOE.
-    let mut market_ratios = Vec::new();
-    let mut market_inf = false;
-    for (_, summaries) in &sweep {
-        let reactive = summaries[0].throughput_per_overshoot_energy();
-        let market = summaries[1].throughput_per_overshoot_energy();
-        if !reactive.is_finite() {
-            continue; // both arms overshoot-free: no signal
-        }
-        if market.is_finite() {
-            market_ratios.push(market / reactive);
-        } else {
-            market_inf = true;
-        }
-    }
-    println!(
-        "market arm vs reactive OD-RL: geometric-mean TpOE ratio {}{}",
-        fmt_ratio(Some(geometric_mean(&market_ratios))),
-        if market_inf {
-            " (some benchmarks: market arm overshoot-free => infinite ratio)"
-        } else {
-            ""
-        }
-    );
 }

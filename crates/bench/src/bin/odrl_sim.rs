@@ -5,7 +5,7 @@
 //!
 //!   --cores N             number of cores              [default: 64]
 //!   --budget FRAC         budget as a fraction of max  [default: 0.6]
-//!   --controller NAME     od-rl | od-rl-market | od-rl-local | maxbips-dp
+//!   --controller NAME     od-rl | od-rl-local | maxbips-dp
 //!                         | steepest-drop | pid | static-uniform
 //!                         | priority-greedy
 //!                                                      [default: od-rl]

@@ -17,9 +17,10 @@
 //! ```
 //!
 //! Filters compose (logical AND). `--kind` takes the family names
-//! `watchdog`, `overshoot`, `realloc`, `redistribution`, `market`, `rl`,
-//! `fault`, `vf`, `epoch`, `anomaly`. `--chip` switches the reader to the
-//! fleet JSONL encoding (records tagged with a chip index).
+//! `watchdog`, `overshoot`, `realloc`, `redistribution`, `rl`, `fault`,
+//! `vf`, `epoch`, `anomaly` (see `Event::KIND_NAMES`) and rejects any
+//! other name. `--chip` switches the reader to the fleet JSONL encoding
+//! (records tagged with a chip index).
 
 use odrl_metrics::Table;
 use odrl_obs::{
@@ -77,7 +78,17 @@ fn parse_args() -> Args {
                     v.parse().unwrap_or_else(|_| usage())
                 });
             }
-            "--kind" => kind = Some(args.next().unwrap_or_else(|| usage())),
+            "--kind" => {
+                let v = args.next().unwrap_or_else(|| usage());
+                if !Event::KIND_NAMES.contains(&v.as_str()) {
+                    eprintln!(
+                        "error: unknown --kind {v:?}; valid kinds: {}",
+                        Event::KIND_NAMES.join(", ")
+                    );
+                    std::process::exit(2);
+                }
+                kind = Some(v);
+            }
             "--around-overshoot" => {
                 around_overshoot = Some(
                     args.next()

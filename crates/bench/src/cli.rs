@@ -82,7 +82,6 @@ impl SimArgs {
 pub fn parse_controller(name: &str) -> Option<ControllerKind> {
     Some(match name {
         "od-rl" => ControllerKind::OdRl,
-        "od-rl-market" => ControllerKind::OdRlMarket,
         "od-rl-local" => ControllerKind::OdRlLocal,
         "maxbips-dp" => ControllerKind::MaxBipsDp,
         "maxbips-exhaustive" => ControllerKind::MaxBipsExhaustive,
@@ -263,7 +262,6 @@ mod tests {
     fn every_controller_name_parses() {
         for name in [
             "od-rl",
-            "od-rl-market",
             "od-rl-local",
             "maxbips-dp",
             "maxbips-exhaustive",

@@ -18,7 +18,6 @@
 //! | `exp_noc` | E11 — mesh NoC contention |
 //! | `exp_extended_range` | E12 — near-threshold extended-range DVFS |
 //! | `exp_fleet` | E14 — multi-chip fleet scaling under the rack arbiter |
-//! | `exp_market` | E15 — predictive slack market vs reactive OD-RL |
 //! | `abl_reallocation` | A1 — global reallocation on/off |
 //! | `abl_discretization` | A2 — state-bin granularity |
 //! | `abl_schedules` | A3 — exploration/learning-rate schedules |
@@ -30,7 +29,9 @@
 //! The shared machinery lives here and in `odrl-fleet`: [`Scenario`]
 //! describes a run, [`ControllerKind`] names a controller, [`RunBuilder`]
 //! composes single-chip and fleet runs, and [`run_scenario`] executes the
-//! closed loop and returns a [`RunSummary`].
+//! closed loop and returns a [`RunSummary`]. [`paired_seeds`] repeats a
+//! two-arm comparison over [`REPLICATES`] seeds and reports its mean with
+//! a bootstrap CI.
 
 #![warn(missing_docs)]
 
@@ -40,6 +41,7 @@ pub mod cli;
 
 use odrl_controllers::PowerController;
 use odrl_faults::FaultPlan;
+use odrl_manycore::parallel::stream_seed;
 use odrl_manycore::{Parallelism, System};
 use odrl_metrics::{RunRecorder, RunSummary};
 use odrl_obs::{merge_records, EventCounts, EventRecord};
@@ -315,6 +317,92 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Seeds per cell in a [`paired_seeds`] comparison: every cell runs on
+/// seeds `1..=REPLICATES`.
+pub const REPLICATES: u64 = 10;
+
+/// Bootstrap resamples behind [`PairedStat::ci95`].
+const BOOTSTRAP_RESAMPLES: usize = 10_000;
+
+/// One paired statistic across [`REPLICATES`] seeds: the per-seed values
+/// (a difference `b − a`, a ratio `b / a`, ...), their mean, and a 95 %
+/// percentile-bootstrap confidence interval of that mean.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedStat {
+    /// One value per seed, seed 1 first.
+    pub per_seed: Vec<f64>,
+    /// Mean over the seeds.
+    pub mean: f64,
+    /// 95 % percentile-bootstrap CI of the mean, `(low, high)`. The
+    /// resampling stream is seeded, so the interval is reproducible.
+    pub ci95: (f64, f64),
+}
+
+/// Runs `paired(cell, seed)` for every cell on seeds `1..=REPLICATES`,
+/// fanning the `cells × seeds` runs across `par` via
+/// [`run_cells_parallel`]. Each call runs both arms of a comparison on
+/// one seed and returns its paired statistics; every call must return
+/// the same number of them.
+///
+/// Returns, per cell in input order, one [`PairedStat`] per statistic.
+/// Like every sweep here, the result does not depend on `par`.
+///
+/// # Panics
+///
+/// Panics if `paired` panics, or if its calls return differing numbers
+/// of statistics.
+pub fn paired_seeds<T, F>(cells: &[T], par: Parallelism, paired: F) -> Vec<Vec<PairedStat>>
+where
+    T: Sync,
+    F: Fn(&T, u64) -> Vec<f64> + Sync,
+{
+    let runs: Vec<(usize, u64)> = (0..cells.len())
+        .flat_map(|c| (1..=REPLICATES).map(move |seed| (c, seed)))
+        .collect();
+    let results = run_cells_parallel(&runs, par, |&(c, seed)| paired(&cells[c], seed));
+    results
+        .chunks(REPLICATES as usize)
+        .map(|per_cell| {
+            let stats = per_cell[0].len();
+            assert!(
+                per_cell.iter().all(|r| r.len() == stats),
+                "paired statistics differ in count across seeds"
+            );
+            (0..stats)
+                .map(|k| {
+                    let per_seed: Vec<f64> = per_cell.iter().map(|r| r[k]).collect();
+                    let mean = per_seed.iter().sum::<f64>() / per_seed.len() as f64;
+                    let ci95 = bootstrap_ci95(&per_seed);
+                    PairedStat {
+                        per_seed,
+                        mean,
+                        ci95,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// 95 % percentile-bootstrap CI of the mean of `values`; draw `i` picks
+/// index `stream_seed(0x5EED, i) % n`, so the interval is reproducible.
+fn bootstrap_ci95(values: &[f64]) -> (f64, f64) {
+    let n = values.len();
+    let mut means: Vec<f64> = (0..BOOTSTRAP_RESAMPLES)
+        .map(|r| {
+            (0..n)
+                .map(|j| values[(stream_seed(0x5EED, (r * n + j) as u64) % n as u64) as usize])
+                .sum::<f64>()
+                / n as f64
+        })
+        .collect();
+    means.sort_by(f64::total_cmp);
+    (
+        means[BOOTSTRAP_RESAMPLES * 25 / 1000],
+        means[BOOTSTRAP_RESAMPLES * 975 / 1000 - 1],
+    )
+}
+
 /// Runs the headline benchmark × controller sweep behind tables E2–E4:
 /// every suite benchmark as a homogeneous workload on `cores` cores, each
 /// under every controller in `kinds`.
@@ -424,7 +512,6 @@ mod tests {
     fn labels_match_controller_names() {
         for kind in [
             ControllerKind::OdRl,
-            ControllerKind::OdRlMarket,
             ControllerKind::OdRlLocal,
             ControllerKind::MaxBipsDp,
             ControllerKind::SteepestDrop,
@@ -553,6 +640,40 @@ mod tests {
             assert_eq!(a.total_instructions, b.total_instructions, "{}", a.name);
             assert_eq!(a.total_energy, b.total_energy, "{}", a.name);
         }
+    }
+
+    #[test]
+    fn paired_seeds_ci_sits_on_a_constant_shift() {
+        let stats = paired_seeds(&[0.25f64, -1.5], Parallelism::Threads(3), |&shift, seed| {
+            // Both arms move with the seed; only the shift survives pairing.
+            let base = seed as f64 * 7.0;
+            vec![(base + shift) - base]
+        });
+        for (stat, shift) in stats.iter().map(|s| &s[0]).zip([0.25, -1.5]) {
+            assert_eq!(stat.per_seed.len(), REPLICATES as usize);
+            assert!((stat.mean - shift).abs() < 1e-12);
+            assert!((stat.ci95.0 - shift).abs() < 1e-12, "{:?}", stat.ci95);
+            assert!((stat.ci95.1 - shift).abs() < 1e-12, "{:?}", stat.ci95);
+        }
+    }
+
+    #[test]
+    fn paired_seeds_ci_straddles_zero_for_alternating_signs() {
+        let alternating = |_: &(), seed: u64| {
+            let d = if seed.is_multiple_of(2) { 1.0 } else { -1.0 };
+            vec![d, 2.0 * d]
+        };
+        let stats = paired_seeds(&[()], Parallelism::Serial, alternating);
+        assert_eq!(stats.len(), 1);
+        for stat in &stats[0] {
+            assert_eq!(stat.mean, 0.0);
+            assert!(stat.ci95.0 < 0.0 && stat.ci95.1 > 0.0, "{:?}", stat.ci95);
+        }
+        // Seeded resampling: the same input gives the same interval.
+        assert_eq!(
+            stats,
+            paired_seeds(&[()], Parallelism::Threads(2), alternating)
+        );
     }
 
     #[test]

@@ -316,55 +316,6 @@ fn diagnosed_fleet_steady_state_allocates_nothing() {
 }
 
 #[test]
-fn market_arm_steady_state_allocates_nothing() {
-    // Same gate with the predictive slack market on every epoch: the
-    // predictors, reclaim pool and market scratch are all sized at
-    // construction, so the donate/grant/write-back pass must stay inside
-    // the zero-alloc envelope too.
-    let scenario = Scenario {
-        cores: 64,
-        budget_frac: 0.6,
-        epochs: 0,
-        mix: MixPolicy::RoundRobin,
-        seed: 42,
-        parallelism: Parallelism::Serial,
-    };
-    let ChipRun {
-        mut system,
-        mut controller,
-        budget,
-    } = RunBuilder::new(scenario)
-        .controller(ControllerKind::OdRlMarket)
-        .build_chip()
-        .expect("valid market configuration");
-    assert_eq!(controller.name(), "od-rl-market");
-    let mut actions = vec![LevelId(0); 64];
-    let mut obs = system.observation(budget);
-
-    // Warmup: sizes the market scratch and carries every predictor past
-    // its history-window warm-up (8 samples).
-    for _ in 0..30 {
-        controller.decide_into(&obs, &mut actions);
-        system.step_in_place(&actions).expect("valid actions");
-        system.observation_into(budget, &mut obs);
-    }
-
-    let a0 = allocs::allocations();
-    let b0 = allocs::allocated_bytes();
-    for _ in 0..50 {
-        controller.decide_into(&obs, &mut actions);
-        system.step_in_place(&actions).expect("valid actions");
-        system.observation_into(budget, &mut obs);
-    }
-    let da = allocs::allocations() - a0;
-    let db = allocs::allocated_bytes() - b0;
-    assert_eq!(
-        da, 0,
-        "market-arm steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
-    );
-}
-
-#[test]
 fn warm_start_boot_allocates_nothing_at_steady_state() {
     // Boot a chip from a Q-table snapshot on disk: the import happens once
     // at build time (allocations there are fine), after which the warmed

@@ -3,7 +3,6 @@
 use crate::error::OdRlError;
 use crate::watchdog::WatchdogConfig;
 use odrl_manycore::Parallelism;
-use odrl_market::MarketConfig;
 use odrl_obs::ObsConfig;
 use odrl_rl::{Algorithm, QTableLayout, Schedule};
 use serde::{Deserialize, Serialize};
@@ -81,14 +80,6 @@ pub struct OdRlConfig {
     /// one branch per recording site.
     #[serde(default)]
     pub obs: ObsConfig,
-    /// Predictive slack market riding the global reallocation step (see
-    /// `odrl-market`): cores forecast next-epoch demand, donate predicted
-    /// slack into a reclaim pool and over-budget cores apply for it every
-    /// market epoch, instead of waiting out the reactive
-    /// `realloc_period`. Off by default so every pre-market golden stays
-    /// bit-identical; it only applies when global reallocation is on.
-    #[serde(default)]
-    pub market: MarketConfig,
     /// Seed for the exploration randomness.
     pub seed: u64,
 }
@@ -120,7 +111,6 @@ impl Default for OdRlConfig {
             parallelism: Parallelism::Serial,
             watchdog: WatchdogConfig::default(),
             obs: ObsConfig::default(),
-            market: MarketConfig::default(),
             seed: 0,
         }
     }
@@ -192,12 +182,6 @@ impl OdRlConfig {
             });
         }
         self.watchdog.validate()?;
-        self.market
-            .validate()
-            .map_err(|e| OdRlError::InvalidConfig {
-                field: "market",
-                reason: e.to_string(),
-            })?;
         Ok(())
     }
 }
@@ -254,16 +238,6 @@ mod tests {
         let mut c = OdRlConfig::default();
         c.watchdog.stale_epochs = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_bad_market_parameters() {
-        let mut c = OdRlConfig::default();
-        c.market.enabled = true;
-        assert!(c.validate().is_ok());
-        c.market.ema = 0.0;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("market"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use odrl_controllers::PowerController;
 use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed, ShardSplit};
 use odrl_manycore::{Observation, Stage, StageTimers, SystemSpec};
-use odrl_market::{MarketAllocator, MarketRound, MarketScratch};
 use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing, DIAG_PERIOD};
 use odrl_power::{LevelId, Watts};
 use odrl_rl::snapshot as rl_snapshot;
@@ -275,16 +274,6 @@ pub struct OdRlController {
     alloc_scratch: AllocScratch,
     /// Double buffer for the per-core budgets across a reallocation.
     budgets_next: Vec<Watts>,
-    /// Predictive slack market over the per-core budgets, present when
-    /// [`crate::MarketConfig::enabled`] is set on a reallocating
-    /// controller (see `odrl-market`).
-    market: Option<MarketAllocator>,
-    /// Staging buffers for the market pass (same reuse pattern as
-    /// `alloc_scratch`).
-    market_scratch: MarketScratch,
-    /// Ledger of the most recent market round, for conservation gates
-    /// and telemetry.
-    last_market_round: Option<MarketRound>,
     /// Structured-event recorder, present only when
     /// [`OdRlConfig::obs`] enables it (boxed: ~8 bytes on the hot
     /// struct when tracing is off).
@@ -371,15 +360,6 @@ impl OdRlController {
             .collect::<Result<Vec<_>, RlError>>()?;
         let allocator = reallocate
             .then(|| BudgetAllocator::new(spec.cores, config.realloc_gain, config.min_share));
-        // The market rides the coarse-grain reallocation step, so the
-        // local-only ablation never trades even with the knob on.
-        let market = (reallocate && config.market.enabled)
-            .then(|| MarketAllocator::new(spec.cores, config.market))
-            .transpose()
-            .map_err(|e| OdRlError::InvalidConfig {
-                field: "market",
-                reason: e.to_string(),
-            })?;
         let watchdog = config
             .watchdog
             .enabled
@@ -419,16 +399,7 @@ impl OdRlController {
             }),
             timers: StageTimers::new(),
             epochs: 0,
-            name: if market.is_some() {
-                "od-rl-market"
-            } else if reallocate {
-                "od-rl"
-            } else {
-                "od-rl-local"
-            },
-            market,
-            market_scratch: MarketScratch::default(),
-            last_market_round: None,
+            name: if reallocate { "od-rl" } else { "od-rl-local" },
             config,
             encoder,
             agents,
@@ -478,19 +449,6 @@ impl OdRlController {
     /// set — for telemetry and tests.
     pub fn watchdog(&self) -> Option<&SensorWatchdog> {
         self.watchdog.as_ref()
-    }
-
-    /// The slack market, when [`crate::MarketConfig::enabled`] is set on
-    /// a reallocating controller.
-    pub fn market(&self) -> Option<&MarketAllocator> {
-        self.market.as_ref()
-    }
-
-    /// The ledger of the most recent market round — `None` until the
-    /// first market epoch (or when the market arm is off). Conservation
-    /// gates assert `conservation_error() == 0.0` on every round.
-    pub fn market_round(&self) -> Option<&MarketRound> {
-        self.last_market_round.as_ref()
     }
 
     /// The structured-event tracer, when [`OdRlConfig::obs`] enables it.
@@ -692,69 +650,6 @@ impl OdRlController {
                 tr.record_redistribution(epoch, freed);
             }
         }
-    }
-
-    /// Predictive slack market (see `odrl-market`): each market epoch
-    /// every core forecasts its next-epoch demand, cores holding more than
-    /// they need donate the predicted slack into the reclaim pool and
-    /// over-budget cores apply for it — a fast path that moves watts
-    /// between reallocations instead of waiting out the reactive
-    /// `realloc_period`. Runs in the serial coarse-grain section, so shard
-    /// counts cannot affect it. With an unreliable budget channel attached
-    /// the post-market shares travel as messages on the same lossy links
-    /// reallocations use, so fault plans (lost / delayed / stale) exercise
-    /// the market path too.
-    fn run_market(&mut self, obs: &Observation, n: usize, epoch: u64) {
-        let Some(market) = &mut self.market else {
-            return;
-        };
-        if self.epochs == 0 || !self.epochs.is_multiple_of(market.period()) {
-            return;
-        }
-        let t_market = Instant::now();
-        let (powers, shares) = self.market_scratch.stage();
-        for (core, b) in obs.cores.iter().zip(&self.budgets).take(n) {
-            powers.push(core.power.value());
-            shares.push(b.value());
-        }
-        // Cores with untrustworthy telemetry sit the round out: a dead or
-        // stuck sensor must neither feed the predictor nor price a
-        // donation.
-        if let Some(wd) = &self.watchdog {
-            for i in 0..n {
-                if wd.is_dead(i) || wd.is_stale(i) {
-                    self.market_scratch.deactivate(i);
-                }
-            }
-        }
-        let round = market.step(obs.budget.value(), &mut self.market_scratch);
-        if round.moved() {
-            match &mut self.channel {
-                None => {
-                    for (b, s) in self
-                        .budgets
-                        .iter_mut()
-                        .zip(self.market_scratch.shares())
-                        .take(n)
-                    {
-                        *b = Watts::new(*s);
-                    }
-                }
-                Some(ch) => {
-                    for (i, s) in self.market_scratch.shares().iter().enumerate().take(n) {
-                        ch.send(i, *s);
-                        if let Some(v) = ch.poll(i) {
-                            self.budgets[i] = Watts::new(v);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.record_market(epoch, &round);
-        }
-        self.last_market_round = Some(round);
-        self.timers.record(Stage::Realloc, t_market);
     }
 
     /// Chip-level utilisation feedback (see `utilisation_scale`), with
@@ -1214,7 +1109,6 @@ impl PowerController for OdRlController {
             }
             self.reallocate(obs, n, epoch);
             self.redistribute_dead_shares(n, epoch);
-            self.run_market(obs, n, epoch);
             self.track_power(obs);
             self.rl_pipeline(obs, n, epoch, out);
             self.record_diagnostics(n, epoch);
@@ -1873,209 +1767,6 @@ mod tests {
         let mut ctrl =
             OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
         assert!(ctrl.attach_budget_faults(&engine).is_err());
-    }
-
-    #[test]
-    fn market_arm_trades_and_conserves_every_round() {
-        use odrl_market::MarketConfig;
-        let config = SystemConfig::builder().cores(16).seed(17).build().unwrap();
-        let budget = Watts::new(0.55 * config.max_power().value());
-        let mut system = System::new(config).unwrap();
-        let mut ctrl = OdRlController::new(
-            OdRlConfig {
-                market: MarketConfig::enabled(),
-                seed: 17,
-                ..OdRlConfig::default()
-            },
-            &system.spec(),
-            budget,
-        )
-        .unwrap();
-        assert_eq!(ctrl.name(), "od-rl-market");
-        let mut traded = 0u64;
-        for _ in 0..200 {
-            let obs = system.observation(budget);
-            let actions = ctrl.decide(&obs);
-            if let Some(r) = ctrl.market_round() {
-                assert_eq!(r.conservation_error(), 0.0, "conservation must be bit-exact");
-                if r.moved() {
-                    traded += 1;
-                    let sum: f64 = ctrl.budgets().iter().map(|w| w.value()).sum();
-                    assert!(
-                        (sum - budget.value()).abs() < 1e-9 * budget.value(),
-                        "market must conserve the chip budget: {sum} vs {budget}"
-                    );
-                }
-            }
-            system.step(&actions).unwrap();
-        }
-        let market = ctrl.market().expect("market arm is on");
-        assert_eq!(market.rounds(), 199, "one round per epoch after epoch 0");
-        assert!(traded > 0, "a heterogeneous mix must trade at least once");
-        assert!(market.pool().total_granted() > 0.0);
-    }
-
-    #[test]
-    fn market_off_is_bit_identical_to_the_baseline() {
-        // The knob defaults off; this pins that an explicit `false`
-        // (and the market code being present at all) changes nothing.
-        let run_with = |enabled: bool| {
-            let config = SystemConfig::builder().cores(12).seed(23).build().unwrap();
-            let budget = Watts::new(0.6 * config.max_power().value());
-            let mut system = System::new(config).unwrap();
-            let market = odrl_market::MarketConfig {
-                enabled,
-                ..odrl_market::MarketConfig::default()
-            };
-            let mut ctrl = OdRlController::new(
-                OdRlConfig {
-                    market,
-                    seed: 23,
-                    ..OdRlConfig::default()
-                },
-                &system.spec(),
-                budget,
-            )
-            .unwrap();
-            for _ in 0..150 {
-                let obs = system.observation(budget);
-                let a = ctrl.decide(&obs);
-                system.step(&a).unwrap();
-            }
-            (
-                system.telemetry().total_instructions(),
-                system.telemetry().total_energy(),
-                ctrl.export_policy(),
-            )
-        };
-        let (instr_off, energy_off, policy_off) = run_with(false);
-        // Baseline controller without the field set at all.
-        let (instr_base, energy_base, policy_base) = {
-            let config = SystemConfig::builder().cores(12).seed(23).build().unwrap();
-            let budget = Watts::new(0.6 * config.max_power().value());
-            let mut system = System::new(config).unwrap();
-            let mut ctrl = OdRlController::new(
-                OdRlConfig {
-                    seed: 23,
-                    ..OdRlConfig::default()
-                },
-                &system.spec(),
-                budget,
-            )
-            .unwrap();
-            for _ in 0..150 {
-                let obs = system.observation(budget);
-                let a = ctrl.decide(&obs);
-                system.step(&a).unwrap();
-            }
-            (
-                system.telemetry().total_instructions(),
-                system.telemetry().total_energy(),
-                ctrl.export_policy(),
-            )
-        };
-        assert_eq!(instr_off, instr_base);
-        assert_eq!(energy_off, energy_base);
-        assert_eq!(policy_off, policy_base);
-    }
-
-    #[test]
-    fn market_is_shard_count_invariant() {
-        use odrl_manycore::Parallelism;
-        use odrl_market::MarketConfig;
-        let run = |par: Parallelism| {
-            let config = SystemConfig::builder()
-                .cores(16)
-                .seed(29)
-                .parallelism(par)
-                .build()
-                .unwrap();
-            let budget = Watts::new(0.55 * config.max_power().value());
-            let mut system = System::new(config).unwrap();
-            let mut ctrl = OdRlController::new(
-                OdRlConfig {
-                    market: MarketConfig::enabled(),
-                    parallelism: par,
-                    seed: 29,
-                    ..OdRlConfig::default()
-                },
-                &system.spec(),
-                budget,
-            )
-            .unwrap();
-            let mut rounds = Vec::new();
-            for _ in 0..120 {
-                let obs = system.observation(budget);
-                let a = ctrl.decide(&obs);
-                system.step(&a).unwrap();
-                if let Some(r) = ctrl.market_round() {
-                    rounds.push(*r);
-                }
-            }
-            let budgets: Vec<f64> = ctrl.budgets().iter().map(|w| w.value()).collect();
-            (rounds, budgets, system.telemetry().total_instructions())
-        };
-        let serial = run(Parallelism::Serial);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(Parallelism::Threads(threads)), serial, "{threads} shards");
-        }
-    }
-
-    #[test]
-    fn market_rides_the_lossy_budget_channel() {
-        use odrl_faults::{BudgetFault, FaultEngine, FaultKind, FaultPlan, Target};
-        use odrl_market::MarketConfig;
-        let plan = FaultPlan::new().with_event(
-            FaultKind::Budget(BudgetFault::Lost),
-            Target::All,
-            0,
-            10_000,
-        );
-        let engine = FaultEngine::compile(&plan, 8, 7).unwrap();
-        let config = SystemConfig::builder().cores(8).seed(37).build().unwrap();
-        let budget = Watts::new(0.6 * config.max_power().value());
-        let mut system = System::new(config).unwrap();
-        let mut ctrl = OdRlController::new(
-            OdRlConfig {
-                market: MarketConfig::enabled(),
-                seed: 37,
-                ..OdRlConfig::default()
-            },
-            &system.spec(),
-            budget,
-        )
-        .unwrap();
-        ctrl.attach_budget_faults(&engine).unwrap();
-        for _ in 0..100 {
-            let obs = system.observation(budget);
-            let a = ctrl.decide(&obs);
-            system.step(&a).unwrap();
-        }
-        // Market grants were issued (the economy ran) but every share
-        // message — reallocation and market alike — was lost in flight,
-        // so the agents still hold the initial fair split.
-        assert!(ctrl.market().unwrap().pool().total_donated() > 0.0);
-        let fair = budget.value() / 8.0;
-        for b in ctrl.budgets() {
-            assert!((b.value() - fair).abs() < 1e-9, "share drifted: {b}");
-        }
-    }
-
-    #[test]
-    fn local_ablation_ignores_the_market_knob() {
-        use odrl_market::MarketConfig;
-        let spec = SystemConfig::builder().cores(4).build().unwrap().spec();
-        let ctrl = OdRlController::without_reallocation(
-            OdRlConfig {
-                market: MarketConfig::enabled(),
-                ..OdRlConfig::default()
-            },
-            &spec,
-            Watts::new(10.0),
-        )
-        .unwrap();
-        assert!(ctrl.market().is_none());
-        assert_eq!(ctrl.name(), "od-rl-local");
     }
 
     #[test]

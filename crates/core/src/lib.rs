@@ -61,7 +61,6 @@ pub use controller::{OdRlController, PolicySnapshot};
 pub use error::OdRlError;
 pub use hierarchy::HierarchicalOdRl;
 pub use obs::CtrlTracer;
-pub use odrl_market::{MarketAllocator, MarketConfig, MarketRound, MarketScratch};
 pub use odrl_rl::QTableLayout;
 pub use reward::RewardShaper;
 pub use state::StateEncoder;

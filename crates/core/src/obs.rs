@@ -16,7 +16,6 @@
 //! makes the merged stream bit-identical across shard counts.
 
 use crate::watchdog::SensorWatchdog;
-use odrl_market::MarketRound;
 use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, GaugeId, HistogramId, LearnDiag, MetricsRegistry,
     MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP, RING_CAPACITY,
@@ -56,18 +55,12 @@ pub struct CtrlTracer {
     h_rl_learn_ns: HistogramId,
     h_realloc_w: HistogramId,
     h_overshoot_w: HistogramId,
-    h_market_donated_w: HistogramId,
-    h_market_granted_w: HistogramId,
-    h_market_pred_err_w: HistogramId,
-    g_market_pool_w: GaugeId,
     c_stale: CounterId,
     c_dead: CounterId,
     c_dark: CounterId,
     c_realloc: CounterId,
     c_redistribution: CounterId,
     c_overshoot: CounterId,
-    c_market_donation: CounterId,
-    c_market_grant: CounterId,
     c_explore: CounterId,
     prev_stale: Vec<bool>,
     prev_dead: Vec<bool>,
@@ -107,24 +100,12 @@ impl CtrlTracer {
         let h_overshoot_w = metrics
             .histogram("overshoot_watts", 0.0, 50.0, 50)
             .expect("static histogram layout is valid");
-        let h_market_donated_w = metrics
-            .histogram("market_donated_w", 0.0, 100.0, 50)
-            .expect("static histogram layout is valid");
-        let h_market_granted_w = metrics
-            .histogram("market_granted_w", 0.0, 100.0, 50)
-            .expect("static histogram layout is valid");
-        let h_market_pred_err_w = metrics
-            .histogram("market_prediction_err_w", 0.0, 50.0, 50)
-            .expect("static histogram layout is valid");
-        let g_market_pool_w = metrics.gauge("market_pool_level_w");
         let c_stale = metrics.counter("watchdog_stale_flips");
         let c_dead = metrics.counter("watchdog_dead_flips");
         let c_dark = metrics.counter("watchdog_dark_flips");
         let c_realloc = metrics.counter("reallocations");
         let c_redistribution = metrics.counter("redistributions");
         let c_overshoot = metrics.counter("overshoot_onsets");
-        let c_market_donation = metrics.counter("market_donation_rounds");
-        let c_market_grant = metrics.counter("market_grant_rounds");
         let c_explore = metrics.counter("explore_choices");
         // Diagnostics metrics register last and only when enabled, so the
         // diag-off layout (and everything derived from it) is unchanged.
@@ -152,18 +133,12 @@ impl CtrlTracer {
             h_rl_learn_ns,
             h_realloc_w,
             h_overshoot_w,
-            h_market_donated_w,
-            h_market_granted_w,
-            h_market_pred_err_w,
-            g_market_pool_w,
             c_stale,
             c_dead,
             c_dark,
             c_realloc,
             c_redistribution,
             c_overshoot,
-            c_market_donation,
-            c_market_grant,
             c_explore,
             prev_stale: vec![false; cores],
             prev_dead: vec![false; cores],
@@ -276,47 +251,6 @@ impl CtrlTracer {
         self.ring
             .record(epoch, CHIP, Event::BudgetRedistribution { freed_w });
         self.metrics.inc(self.c_redistribution);
-    }
-
-    /// Records one slack-market round: donation/grant events (only when
-    /// watts were actually offered / moved), the pool's peak level, and
-    /// the predictor's aggregate absolute error.
-    #[inline]
-    pub fn record_market(&mut self, epoch: u64, round: &MarketRound) {
-        if round.donated_w > 0.0 {
-            self.ring.record(
-                epoch,
-                CHIP,
-                Event::MarketDonation {
-                    donated_w: round.donated_w,
-                },
-            );
-            self.metrics.inc(self.c_market_donation);
-        }
-        if round.granted_w > 0.0 {
-            self.ring.record(
-                epoch,
-                CHIP,
-                Event::MarketGrant {
-                    granted_w: round.granted_w,
-                },
-            );
-            self.metrics.inc(self.c_market_grant);
-        }
-        if round.prediction_abs_err_w > 0.0 {
-            self.ring.record(
-                epoch,
-                CHIP,
-                Event::MarketPrediction {
-                    abs_err_w: round.prediction_abs_err_w,
-                },
-            );
-        }
-        self.metrics.set(self.g_market_pool_w, round.pool_peak_w);
-        self.metrics.observe(self.h_market_donated_w, round.donated_w);
-        self.metrics.observe(self.h_market_granted_w, round.granted_w);
-        self.metrics
-            .observe(self.h_market_pred_err_w, round.prediction_abs_err_w);
     }
 
     /// Records the RL stage's decide/learn split for this epoch — the
@@ -463,8 +397,6 @@ impl CtrlTracer {
             reallocations: self.metrics.counter_value(self.c_realloc),
             redistributions: self.metrics.counter_value(self.c_redistribution),
             overshoot_onsets: self.metrics.counter_value(self.c_overshoot),
-            market_donations: self.metrics.counter_value(self.c_market_donation),
-            market_grants: self.metrics.counter_value(self.c_market_grant),
             explorations: self.total_explorations(),
             ..EventCounts::default()
         }
@@ -486,18 +418,12 @@ impl Clone for CtrlTracer {
             h_rl_learn_ns: self.h_rl_learn_ns,
             h_realloc_w: self.h_realloc_w,
             h_overshoot_w: self.h_overshoot_w,
-            h_market_donated_w: self.h_market_donated_w,
-            h_market_granted_w: self.h_market_granted_w,
-            h_market_pred_err_w: self.h_market_pred_err_w,
-            g_market_pool_w: self.g_market_pool_w,
             c_stale: self.c_stale,
             c_dead: self.c_dead,
             c_dark: self.c_dark,
             c_realloc: self.c_realloc,
             c_redistribution: self.c_redistribution,
             c_overshoot: self.c_overshoot,
-            c_market_donation: self.c_market_donation,
-            c_market_grant: self.c_market_grant,
             c_explore: self.c_explore,
             prev_stale: self.prev_stale.clone(),
             prev_dead: self.prev_dead.clone(),

@@ -10,9 +10,8 @@
 //! [`BudgetChannel::send`] and picks deliveries up with
 //! [`BudgetChannel::poll`]; an agent that hears nothing simply keeps its
 //! old share — exactly the failure semantics of a lossy on-chip mailbox.
-//! The predictive slack market (`odrl-market`) routes its post-round
-//! shares through the same links, so budget-fault windows degrade market
-//! reclaim traffic and reallocator traffic alike.
+//! One level up, the fleet's rack arbiter sends per-chip shares over a
+//! channel of its own, with one link per chip.
 //!
 //! All per-core buffers are sized at construction; steady-state epochs are
 //! allocation-free, and behaviour is a deterministic function of the
@@ -139,9 +138,7 @@ impl BudgetChannel {
         None
     }
 
-    /// Messages offered to the channel since construction. The market's
-    /// post-round shares ride the same links as the reallocator's, so this
-    /// counts both traffic classes.
+    /// Messages offered to the channel since construction.
     pub fn messages_sent(&self) -> u64 {
         self.sent
     }

@@ -117,13 +117,6 @@ impl BudgetArbiter {
         &self.shares
     }
 
-    /// Mutable ledger access for the rack-scope slack market: a market
-    /// round rewrites the arbitrated shares in place (sum preserved to
-    /// round-off; the next [`BudgetArbiter::reallocate`] renormalizes).
-    pub(crate) fn shares_mut(&mut self) -> &mut [f64] {
-        &mut self.shares
-    }
-
     /// Completed reallocation rounds.
     pub fn rounds(&self) -> u64 {
         self.rounds

@@ -12,7 +12,7 @@ use crate::error::FleetError;
 use crate::fleet::Fleet;
 use crate::scenario::{build_controller, ControllerKind, Scenario};
 use odrl_controllers::PowerController;
-use odrl_core::{MarketConfig, OdRlConfig, WatchdogConfig};
+use odrl_core::{OdRlConfig, WatchdogConfig};
 use odrl_faults::FaultPlan;
 use odrl_manycore::{Parallelism, System};
 use odrl_core::PolicySnapshot;
@@ -63,7 +63,6 @@ pub struct RunBuilder {
     arbiter_gain: f64,
     min_share: f64,
     demand_smoothing: f64,
-    market: Option<MarketConfig>,
     fleet_parallelism: Parallelism,
     warm_start: Option<PathBuf>,
 }
@@ -87,7 +86,6 @@ impl RunBuilder {
             arbiter_gain: defaults.arbiter_gain,
             min_share: defaults.min_share,
             demand_smoothing: defaults.demand_smoothing,
-            market: None,
             fleet_parallelism: Parallelism::Serial,
             warm_start: None,
         }
@@ -177,18 +175,6 @@ impl RunBuilder {
         self
     }
 
-    /// Run the predictive slack market (see `odrl-market`) at the build
-    /// target's scope: [`RunBuilder::build_chip`] enables the controller's
-    /// market arm (cores donate/apply inside the chip), while
-    /// [`RunBuilder::build_fleet`] runs the rack-scope market over the
-    /// arbitrated per-chip shares. Pass `MarketConfig::enabled()` for the
-    /// defaults, or a tuned config.
-    #[must_use]
-    pub fn market(mut self, market: MarketConfig) -> Self {
-        self.market = Some(market);
-        self
-    }
-
     /// Boot the OD-RL controller(s) from a binary `PolicySnapshot` on
     /// disk (see `odrl_core::PolicySnapshot::save`) instead of cold
     /// optimistic tables. Fleet builds import the same snapshot into every
@@ -226,9 +212,6 @@ impl RunBuilder {
             odrl.obs = ObsConfig::with_diagnostics();
         } else if self.obs {
             odrl.obs = ObsConfig::enabled();
-        }
-        if let Some(market) = self.market {
-            odrl.market = market;
         }
         let warm = self
             .warm_start
@@ -270,7 +253,6 @@ impl RunBuilder {
             arbiter_gain: self.arbiter_gain,
             min_share: self.min_share,
             demand_smoothing: self.demand_smoothing,
-            market: self.market.unwrap_or_default(),
             parallelism: self.fleet_parallelism,
             warm_start: self.warm_start,
         };

@@ -2,7 +2,7 @@
 
 use crate::error::FleetError;
 use crate::scenario::{ControllerKind, Scenario};
-use odrl_core::{MarketConfig, OdRlConfig};
+use odrl_core::OdRlConfig;
 use odrl_faults::FaultPlan;
 use odrl_manycore::Parallelism;
 use odrl_obs::RecorderConfig;
@@ -63,13 +63,6 @@ pub struct FleetConfig {
     pub min_share: f64,
     /// EMA factor for the arbiter's smoothed per-chip demand.
     pub demand_smoothing: f64,
-    /// Rack-scope predictive slack market over the arbitrated per-chip
-    /// shares (see `odrl-market`): chips forecast next-epoch demand from
-    /// measured power, donate predicted slack and apply for reclaimed
-    /// watts between arbiter rounds, with the fresh shares riding the
-    /// same lossy budget links. Off by default. Orthogonal to the
-    /// intra-chip market knob on [`OdRlConfig`].
-    pub market: MarketConfig,
     /// Cross-chip fan-out: how many worker shards step chips concurrently
     /// within one fleet epoch. Bit-identical at every setting. Mutually
     /// exclusive with intra-chip parallelism (`scenario.parallelism`):
@@ -101,7 +94,6 @@ impl FleetConfig {
             arbiter_gain: 0.5,
             min_share: 0.25,
             demand_smoothing: 0.25,
-            market: MarketConfig::default(),
             parallelism: Parallelism::Serial,
             warm_start: None,
         }
@@ -196,12 +188,6 @@ impl FleetConfig {
                     .into(),
             });
         }
-        self.market
-            .validate()
-            .map_err(|e| FleetError::InvalidConfig {
-                field: "market",
-                reason: e.to_string(),
-            })?;
         self.odrl.validate()?;
         Ok(())
     }
@@ -239,12 +225,6 @@ mod tests {
         let mut c = base();
         c.odrl.realloc_gain = -1.0;
         assert!(matches!(c.validate(), Err(FleetError::Controller(_))));
-        let mut c = base();
-        c.market = MarketConfig::enabled();
-        assert!(c.validate().is_ok());
-        c.market.period = 0;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("market"), "{err}");
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //!    [`BudgetArbiter`] re-divides the fleet budget from smoothed per-chip
 //!    demand and the fresh shares are *sent* down the per-chip
 //!    [`BudgetChannel`] links — which may drop, delay or stale-replay them
-//!    (fault plans apply at fleet scope). With the rack-scope slack market
-//!    on (see `FleetConfig::market`), a market round then lets chips
-//!    donate predicted slack and apply for reclaimed watts between
-//!    arbiter rounds, its trades riding the same lossy links.
+//!    (fault plans apply at fleet scope).
 //! 2. **Deliver** (serial, fixed chip order): each chip polls its link; no
 //!    delivery means it keeps its old budget, exactly the lossy-mailbox
 //!    semantics the per-core channel has one level down.
@@ -31,7 +28,7 @@ use crate::config::FleetConfig;
 use crate::error::FleetError;
 use crate::scenario::build_controller;
 use odrl_controllers::PowerController;
-use odrl_core::{MarketAllocator, MarketRound, MarketScratch, PolicySnapshot, WatchdogConfig};
+use odrl_core::{PolicySnapshot, WatchdogConfig};
 use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed};
 use odrl_manycore::{Observation, Parallelism, System, SystemError, Telemetry};
@@ -217,10 +214,6 @@ struct RackIds {
     c_anomalies: CounterId,
     g_share_spread: GaugeId,
     g_loss_rate: GaugeId,
-    g_market_donated: GaugeId,
-    g_market_granted: GaugeId,
-    g_market_residual: GaugeId,
-    g_market_conservation: GaugeId,
 }
 
 /// Rack-scope observability: hierarchical metric aggregation over the
@@ -257,10 +250,6 @@ impl FleetObs {
             c_anomalies: reg.counter("anomalies"),
             g_share_spread: reg.gauge("arbiter_share_spread_w"),
             g_loss_rate: reg.gauge("budget_loss_rate"),
-            g_market_donated: reg.gauge("market_donated_w"),
-            g_market_granted: reg.gauge("market_granted_w"),
-            g_market_residual: reg.gauge("market_residual_w"),
-            g_market_conservation: reg.gauge("market_conservation_error_w"),
         };
         Self {
             metrics,
@@ -287,11 +276,6 @@ pub struct Fleet {
     arbiter: BudgetArbiter,
     /// Arbiter → chip budget links (fault plans apply at fleet scope).
     channel: BudgetChannel,
-    /// Rack-scope slack market over the arbitrated shares, present when
-    /// [`FleetConfig::market`] is enabled.
-    market: Option<MarketAllocator>,
-    market_scratch: MarketScratch,
-    last_market_round: Option<MarketRound>,
     total_budget: Watts,
     parallelism: Parallelism,
     epoch: u64,
@@ -346,15 +330,6 @@ impl Fleet {
             .unwrap_or_default();
         let channel_seed = stream_seed(config.scenario.seed ^ FLEET_CHANNEL_SALT, 0);
         let channel = FaultEngine::compile(&fleet_plan, n, channel_seed)?.budget_channel();
-        let market = config
-            .market
-            .enabled
-            .then(|| MarketAllocator::new(n, config.market))
-            .transpose()
-            .map_err(|e| FleetError::InvalidConfig {
-                field: "market",
-                reason: e.to_string(),
-            })?;
         // Warm start: load the snapshot once; every chip imports a copy of
         // the same learned tables (exploration stays decorrelated by seed).
         let warm = config
@@ -415,9 +390,6 @@ impl Fleet {
             chips,
             arbiter,
             channel,
-            market,
-            market_scratch: MarketScratch::default(),
-            last_market_round: None,
             total_budget,
             parallelism: config.parallelism,
             epoch: 0,
@@ -468,19 +440,6 @@ impl Fleet {
         &self.arbiter
     }
 
-    /// The rack-scope slack market, when [`FleetConfig::market`] enables
-    /// it.
-    pub fn market(&self) -> Option<&MarketAllocator> {
-        self.market.as_ref()
-    }
-
-    /// The ledger of the most recent rack-market round — `None` until the
-    /// first market epoch (or with the market off). Conservation gates
-    /// assert `conservation_error() == 0.0` on every round.
-    pub fn market_round(&self) -> Option<&MarketRound> {
-        self.last_market_round.as_ref()
-    }
-
     /// Scalar fleet-wide telemetry.
     pub fn telemetry(&self) -> &FleetTelemetry {
         &self.telemetry
@@ -493,7 +452,7 @@ impl Fleet {
 
     /// The rack-scope metric aggregator, when [`FleetConfig::diag`] is
     /// set: per-chip snapshots merged with the exact summary algebra plus
-    /// the rack registry (share spread, link loss rate, market ledger).
+    /// the rack registry (share spread, link loss rate).
     pub fn fleet_metrics(&self) -> Option<&FleetMetrics> {
         self.obs.as_ref().map(|fo| &fo.metrics)
     }
@@ -537,33 +496,6 @@ impl Fleet {
                 self.channel.send(k, self.arbiter.shares()[k]);
             }
         }
-        // 1b. Rack-scope slack market (see `odrl-market`): each market
-        // epoch every chip's next-epoch demand is forecast from its
-        // measured power; chips whose arbitrated share exceeds their need
-        // donate the predicted slack and hot chips apply for it — watts
-        // move between arbiter rounds instead of waiting out the (much
-        // coarser) `arbiter_period`. Trades rewrite the arbitrated ledger
-        // and the fresh shares ride the same lossy links reallocations
-        // use, so fleet-scope fault plans exercise the market path too.
-        if let Some(market) = &mut self.market {
-            if self.epoch > 0 && self.epoch.is_multiple_of(market.period()) {
-                let (powers, shares) = self.market_scratch.stage();
-                for (k, chip) in self.chips.iter().enumerate() {
-                    powers.push(chip.measured.value());
-                    shares.push(self.arbiter.shares()[k]);
-                }
-                let round = market.step(self.total_budget.value(), &mut self.market_scratch);
-                if round.moved() {
-                    self.arbiter
-                        .shares_mut()
-                        .copy_from_slice(self.market_scratch.shares());
-                    for k in 0..self.chips.len() {
-                        self.channel.send(k, self.arbiter.shares()[k]);
-                    }
-                }
-                self.last_market_round = Some(round);
-            }
-        }
         // 2. Deliver, in fleet order: an undelivered share leaves the old
         // budget in force.
         for (k, chip) in self.chips.iter_mut().enumerate() {
@@ -598,7 +530,7 @@ impl Fleet {
         // 5. Rack-scope observability: merge the chips' fresh metric
         // snapshots, refresh the rack gauges, and feed the flight
         // recorder. Taken out of `self` for the duration so the helper
-        // can walk chips/arbiter/market while mutating the aggregator.
+        // can walk chips/arbiter while mutating the aggregator.
         if let Some(mut fo) = self.obs.take() {
             self.observe_epoch(&mut fo, fleet_power);
             self.obs = Some(fo);
@@ -619,8 +551,7 @@ impl Fleet {
                 fo.metrics.record_chip(k as u32, snap);
             }
         }
-        // Rack gauges: arbiter share dispersion, fleet-link loss rate,
-        // market conservation.
+        // Rack gauges: arbiter share dispersion, fleet-link loss rate.
         let shares = self.arbiter.shares();
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &s in shares {
@@ -647,14 +578,6 @@ impl Fleet {
         let reg = fo.metrics.rack_mut();
         reg.set(ids.g_share_spread, spread);
         reg.set(ids.g_loss_rate, loss);
-        if let Some(market) = &self.market {
-            reg.set(ids.g_market_donated, market.pool().total_donated());
-            reg.set(ids.g_market_granted, market.pool().total_granted());
-        }
-        if let Some(round) = &self.last_market_round {
-            reg.set(ids.g_market_residual, round.residual_w);
-            reg.set(ids.g_market_conservation, round.conservation_error());
-        }
         // Health sample: per-epoch deltas of the (cumulative) merged
         // counters, plus new-high detection on the cumulative max |TD|
         // so the blowup rule sees the epoch the spike happened, not

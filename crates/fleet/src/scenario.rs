@@ -114,10 +114,6 @@ impl Scenario {
 pub enum ControllerKind {
     /// The paper's contribution (fine + coarse grain).
     OdRl,
-    /// OD-RL with the predictive slack market on: cores forecast demand,
-    /// donate predicted slack into a reclaim pool and over-budget cores
-    /// apply for it every epoch, between the reactive reallocations.
-    OdRlMarket,
     /// Ablation: per-core RL without global reallocation.
     OdRlLocal,
     /// MaxBIPS with the knapsack-DP solver.
@@ -154,7 +150,6 @@ impl ControllerKind {
     pub fn label(&self) -> &'static str {
         match self {
             Self::OdRl => "od-rl",
-            Self::OdRlMarket => "od-rl-market",
             Self::OdRlLocal => "od-rl-local",
             Self::MaxBipsDp => "maxbips-dp",
             Self::MaxBipsExhaustive => "maxbips-exhaustive",
@@ -214,11 +209,6 @@ impl ControllerKind {
         };
         Ok(match self {
             Self::OdRl => Box::new(OdRlController::new(odrl, spec, budget)?),
-            Self::OdRlMarket => {
-                let mut odrl = odrl;
-                odrl.market.enabled = true;
-                Box::new(OdRlController::new(odrl, spec, budget)?)
-            }
             Self::OdRlLocal => Box::new(OdRlController::without_reallocation(odrl, spec, budget)?),
             Self::MaxBipsDp => Box::new(MaxBips::dp(spec.clone()).map_err(baseline)?),
             Self::MaxBipsExhaustive => {
@@ -257,13 +247,7 @@ pub(crate) fn build_controller(
     warm: Option<&PolicySnapshot>,
 ) -> Result<Box<dyn PowerController + Send>, FleetError> {
     match kind {
-        ControllerKind::OdRl | ControllerKind::OdRlMarket | ControllerKind::OdRlLocal
-            if watchdog || warm.is_some() =>
-        {
-            let mut odrl = odrl;
-            if kind == ControllerKind::OdRlMarket {
-                odrl.market.enabled = true;
-            }
+        ControllerKind::OdRl | ControllerKind::OdRlLocal if watchdog || warm.is_some() => {
             let mut c = if kind == ControllerKind::OdRlLocal {
                 OdRlController::without_reallocation(odrl, &system.spec(), budget)
             } else {

@@ -11,7 +11,7 @@
 //! single-chip stream.
 
 use odrl_controllers::PowerController;
-use odrl_core::{MarketConfig, OdRlConfig, OdRlController};
+use odrl_core::{OdRlConfig, OdRlController};
 use odrl_faults::{BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target};
 use odrl_fleet::{Fleet, RunBuilder, Scenario};
 use odrl_manycore::{Parallelism, System};
@@ -209,63 +209,4 @@ fn large_fleet_conserves_the_budget_every_epoch() {
         );
     }
     assert!(fleet.arbiter().rounds() >= 2);
-}
-
-/// The rack-scope slack market trades watts between chips, keeps the
-/// per-round ledger conserving bit-exactly, keeps the arbitrated shares
-/// summing to the fleet budget, and stays bit-identical across cross-chip
-/// shard counts.
-#[test]
-fn rack_market_trades_conserves_and_is_shard_count_invariant() {
-    let run = |par: Parallelism| {
-        // A tight budget (20 % of fleet max power) keeps every chip
-        // clamped against its share, so decorrelated workload phases
-        // produce both donors and applicants; razor-thin margins let the
-        // market classify them right at the measured-power boundary.
-        let mut s = scenario();
-        s.budget_frac = 0.2;
-        let market = MarketConfig {
-            safety_margin: 0.0,
-            min_keep: 0.0,
-            min_grant: 0.0,
-            headroom: 1.0,
-            ..MarketConfig::enabled()
-        };
-        let mut fleet = RunBuilder::new(s)
-            .arbiter_period(20)
-            .market(market)
-            .fleet_parallelism(par)
-            .build_fleet(4)
-            .expect("valid fleet configuration");
-        let total = fleet.total_budget().value();
-        let mut traded = 0u64;
-        for _ in 0..60 {
-            fleet.step_epoch().expect("fleet epoch completes");
-            // The market is gated on epoch > 0, so the very first step
-            // has no round yet.
-            if let Some(r) = fleet.market_round() {
-                assert_eq!(r.conservation_error(), 0.0, "ledger must conserve bit-exactly");
-                if r.moved() {
-                    traded += 1;
-                }
-            }
-            let sum = fleet.arbitrated_sum();
-            assert!(
-                (sum - total).abs() <= 1e-9 * total,
-                "epoch {}: arbitrated shares sum to {sum} W, fleet budget is {total} W",
-                fleet.epoch()
-            );
-        }
-        assert!(traded > 0, "the rack market never traded");
-        assert!(fleet.market().unwrap().pool().total_granted() > 0.0);
-        summary_hash(&fleet)
-    };
-    let serial = run(Parallelism::Serial);
-    for shards in [2, 4] {
-        assert_eq!(
-            serial,
-            run(Parallelism::Threads(shards)),
-            "{shards}-shard rack-market fleet summary drifted"
-        );
-    }
 }

@@ -3,8 +3,7 @@
 //! [`FleetMetrics`] merges the per-chip [`MetricsSnapshot`]s the fleet
 //! already takes each epoch into one fleet-level snapshot, and carries its
 //! own rack-level [`MetricsRegistry`] for quantities that only exist above
-//! the chips (arbiter share dispersion, market conservation, budget-channel
-//! loss). The merge is keyed by `(epoch, chip)`: the fleet calls
+//! the chips (arbiter share dispersion, budget-channel loss). The merge is keyed by `(epoch, chip)`: the fleet calls
 //! [`FleetMetrics::begin_epoch`] then [`FleetMetrics::record_chip`] once
 //! per chip **in ascending fleet order** from its serial reduce phase, so
 //! the merged result never depends on which shard *stepped* a chip —

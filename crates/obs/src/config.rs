@@ -70,12 +70,6 @@ pub struct EventCounts {
     pub redistributions: u64,
     /// Budget-overshoot onsets.
     pub overshoot_onsets: u64,
-    /// Slack-market rounds that collected donations.
-    #[serde(default)]
-    pub market_donations: u64,
-    /// Slack-market rounds that granted reclaimed watts.
-    #[serde(default)]
-    pub market_grants: u64,
     /// RL exploration choices taken.
     pub explorations: u64,
     /// Fault windows opened (all classes).
@@ -95,8 +89,6 @@ impl EventCounts {
             reallocations: self.reallocations + other.reallocations,
             redistributions: self.redistributions + other.redistributions,
             overshoot_onsets: self.overshoot_onsets + other.overshoot_onsets,
-            market_donations: self.market_donations + other.market_donations,
-            market_grants: self.market_grants + other.market_grants,
             explorations: self.explorations + other.explorations,
             faults_injected: self.faults_injected + other.faults_injected,
             faults_cleared: self.faults_cleared + other.faults_cleared,
@@ -111,8 +103,6 @@ impl EventCounts {
             + self.reallocations
             + self.redistributions
             + self.overshoot_onsets
-            + self.market_donations
-            + self.market_grants
             + self.explorations
             + self.faults_injected
             + self.faults_cleared
@@ -120,11 +110,9 @@ impl EventCounts {
 
     /// Compact per-kind rendering for table cells, e.g.
     /// `st2 dd1 dk0 ra12 rd3 ov5 f8` (explorations omitted: they dominate
-    /// volume without being resilience events; the market pair `dn/gr`
-    /// is appended only when the slack market actually traded, so runs
-    /// without a market render exactly as before).
+    /// volume without being resilience events).
     pub fn compact(&self) -> String {
-        let mut s = format!(
+        format!(
             "st{} dd{} dk{} ra{} rd{} ov{} f{}",
             self.watchdog_stale,
             self.watchdog_dead,
@@ -133,14 +121,7 @@ impl EventCounts {
             self.redistributions,
             self.overshoot_onsets,
             self.faults_injected
-        );
-        if self.market_donations > 0 || self.market_grants > 0 {
-            s.push_str(&format!(
-                " dn{} gr{}",
-                self.market_donations, self.market_grants
-            ));
-        }
-        s
+        )
     }
 }
 
@@ -197,14 +178,5 @@ mod tests {
         assert_eq!(m.watchdog_stale, 3);
         assert_eq!(m.total(), 14);
         assert_eq!(m.compact(), "st3 dd0 dk0 ra0 rd0 ov0 f1");
-        // Market counters merge and only then appear in the rendering.
-        let c = EventCounts {
-            market_donations: 4,
-            market_grants: 2,
-            ..EventCounts::default()
-        };
-        let mc = m.merged(&c);
-        assert_eq!(mc.total(), 20);
-        assert_eq!(mc.compact(), "st3 dd0 dk0 ra0 rd0 ov0 f1 dn4 gr2");
     }
 }

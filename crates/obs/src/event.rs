@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 pub const CHIP: u32 = u32::MAX;
 
 /// Sentinel chip index for rack-wide events in a merged fleet trace
-/// (arbiter decisions, fleet-market rounds, anomaly trips). The epoch-major
-/// fleet merge key sorts rack events after every real chip's events of the
-/// same epoch, mirroring how the rack closes each fleet epoch.
+/// (arbiter decisions, anomaly trips). The epoch-major fleet merge key
+/// sorts rack events after every real chip's events of the same epoch,
+/// mirroring how the rack closes each fleet epoch.
 pub const RACK: u32 = u32::MAX;
 
 /// Which watermark rule tripped a flight-recorder [`Event::Anomaly`].
@@ -148,27 +148,6 @@ pub enum Event {
         /// Watts redistributed this epoch.
         freed_w: f64,
     },
-    /// The slack market collected donations this round (chip-wide at
-    /// chip scope; per-fleet at rack scope). Recorded only on rounds
-    /// where slack was actually offered.
-    MarketDonation {
-        /// Watts donated into the reclaim pool (also the pool's peak
-        /// level this round — the pool drains back to zero).
-        donated_w: f64,
-    },
-    /// The slack market granted reclaimed watts to over-budget
-    /// applicants this round.
-    MarketGrant {
-        /// Watts granted out of the reclaim pool.
-        granted_w: f64,
-    },
-    /// The market's demand predictor missed: sum of per-participant
-    /// |measured − predicted| for this round. Recorded only when a
-    /// previous prediction existed and the error is non-zero.
-    MarketPrediction {
-        /// Aggregate absolute prediction error, watts.
-        abs_err_w: f64,
-    },
     /// A per-core RL agent explored (took a non-greedy action).
     RlChoice {
         /// The VF level index the agent chose.
@@ -222,17 +201,27 @@ impl Event {
             Self::OvershootOnset { .. } | Self::OvershootEnd { .. } => 1,
             Self::BudgetRealloc { .. } => 2,
             Self::BudgetRedistribution { .. } => 3,
-            Self::MarketDonation { .. } => 4,
-            Self::MarketGrant { .. } => 5,
-            Self::MarketPrediction { .. } => 6,
-            Self::RlChoice { .. } => 7,
-            Self::FaultInjected { .. } => 8,
-            Self::FaultCleared { .. } => 9,
-            Self::VfAction { .. } => 10,
-            Self::Epoch { .. } => 11,
-            Self::Anomaly { .. } => 12,
+            Self::RlChoice { .. } => 4,
+            Self::FaultInjected { .. } => 5,
+            Self::FaultCleared { .. } => 6,
+            Self::VfAction { .. } => 7,
+            Self::Epoch { .. } => 8,
+            Self::Anomaly { .. } => 9,
         }
     }
+
+    /// Every family name [`Event::kind_name`] returns, in rank order.
+    pub const KIND_NAMES: [&'static str; 9] = [
+        "watchdog",
+        "overshoot",
+        "realloc",
+        "redistribution",
+        "rl",
+        "fault",
+        "vf",
+        "epoch",
+        "anomaly",
+    ];
 
     /// The event's family name, used by `trace_inspect --kind`.
     pub fn kind_name(self) -> &'static str {
@@ -241,9 +230,6 @@ impl Event {
             Self::OvershootOnset { .. } | Self::OvershootEnd { .. } => "overshoot",
             Self::BudgetRealloc { .. } => "realloc",
             Self::BudgetRedistribution { .. } => "redistribution",
-            Self::MarketDonation { .. }
-            | Self::MarketGrant { .. }
-            | Self::MarketPrediction { .. } => "market",
             Self::RlChoice { .. } => "rl",
             Self::FaultInjected { .. } | Self::FaultCleared { .. } => "fault",
             Self::VfAction { .. } => "vf",
@@ -262,9 +248,6 @@ impl Event {
             Self::OvershootEnd { epochs } => format!("end after {epochs} ep"),
             Self::BudgetRealloc { magnitude_w } => format!("moved {magnitude_w:.3} W"),
             Self::BudgetRedistribution { freed_w } => format!("freed {freed_w:.3} W"),
-            Self::MarketDonation { donated_w } => format!("donated {donated_w:.3} W"),
-            Self::MarketGrant { granted_w } => format!("granted {granted_w:.3} W"),
-            Self::MarketPrediction { abs_err_w } => format!("pred err {abs_err_w:.3} W"),
             Self::RlChoice { action, explored } => {
                 format!("{} a={action}", if explored { "explore" } else { "exploit" })
             }
@@ -367,30 +350,38 @@ mod tests {
 
     #[test]
     fn ranks_follow_pipeline_order() {
-        let wd = Event::Watchdog {
-            flag: WatchdogFlag::Stale,
-            entered: true,
-        };
-        let rl = Event::RlChoice {
-            action: 3,
-            explored: true,
-        };
-        let vf = Event::VfAction { level: 2 };
-        let ep = Event::Epoch { power_w: 10.0 };
-        assert!(wd.rank() < rl.rank());
-        assert!(rl.rank() < Event::FaultInjected { class: FaultClass::Sensor }.rank());
-        assert!(vf.rank() < ep.rank());
-        // Market events sit between the reactive budget events and the
-        // per-core RL choices — that is where the pass runs in the loop.
-        let donation = Event::MarketDonation { donated_w: 1.0 };
-        let grant = Event::MarketGrant { granted_w: 0.5 };
-        let pred = Event::MarketPrediction { abs_err_w: 0.1 };
-        assert!(Event::BudgetRedistribution { freed_w: 0.0 }.rank() < donation.rank());
-        assert!(donation.rank() < grant.rank());
-        assert!(grant.rank() < pred.rank());
-        assert!(pred.rank() < rl.rank());
-        assert_eq!(donation.kind_name(), "market");
-        assert_eq!(grant.detail(), "granted 0.500 W");
+        // One event of each rank, in pipeline order.
+        let pipeline = [
+            Event::Watchdog {
+                flag: WatchdogFlag::Stale,
+                entered: true,
+            },
+            Event::OvershootOnset { over_w: 1.0 },
+            Event::BudgetRealloc { magnitude_w: 1.0 },
+            Event::BudgetRedistribution { freed_w: 1.0 },
+            Event::RlChoice {
+                action: 3,
+                explored: true,
+            },
+            Event::FaultInjected {
+                class: FaultClass::Sensor,
+            },
+            Event::FaultCleared {
+                class: FaultClass::Sensor,
+            },
+            Event::VfAction { level: 2 },
+            Event::Epoch { power_w: 10.0 },
+            Event::Anomaly {
+                kind: AnomalyKind::BudgetLossSpike,
+                value: 1.0,
+            },
+        ];
+        assert!(pipeline.windows(2).all(|w| w[0].rank() < w[1].rank()));
+        assert_eq!(Event::OvershootEnd { epochs: 3 }.rank(), pipeline[1].rank());
+        // `KIND_NAMES` lists the families in the same order.
+        let mut names: Vec<&str> = pipeline.iter().map(|e| e.kind_name()).collect();
+        names.dedup();
+        assert_eq!(names, Event::KIND_NAMES);
     }
 
     #[test]

@@ -231,6 +231,12 @@ mod tests {
         let parsed = read_jsonl("\n\n".as_bytes()).unwrap();
         assert!(parsed.is_empty());
         assert!(read_jsonl("not json\n".as_bytes()).is_err());
+        // A trace written while the slack market still existed: its event
+        // variant is gone, so the line is rejected, not half-decoded.
+        let old =
+            r#"{"epoch":40,"core":4294967295,"seq":0,"event":{"MarketGrant":{"granted_w":0.5}}}"#;
+        let err = read_jsonl(format!("{old}\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

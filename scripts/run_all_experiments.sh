@@ -7,7 +7,7 @@ mkdir -p results
 BINS="exp_power_trace exp_overshoot exp_tpoe exp_efficiency exp_scaling \
       exp_adaptation exp_budget_sweep exp_granularity exp_multithreaded \
       exp_variation exp_noc exp_extended_range exp_resilience exp_fleet \
-      exp_market abl_reallocation abl_discretization abl_schedules abl_thermal \
+      abl_reallocation abl_discretization abl_schedules abl_thermal \
       abl_transitions workload_report"
 cargo build --release -p odrl-bench
 for bin in $BINS; do

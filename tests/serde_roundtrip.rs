@@ -54,6 +54,21 @@ fn odrl_config_roundtrip() {
     let json = serde_json::to_string(&config).unwrap();
     let back: OdRlConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(config, back);
+
+    // A config saved while OD-RL still carried the retired slack-market
+    // knob loads unchanged: the old `market` object is ignored.
+    let mut value: serde_json::Value = serde_json::to_value(&config).unwrap();
+    let old_market = serde_json::from_str(
+        r#"{"enabled":true,"ema":0.25,"history":8,"safety_margin":0.1,
+            "headroom":1.3,"min_grant":0.05,"min_keep":0.25,"period":1}"#,
+    )
+    .unwrap();
+    value
+        .as_object_mut()
+        .unwrap()
+        .insert("market".to_string(), old_market);
+    let old: OdRlConfig = serde_json::from_value(value).unwrap();
+    assert_eq!(config, old);
 }
 
 #[test]
