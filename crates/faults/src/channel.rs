@@ -15,16 +15,20 @@
 //!
 //! All per-core buffers are sized at construction; steady-state epochs are
 //! allocation-free, and behaviour is a deterministic function of the
-//! compiled schedule.
+//! compiled schedule, which the channel shares with its engine.
 
-use crate::engine::{CompiledEvent, FaultEngine};
+use crate::engine::{FaultEngine, Schedule};
 use crate::plan::{BudgetFault, FaultKind};
+use crate::timeline::Timeline;
+use std::sync::Arc;
 
 /// A deterministic lossy/delaying message channel carrying per-core budget
 /// shares (watts as `f64`). Built by [`FaultEngine::budget_channel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetChannel {
-    events: Vec<CompiledEvent>,
+    schedule: Arc<Schedule>,
+    /// The cursor over the schedule's budget windows.
+    timeline: Timeline,
     /// The budget fault active on each core's link this epoch.
     fault: Vec<Option<BudgetFault>>,
     /// In-flight message value per core (at most one; newest wins).
@@ -45,12 +49,15 @@ pub struct BudgetChannel {
 
 impl FaultEngine {
     /// Builds the budget-message channel for this schedule. The channel
-    /// holds only the budget-fault windows; a schedule without budget
-    /// faults yields an always-healthy (but still functional) channel.
+    /// shares the engine's compiled schedule (nothing is copied) and walks
+    /// only its budget-fault windows; a schedule without budget faults
+    /// yields an always-healthy (but still functional) channel.
     pub fn budget_channel(&self) -> BudgetChannel {
         let n = self.num_cores();
+        let schedule = Arc::clone(&self.schedule);
         BudgetChannel {
-            events: self.budget_events(),
+            timeline: Timeline::new(&schedule.budget),
+            schedule,
             fault: vec![None; n],
             inbox: vec![0.0; n],
             due: vec![0; n],
@@ -72,19 +79,27 @@ impl BudgetChannel {
 
     /// Whether the schedule contains no budget faults at all.
     pub fn is_healthy(&self) -> bool {
-        self.events.is_empty()
+        self.schedule.budget.is_empty()
     }
 
-    /// Refreshes the per-link fault flags for `epoch`. Call once per epoch
-    /// before [`BudgetChannel::send`] / [`BudgetChannel::poll`].
+    /// Refreshes the per-link fault flags for `epoch`. Call before
+    /// [`BudgetChannel::send`] / [`BudgetChannel::poll`] in each epoch the
+    /// channel carries traffic. Epochs may be skipped (the flags are exact
+    /// after any forward jump) and an earlier epoch re-seeks; messages in
+    /// flight keep their due epoch either way.
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
-        let n = self.fault.len();
-        self.fault.fill(None);
-        for ev in &self.events {
-            if epoch >= ev.start && epoch < ev.end {
+        let s = &*self.schedule;
+        if self.timeline.seek(&s.events, &s.budget, epoch) {
+            for &w in self.timeline.left() {
+                let ev = &s.events[w];
+                self.fault[ev.lo..ev.hi].fill(None);
+            }
+            // Index order: later plan entries override earlier ones.
+            for &w in self.timeline.active() {
+                let ev = &s.events[w];
                 if let FaultKind::Budget(f) = ev.kind {
-                    self.fault[ev.lo..ev.hi.min(n)].fill(Some(f));
+                    self.fault[ev.lo..ev.hi].fill(Some(f));
                 }
             }
         }
@@ -260,6 +275,57 @@ mod tests {
         assert_eq!(ch.messages_sent(), 6);
         // Epochs 2 and 3 fall inside the lost window.
         assert_eq!(ch.messages_delivered(), 4);
+    }
+
+    #[test]
+    fn a_jump_over_a_whole_window_leaves_the_link_healthy() {
+        let plan = FaultPlan::new().with_event(
+            FaultKind::Budget(BudgetFault::Lost),
+            Target::Core(0),
+            5,
+            5,
+        );
+        let mut ch = channel(plan, 1);
+        ch.begin_epoch(0);
+        ch.begin_epoch(20);
+        assert_eq!(ch.fault(0), None);
+        ch.send(0, 4.0);
+        assert_eq!(ch.poll(0), Some(4.0));
+    }
+
+    #[test]
+    fn a_jump_into_a_window_finds_it_active() {
+        let plan = FaultPlan::new().with_event(
+            FaultKind::Budget(BudgetFault::Lost),
+            Target::Core(0),
+            5,
+            5,
+        );
+        let mut ch = channel(plan, 1);
+        ch.begin_epoch(0);
+        ch.begin_epoch(7);
+        assert_eq!(ch.fault(0), Some(BudgetFault::Lost));
+        ch.send(0, 4.0);
+        assert_eq!(ch.poll(0), None);
+    }
+
+    #[test]
+    fn a_delayed_message_survives_a_jump() {
+        let plan = FaultPlan::new().with_event(
+            FaultKind::Budget(BudgetFault::Delayed { epochs: 3 }),
+            Target::Core(0),
+            0,
+            1,
+        );
+        let mut ch = channel(plan, 1);
+        ch.begin_epoch(0);
+        ch.send(0, 7.0);
+        ch.begin_epoch(2);
+        assert_eq!(ch.poll(0), None, "due at epoch 3");
+        // The next epoch the channel sees is past the due epoch.
+        ch.begin_epoch(10);
+        assert_eq!(ch.poll(0), Some(7.0));
+        assert_eq!(ch.poll(0), None, "a message delivers once");
     }
 
     #[test]

@@ -3,19 +3,28 @@
 //! [`FaultEngine::compile`] resolves targets against a concrete core count
 //! and expands every seeded [`RandomBurst`](crate::RandomBurst) into
 //! concrete events, so all randomness is spent before the first epoch.
-//! At run time, [`FaultEngine::begin_epoch`] refreshes the flat per-core
-//! flag arrays of a [`FaultState`] (allocated once, by
-//! [`FaultEngine::state`]) with a linear scan over the compiled events —
-//! no allocation, no RNG — and the simulator's injection points read those
-//! flags. The schedule is therefore a pure function of `(plan, cores,
-//! seed, epoch)`, which makes faulted runs bit-identical at every shard
-//! count.
+//! The result is one immutable, shared schedule: the windows in plan order
+//! plus start- and end-sorted edge lists over them (the crate's
+//! `timeline` module). Clones of the engine and every
+//! [`BudgetChannel`](crate::BudgetChannel) built from it share that
+//! schedule instead of copying it.
+//!
+//! At run time, [`FaultEngine::begin_epoch`] moves the [`FaultState`]'s
+//! timeline cursor to the epoch (forward by the edges it crosses, or by a
+//! re-seek when the epoch goes backwards) and, only when the active set
+//! changed, repaints the flat per-core flag arrays (allocated once, by
+//! [`FaultEngine::state`]) — no allocation, no RNG. The simulator's
+//! injection points read those flags. The flags are therefore a pure
+//! function of `(plan, cores, seed, epoch)`, which makes faulted runs
+//! bit-identical at every shard count.
 
 use crate::error::FaultError;
 use crate::plan::{ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target};
+use crate::timeline::{Edges, Timeline};
 use odrl_power::{LevelId, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The widest actuator/budget delay a plan may request, in epochs. Bounds
 /// the command-history ring buffer.
@@ -36,12 +45,6 @@ pub(crate) struct CompiledEvent {
     pub end: u64,
 }
 
-impl CompiledEvent {
-    fn active(&self, epoch: u64) -> bool {
-        epoch >= self.start && epoch < self.end
-    }
-}
-
 /// SplitMix64 — the same per-stream seed derivation the simulator uses, so
 /// burst expansion is decorrelated across (burst, core) pairs.
 fn mix_seed(seed: u64, index: u64) -> u64 {
@@ -51,14 +54,41 @@ fn mix_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The threshold `t` with `u < p ⇔ (x >> 11) < t` for the uniform draw
+/// `u = (x >> 11) · 2⁻⁵³` that `rng.gen::<f64>()` makes from the raw bits
+/// `x`, for `0 < p ≤ 1`.
+///
+/// Proof: `m = x >> 11 < 2⁵³` converts to `f64` exactly, and scaling by a
+/// power of two is exact, so `u = m / 2⁵³` with no rounding. Likewise
+/// `q = p · 2⁵³` is exact (`p ≤ 1`, so `q ≤ 2⁵³`). Then `u < p ⇔ m < q`,
+/// and for an integer `m`, `m < q ⇔ m < ⌈q⌉`. `⌈q⌉ ≤ 2⁵³` is an integer
+/// `f64` and converts to `u64` exactly. Comparing integers skips the
+/// int-to-float conversion per draw and is bit-for-bit the same decision.
+fn burst_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A compiled, immutable fault schedule for one run (see the
-/// [crate docs](crate) for the overall flow).
+/// [crate docs](crate) for the overall flow). Cloning shares the schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEngine {
-    cores: usize,
-    events: Vec<CompiledEvent>,
+    pub(crate) schedule: Arc<Schedule>,
+}
+
+/// What [`FaultEngine`] and its [`BudgetChannel`](crate::BudgetChannel)s
+/// share: the windows and their edge lists.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Schedule {
+    pub cores: usize,
+    /// The windows in plan order, which is also the override order: later
+    /// entries win on overlap.
+    pub events: Vec<CompiledEvent>,
+    /// Edges of every window.
+    pub all: Edges,
+    /// Edges of the budget-channel windows only.
+    pub budget: Edges,
     /// Widest actuator delay in the schedule (sizes the command ring).
-    max_delay: u64,
+    pub max_delay: u64,
 }
 
 impl FaultEngine {
@@ -139,11 +169,13 @@ impl FaultEngine {
             }
             // Each (burst, core) pair draws from its own stream, so the
             // expansion never depends on iteration order elsewhere.
+            let threshold = burst_threshold(p);
             for core in 0..cores {
                 let mut rng =
                     StdRng::seed_from_u64(mix_seed(seed ^ (bi as u64), core as u64));
                 for epoch in burst.start..burst.end {
-                    if rng.gen::<f64>() < p {
+                    // Same decision as `rng.gen::<f64>() < p`.
+                    if (rng.next_u64() >> 11) < threshold {
                         events.push(CompiledEvent {
                             kind: burst.kind,
                             lo: core,
@@ -164,57 +196,55 @@ impl FaultEngine {
             })
             .max()
             .unwrap_or(0);
+        let (all, budget) = Edges::build(&events, |e| matches!(e.kind, FaultKind::Budget(_)));
         Ok(Self {
-            cores,
-            events,
-            max_delay,
+            schedule: Arc::new(Schedule {
+                cores,
+                events,
+                all,
+                budget,
+                max_delay,
+            }),
         })
     }
 
     /// Number of cores the schedule was compiled for.
     pub fn num_cores(&self) -> usize {
-        self.cores
+        self.schedule.cores
     }
 
     /// Number of resolved fault windows (after burst expansion).
     pub fn num_events(&self) -> usize {
-        self.events.len()
+        self.schedule.events.len()
     }
 
     /// Whether the schedule injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.schedule.events.is_empty()
     }
 
-    /// Number of fault windows active at `epoch` (diagnostics).
+    /// Number of fault windows active at `epoch` (diagnostics). Two binary
+    /// searches over the edge lists; no scan.
     pub fn active_at(&self, epoch: u64) -> usize {
-        self.events.iter().filter(|e| e.active(epoch)).count()
-    }
-
-    /// The resolved budget-channel fault windows, for
-    /// [`crate::BudgetChannel`].
-    pub(crate) fn budget_events(&self) -> Vec<CompiledEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Budget(_)))
-            .copied()
-            .collect()
+        self.schedule.all.active_at(&self.schedule.events, epoch)
     }
 
     /// Allocates the per-run scratch all injection points read. Call once;
     /// every later epoch reuses it without touching the heap.
     pub fn state(&self) -> FaultState {
-        let n = self.cores;
-        let ring_len = self.max_delay + 1;
+        let n = self.schedule.cores;
+        let ring_len = self.schedule.max_delay + 1;
         FaultState {
             epoch: 0,
-            begun: false,
-            sensor: vec![None; n],
-            chip_sensor: None,
-            actuator: vec![None; n],
-            budget: vec![None; n],
-            alive: vec![true; n],
-            throttle: vec![None; n],
+            timeline: Timeline::new(&self.schedule.all),
+            flags: Flags {
+                sensor: vec![None; n],
+                chip_sensor: None,
+                actuator: vec![None; n],
+                budget: vec![None; n],
+                alive: vec![true; n],
+                throttle: vec![None; n],
+            },
             drift: vec![1.0; n],
             chip_drift: 1.0,
             ring: vec![LevelId(0); ring_len as usize * n],
@@ -222,59 +252,60 @@ impl FaultEngine {
             applied: vec![LevelId(0); n],
             effective: vec![LevelId(0); n],
             any_dead: false,
+            drifting: false,
         }
     }
 
     /// Refreshes `state`'s per-core fault flags for `epoch`.
     ///
-    /// The flags are a pure function of the epoch; the drift accumulators
-    /// and the actuator command history additionally assume this is called
-    /// once per epoch in increasing order (as the simulator's epoch loop
-    /// does). Performs no heap allocation.
+    /// The flags are a pure function of the epoch, whatever epochs came
+    /// before: a forward call consumes only the window edges it crosses
+    /// (any jump is exact), and a call with an earlier epoch than the last
+    /// one re-seeks from scratch. The flag arrays are repainted only when
+    /// the active set changes. Two things do depend on the call sequence,
+    /// as they model state that builds up over time: a drift accumulator
+    /// compounds once per call while its core's drift window stays active,
+    /// and the actuator command history assumes one
+    /// [`FaultState::apply_actions`] per epoch. Performs no heap
+    /// allocation.
     pub fn begin_epoch(&self, epoch: u64, state: &mut FaultState) {
-        debug_assert_eq!(state.sensor.len(), self.cores);
+        let s = &*self.schedule;
+        debug_assert_eq!(state.flags.alive.len(), s.cores);
         state.epoch = epoch;
-        state.begun = true;
-        state.sensor.fill(None);
-        state.chip_sensor = None;
-        state.actuator.fill(None);
-        state.budget.fill(None);
-        state.alive.fill(true);
-        state.throttle.fill(None);
-        for ev in &self.events {
-            if !ev.active(epoch) {
-                continue;
+        // The drift pass runs while a per-core drift window is active and
+        // once more after the last one leaves, to reset the accumulators.
+        let mut drift_pass = state.drifting;
+        if state.timeline.seek(&s.events, &s.all, epoch) {
+            for &w in state.timeline.left() {
+                state.flags.paint(&s.events[w], false);
             }
-            if ev.chip {
-                if let FaultKind::Sensor(f) = ev.kind {
-                    state.chip_sensor = Some(f);
-                }
-                continue;
+            let (mut drifting, mut any_dead) = (false, false);
+            // Index order: later plan entries override earlier ones.
+            for &w in state.timeline.active() {
+                let ev = &s.events[w];
+                drifting |=
+                    !ev.chip && matches!(ev.kind, FaultKind::Sensor(SensorFault::Drift { .. }));
+                any_dead |= matches!(ev.kind, FaultKind::Core(CoreFault::Unplug));
+                state.flags.paint(ev, true);
             }
-            // Later plan entries override earlier ones on overlap.
-            match ev.kind {
-                FaultKind::Sensor(f) => state.sensor[ev.lo..ev.hi].fill(Some(f)),
-                FaultKind::Actuator(f) => state.actuator[ev.lo..ev.hi].fill(Some(f)),
-                FaultKind::Budget(f) => state.budget[ev.lo..ev.hi].fill(Some(f)),
-                FaultKind::Core(CoreFault::Unplug) => state.alive[ev.lo..ev.hi].fill(false),
-                FaultKind::Core(CoreFault::Throttle { max_level }) => {
-                    state.throttle[ev.lo..ev.hi].fill(Some(max_level));
-                }
-            }
+            state.drifting = drifting;
+            state.any_dead = any_dead;
+            drift_pass |= drifting;
         }
         // Drift accumulates only across consecutive active epochs and
         // resets when the window ends.
-        for i in 0..self.cores {
-            match state.sensor[i] {
-                Some(SensorFault::Drift { rate }) => state.drift[i] *= 1.0 + rate,
-                _ => state.drift[i] = 1.0,
+        if drift_pass {
+            for (d, f) in state.drift.iter_mut().zip(&state.flags.sensor) {
+                match f {
+                    Some(SensorFault::Drift { rate }) => *d *= 1.0 + rate,
+                    _ => *d = 1.0,
+                }
             }
         }
-        match state.chip_sensor {
+        match state.flags.chip_sensor {
             Some(SensorFault::Drift { rate }) => state.chip_drift *= 1.0 + rate,
             _ => state.chip_drift = 1.0,
         }
-        state.any_dead = state.alive.iter().any(|a| !a);
     }
 }
 
@@ -341,14 +372,9 @@ fn resolve_target(target: Target, cores: usize) -> Result<(usize, usize, bool), 
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
     epoch: u64,
-    /// Whether `begin_epoch` has run at least once.
-    begun: bool,
-    sensor: Vec<Option<SensorFault>>,
-    chip_sensor: Option<SensorFault>,
-    actuator: Vec<Option<ActuatorFault>>,
-    budget: Vec<Option<BudgetFault>>,
-    alive: Vec<bool>,
-    throttle: Vec<Option<usize>>,
+    /// The cursor over the schedule's windows.
+    timeline: Timeline,
+    flags: Flags,
     /// Multiplicative drift accumulator per core (1.0 when inactive).
     drift: Vec<f64>,
     chip_drift: f64,
@@ -360,13 +386,45 @@ pub struct FaultState {
     applied: Vec<LevelId>,
     /// The levels actually applied this epoch (after actuator/core faults).
     effective: Vec<LevelId>,
+    /// Whether an unplug window is active.
     any_dead: bool,
+    /// Whether a per-core drift window is active.
+    drifting: bool,
+}
+
+/// The fault flags of one epoch, painted from the active windows.
+#[derive(Debug, Clone, PartialEq)]
+struct Flags {
+    sensor: Vec<Option<SensorFault>>,
+    chip_sensor: Option<SensorFault>,
+    actuator: Vec<Option<ActuatorFault>>,
+    budget: Vec<Option<BudgetFault>>,
+    alive: Vec<bool>,
+    throttle: Vec<Option<usize>>,
+}
+
+impl Flags {
+    /// Writes `ev`'s fault over its cores (or the chip sensor), or clears
+    /// it back to healthy when `on` is false.
+    fn paint(&mut self, ev: &CompiledEvent, on: bool) {
+        let cores = ev.lo..ev.hi;
+        match ev.kind {
+            FaultKind::Sensor(f) if ev.chip => self.chip_sensor = on.then_some(f),
+            FaultKind::Sensor(f) => self.sensor[cores].fill(on.then_some(f)),
+            FaultKind::Actuator(f) => self.actuator[cores].fill(on.then_some(f)),
+            FaultKind::Budget(f) => self.budget[cores].fill(on.then_some(f)),
+            FaultKind::Core(CoreFault::Unplug) => self.alive[cores].fill(!on),
+            FaultKind::Core(CoreFault::Throttle { max_level }) => {
+                self.throttle[cores].fill(on.then_some(max_level));
+            }
+        }
+    }
 }
 
 impl FaultState {
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
-        self.alive.len()
+        self.flags.alive.len()
     }
 
     /// Resolves the commanded levels through the active actuator and core
@@ -374,12 +432,12 @@ impl FaultState {
     /// readable via [`FaultState::effective`]. Call exactly once per
     /// epoch, after [`FaultEngine::begin_epoch`]. Allocation-free.
     pub fn apply_actions(&mut self, commanded: &[LevelId]) {
-        let n = self.alive.len();
+        let n = self.flags.alive.len();
         assert_eq!(commanded.len(), n, "one commanded level per core");
         let slot = (self.epoch % self.ring_len) as usize * n;
         self.ring[slot..slot + n].copy_from_slice(commanded);
         for (i, &cmd) in commanded.iter().enumerate() {
-            let mut level = match self.actuator[i] {
+            let mut level = match self.flags.actuator[i] {
                 None => cmd,
                 Some(ActuatorFault::Dropped) => self.applied[i],
                 Some(ActuatorFault::Delayed { epochs }) => {
@@ -392,10 +450,10 @@ impl FaultState {
                 }
                 Some(ActuatorFault::Clamped { max_level }) => LevelId(cmd.index().min(max_level)),
             };
-            if let Some(cap) = self.throttle[i] {
+            if let Some(cap) = self.flags.throttle[i] {
                 level = LevelId(level.index().min(cap));
             }
-            if !self.alive[i] {
+            if !self.flags.alive[i] {
                 // An unplugged core is power-gated at the floor level.
                 level = LevelId(0);
             }
@@ -412,12 +470,12 @@ impl FaultState {
 
     /// Per-core liveness mask (false = hot-unplugged this epoch).
     pub fn alive(&self) -> &[bool] {
-        &self.alive
+        &self.flags.alive
     }
 
     /// Whether core `i` is plugged in this epoch.
     pub fn core_alive(&self, i: usize) -> bool {
-        self.alive[i]
+        self.flags.alive[i]
     }
 
     /// Whether any core is unplugged this epoch (cheap guard for the
@@ -428,17 +486,17 @@ impl FaultState {
 
     /// The sensor fault active on core `i` this epoch, if any.
     pub fn sensor_fault(&self, i: usize) -> Option<SensorFault> {
-        self.sensor[i]
+        self.flags.sensor[i]
     }
 
     /// The actuator fault active on core `i` this epoch, if any.
     pub fn actuator_fault(&self, i: usize) -> Option<ActuatorFault> {
-        self.actuator[i]
+        self.flags.actuator[i]
     }
 
     /// The budget-channel fault active on core `i` this epoch, if any.
     pub fn budget_fault(&self, i: usize) -> Option<BudgetFault> {
-        self.budget[i]
+        self.flags.budget[i]
     }
 
     /// Bitmask of the fault classes active on core `i` this epoch, in the
@@ -447,19 +505,19 @@ impl FaultState {
     /// Diffing this mask epoch-to-epoch yields fault inject/clear edges.
     pub fn class_mask(&self, i: usize) -> u8 {
         let mut m = 0u8;
-        if self.sensor[i].is_some() {
+        if self.flags.sensor[i].is_some() {
             m |= 1;
         }
-        if self.actuator[i].is_some() {
+        if self.flags.actuator[i].is_some() {
             m |= 1 << 1;
         }
-        if self.budget[i].is_some() {
+        if self.flags.budget[i].is_some() {
             m |= 1 << 2;
         }
-        if !self.alive[i] {
+        if !self.flags.alive[i] {
             m |= 1 << 3;
         }
-        if self.throttle[i].is_some() {
+        if self.flags.throttle[i].is_some() {
             m |= 1 << 4;
         }
         m
@@ -468,7 +526,7 @@ impl FaultState {
     /// Bitmask of chip-wide fault classes this epoch: bit 5 chip sensor
     /// (matching `class_mask`'s numbering).
     pub fn chip_class_mask(&self) -> u8 {
-        if self.chip_sensor.is_some() {
+        if self.flags.chip_sensor.is_some() {
             1 << 5
         } else {
             0
@@ -478,16 +536,16 @@ impl FaultState {
     /// A read-only view for the (possibly sharded) sensor pass.
     pub fn sensor_view(&self) -> SensorView<'_> {
         SensorView {
-            sensor: &self.sensor,
+            sensor: &self.flags.sensor,
             drift: &self.drift,
-            alive: &self.alive,
+            alive: &self.flags.alive,
         }
     }
 
     /// Applies the chip-sensor fault (if any) to the fresh chip reading,
     /// given the previous epoch's chip reading.
     pub fn chip_sensor_value(&self, fresh: Watts, last: Watts) -> Watts {
-        match self.chip_sensor {
+        match self.flags.chip_sensor {
             None => fresh,
             Some(SensorFault::StuckLast) => last,
             Some(SensorFault::StuckZero) => Watts::ZERO,
@@ -732,6 +790,43 @@ mod tests {
     }
 
     #[test]
+    fn burst_threshold_matches_the_float_draw() {
+        /// Hands out fixed raw bits, to hit the decision boundary exactly.
+        struct Bits(u64);
+        impl Rng for Bits {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let dyadic = 0.25f64;
+        let ps = [
+            1e-4,
+            0.002,
+            0.5,
+            1.0,
+            f64::from_bits(dyadic.to_bits() - 1),
+            f64::from_bits(dyadic.to_bits() + 1),
+        ];
+        for p in ps {
+            let t = burst_threshold(p);
+            let mut float = StdRng::seed_from_u64(17);
+            let mut int = float.clone();
+            for _ in 0..1_000_000 {
+                assert_eq!(
+                    float.gen::<f64>() < p,
+                    (int.next_u64() >> 11) < t,
+                    "p = {p}"
+                );
+            }
+            // A random draw lands on the boundary with odds of 2^-53, so
+            // check the mantissas around it directly.
+            for m in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                assert_eq!(Bits(m << 11).gen::<f64>() < p, m < t, "p = {p}, m = {m}");
+            }
+        }
+    }
+
+    #[test]
     fn compile_rejects_bad_plans() {
         let cases = [
             plan_one(FaultKind::Core(CoreFault::Unplug), Target::Core(8), 0, 1),
@@ -893,7 +988,7 @@ mod tests {
         // Plan A's chip-1 schedule is burst-0's events followed by
         // burst-1's; plan B's is burst-1's alone. The tail must match.
         let half = ea.num_events() - eb.num_events();
-        assert_eq!(&ea.events[half..], &eb.events[..]);
+        assert_eq!(&ea.schedule.events[half..], &eb.schedule.events[..]);
         assert!(eb.num_events() > 0);
     }
 }

@@ -31,6 +31,17 @@
 //! without touching an RNG — so a faulted run is bit-identical at every
 //! shard count, and the same plan + seed always reproduces the same run.
 //!
+//! # Cost
+//!
+//! The compiled schedule is a timeline: the windows in plan order (later
+//! entries win on overlap) plus start- and end-sorted edge lists, shared
+//! behind an `Arc` by every clone of the engine and every
+//! [`BudgetChannel`] built from it. Each [`FaultState`] and each channel
+//! keeps a cursor into it, so `begin_epoch` costs O(edges crossed + active
+//! windows) rather than O(compiled windows): it moves forward by any jump,
+//! re-seeks from scratch when the epoch goes backwards, and repaints the
+//! flags only when the active set changes.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +74,7 @@ pub mod channel;
 pub mod engine;
 pub mod error;
 pub mod plan;
+mod timeline;
 
 pub use channel::BudgetChannel;
 pub use engine::{FaultEngine, FaultState, SensorView};
