@@ -156,6 +156,59 @@ fn demo_recorder() -> RecorderConfig {
     }
 }
 
+/// The second allocation window of the observability gate: a fleet
+/// whose rack links lose every budget message from epoch 10 on, so each
+/// arbiter round out of cooldown trips the loss-spike rule. After the
+/// first trip has grown the dump buffers, every later trip must allocate
+/// at most once — the dump bytes the recorder keeps.
+fn trip_window(knobs: &Knobs) {
+    let plan = FaultPlan::new().with_event(
+        FaultKind::Budget(BudgetFault::Lost),
+        Target::All,
+        10,
+        1_000,
+    );
+    let mut fleet = knobs
+        .apply(RunBuilder::new(scenario(64, 0)))
+        .faults(plan)
+        .watchdog(true)
+        .recorder(RecorderConfig {
+            window: 16,
+            rules: vec![WatermarkRule::BudgetLossSpike {
+                loss_rate: 0.5,
+                min_sent: 2,
+            }],
+            cooldown: 20,
+            max_dumps: 8,
+        })
+        .arbiter_period(10)
+        .build_fleet(4)
+        .expect("valid diagnosed fleet configuration");
+    // Warm-up trips at epochs 10 and 30; the one at 30 is the largest
+    // dump of the run. The window then trips at 50, 70 and 90.
+    for _ in 0..40 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let warm = fleet.anomaly_dumps().len();
+    let a0 = allocs::allocations();
+    for _ in 0..60 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let da = allocs::allocations() - a0;
+    let trips = (fleet.anomaly_dumps().len() - warm) as u64;
+    assert!(
+        trips >= 2,
+        "the trip window must hold at least two trips, saw {trips}"
+    );
+    assert!(
+        da <= trips,
+        "{trips} recorder trips allocated {da} times over 60 epochs (bound: one per trip)"
+    );
+    println!(
+        "smoke diag       : {trips} trips allocated {da} times (<= 1 per trip, 60-epoch window)"
+    );
+}
+
 /// Times one diag-on-or-off fleet window (30 warmup + `epochs` measured);
 /// returns epochs per CPU-second (process CPU time, so host steal on a
 /// shared runner cancels out of the on/off ratio; wall clock off Linux).
@@ -177,9 +230,11 @@ fn time_fleet_window(diag: bool, epochs: u64, knobs: &Knobs) -> f64 {
 /// diagnostics, rack aggregation and the flight recorder all on must
 /// (a) allocate nothing per steady-state epoch once the bounded dump
 /// budget is spent, (b) trip the recorder on a lossy-budget fault plan,
-/// and (c) stay within the 15 % tracing-overhead budget on interleaved
-/// best-of-5 windows. `--export-dump <path>` writes the first dump for
-/// downstream inspection (`trace_inspect metrics <path>`).
+/// (c) stay within the 15 % tracing-overhead budget on interleaved
+/// best-of-5 windows, and (d) allocate at most once per recorder trip in
+/// a window that trips repeatedly (see [`trip_window`]). `--export-dump
+/// <path>` writes the first dump for downstream inspection
+/// (`trace_inspect metrics <path>`).
 fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
     // (a) + (b): a faulted, diagnosed fleet. The budget-Lost window
     // makes the rack links lossy, so the loss-spike rule has real
@@ -240,6 +295,7 @@ fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
         "diagnosed fleet steady-state epochs allocated {da} times over 50 epochs"
     );
     println!("smoke diag       : 0 allocs/epoch at steady state (50-epoch window)");
+    trip_window(knobs);
 
     // (c) Interleaved best-of-5 over CPU-time windows: process CPU time
     // is immune to scheduler steal on shared runners, and 5000-epoch
@@ -263,7 +319,10 @@ fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
         "diagnostics overhead {:.1} % exceeds the 15 % budget",
         overhead * 100.0
     );
-    println!("\nsmoke diag OK: recorder tripped, zero steady-state allocs, overhead in budget");
+    println!(
+        "\nsmoke diag OK: recorder tripped, zero steady-state allocs, <= 1 alloc per trip, \
+         overhead in budget"
+    );
 }
 
 fn main() {

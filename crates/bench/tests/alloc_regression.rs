@@ -316,6 +316,73 @@ fn diagnosed_fleet_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn recorder_trips_allocate_only_their_dump() {
+    // The flight recorder's trip path: a trip reads only the last
+    // `window` epochs of every trace ring and renders the dump into
+    // buffers the fleet reuses, so once one trip has grown them, each
+    // later trip allocates exactly once — the dump bytes it keeps.
+    // Budget messages are lost from epoch 25 on, so every arbiter round
+    // (every 10 epochs) out of cooldown trips the loss-spike rule. The
+    // warm-up trip at epoch 30 follows a stuck-sensor window on every
+    // core, whose watchdog and fault edges make it the largest dump of
+    // the run; the measured window then holds the trips at 50, 70 and 90.
+    let scenario = Scenario {
+        cores: 16,
+        budget_frac: 0.6,
+        epochs: 0,
+        mix: MixPolicy::RoundRobin,
+        seed: 42,
+        parallelism: Parallelism::Serial,
+    };
+    let plan = FaultPlan::new()
+        .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::All, 15, 15)
+        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 25, 1_000);
+    let mut fleet = RunBuilder::new(scenario)
+        .controller(ControllerKind::OdRl)
+        .faults(plan)
+        .watchdog(true)
+        .recorder(odrl_fleet::RecorderConfig {
+            window: 16,
+            rules: vec![odrl_fleet::WatermarkRule::BudgetLossSpike {
+                loss_rate: 0.5,
+                min_sent: 2,
+            }],
+            cooldown: 20,
+            max_dumps: 8,
+        })
+        .arbiter_period(10)
+        .build_fleet(4)
+        .expect("valid diagnosed fleet configuration");
+
+    for _ in 0..45 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let warm_trips = fleet.anomaly_dumps().len();
+    assert_eq!(warm_trips, 1, "exactly one trip sizes the buffers in warm-up");
+
+    let a0 = allocs::allocations();
+    let b0 = allocs::allocated_bytes();
+    for _ in 0..50 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let da = allocs::allocations() - a0;
+    let db = allocs::allocated_bytes() - b0;
+    let dumps = fleet.anomaly_dumps();
+    let trips = (dumps.len() - warm_trips) as u64;
+    assert!(trips >= 2, "the measured window must hold at least two trips, saw {trips}");
+    assert!(
+        dumps[warm_trips..].iter().all(|d| d.bytes.len() <= dumps[0].bytes.len()),
+        "the warm-up trip must be the largest dump"
+    );
+    let kept: usize = dumps[warm_trips..].iter().map(|d| d.bytes.len()).sum();
+    assert!(
+        da <= trips,
+        "{trips} recorder trips allocated {da} times ({db} bytes, {kept} of them kept)"
+    );
+    assert_eq!(db, kept as u64, "trips allocated bytes beyond the dumps they keep");
+}
+
+#[test]
 fn warm_start_boot_allocates_nothing_at_steady_state() {
     // Boot a chip from a Q-table snapshot on disk: the import happens once
     // at build time (allocations there are fine), after which the warmed

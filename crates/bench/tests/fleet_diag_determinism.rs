@@ -122,6 +122,36 @@ fn check_invariant(faulted: bool) {
     }
 }
 
+/// 64-bit FNV-1a over raw bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The faulted fleet's flight-recorder dumps, pinned: `(trip epoch,
+/// FNV-1a of the dump bytes)` in trip order. Any change to the dump
+/// header, the Prometheus exposition, the trace window or the JSONL
+/// rendering moves these.
+const FAULTED_DUMPS: [(u64, u64); 2] = [(1, 0x8c72_5a87_d58c_7c6e), (30, 0xb53c_b42c_56c1_24b5)];
+
+#[test]
+fn faulted_fleet_dump_bytes_match_golden() {
+    for par in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+        Parallelism::Threads(8),
+    ] {
+        let (_, dumps) = run(par, true);
+        let got: Vec<(u64, u64)> = dumps.iter().map(|(e, b)| (*e, fnv1a(b))).collect();
+        assert_eq!(got, FAULTED_DUMPS, "dump golden drifted at {par:?}");
+    }
+}
+
 #[test]
 fn fault_free_fleet_aggregation_is_shard_invariant() {
     check_invariant(false);

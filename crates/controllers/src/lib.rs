@@ -107,12 +107,13 @@ pub trait PowerController {
         None
     }
 
-    /// Appends every trace record this controller holds onto `out`
-    /// (see `odrl-obs`). The default — and the baselines, which record
+    /// Appends every trace record this controller holds with
+    /// `epoch >= since` onto `out` (see `odrl-obs`); `since = 0` for the
+    /// whole trace. The default — and the baselines, which record
     /// nothing — is a no-op; pass the result through
     /// `odrl_obs::merge_records` before export.
-    fn extend_trace_into(&self, out: &mut Vec<EventRecord>) {
-        let _ = out;
+    fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+        let _ = (since, out);
     }
 
     /// The controller's most recent per-epoch metrics snapshot, when it is

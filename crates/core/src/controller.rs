@@ -456,12 +456,13 @@ impl OdRlController {
         self.tracer.as_deref()
     }
 
-    /// Appends every trace record this controller holds onto `out`
-    /// (no-op when tracing is disabled). Pass the result through
+    /// Appends every trace record this controller holds with
+    /// `epoch >= since` onto `out` (`since = 0` for the whole trace; no-op
+    /// when tracing is disabled). Pass the result through
     /// [`odrl_obs::merge_records`] for the canonical order.
-    pub fn extend_trace_into(&self, out: &mut Vec<EventRecord>) {
+    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
         if let Some(tr) = self.tracer.as_deref() {
-            tr.extend_into(out);
+            tr.extend_into(since, out);
         }
     }
 
@@ -1123,8 +1124,8 @@ impl PowerController for OdRlController {
         self.tracer.as_deref().map(CtrlTracer::counts)
     }
 
-    fn extend_trace_into(&self, out: &mut Vec<EventRecord>) {
-        OdRlController::extend_trace_into(self, out);
+    fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+        OdRlController::extend_trace_into(self, since, out);
     }
 
     fn metrics_snapshot(&self) -> Option<&odrl_obs::MetricsSnapshot> {
@@ -1292,7 +1293,7 @@ mod tests {
         assert!(ctrl.tracer().is_none());
         assert!(ctrl.event_counts().is_none());
         let mut recs = Vec::new();
-        ctrl.extend_trace_into(&mut recs);
+        ctrl.extend_trace_into(0, &mut recs);
         assert!(recs.is_empty());
     }
 
@@ -1332,7 +1333,7 @@ mod tests {
             assert!(c.reallocations > 0, "realloc every 10 epochs");
             counts.push(c);
             let mut recs = Vec::new();
-            ctrl.extend_trace_into(&mut recs);
+            ctrl.extend_trace_into(0, &mut recs);
             merge_records(&mut recs);
             traces.push(recs);
         }

@@ -367,13 +367,14 @@ impl CtrlTracer {
             .sum()
     }
 
-    /// Appends every held record — serial ring first, then each shard
-    /// ring — onto `out`. Pass the result through
-    /// `odrl_obs::merge_records` for the canonical order.
-    pub fn extend_into(&self, out: &mut Vec<EventRecord>) {
-        self.ring.extend_into(out);
+    /// Appends every held record with `epoch >= since` — serial ring
+    /// first, then each shard ring — onto `out` (`since = 0` for the whole
+    /// trace). Pass the result through `odrl_obs::merge_records` for the
+    /// canonical order.
+    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+        self.ring.extend_into(since, out);
         for r in &self.shard_rings {
-            r.lock().expect("shard ring poisoned").extend_into(out);
+            r.lock().expect("shard ring poisoned").extend_into(since, out);
         }
     }
 

@@ -238,8 +238,12 @@ struct FleetObs {
     prev_flips: u64,
     /// Cumulative max |TD error| as of last epoch (new-high detection).
     prev_td_max: f64,
-    /// Scratch for assembling a dump's merged trace window.
+    /// Dump scratch, reused across trips: one chip's trace window, the
+    /// merged fleet window, and the rendered dump. Once they have grown to
+    /// the largest dump so far, a trip allocates only the bytes it keeps.
+    chip_scratch: Vec<EventRecord>,
     trace_scratch: Vec<FleetEventRecord>,
+    render: Vec<u8>,
 }
 
 impl FleetObs {
@@ -261,7 +265,9 @@ impl FleetObs {
             prev_delivered: 0,
             prev_flips: 0,
             prev_td_max: 0.0,
+            chip_scratch: Vec::new(),
             trace_scratch: Vec::new(),
+            render: Vec::new(),
         }
     }
 }
@@ -541,8 +547,10 @@ impl Fleet {
 
     /// One epoch of rack-scope observability (see [`FleetObs`]). Reads
     /// only; allocation-free in steady state — the merge and snapshot
-    /// reuse their buffers, and dump assembly (which allocates) happens
-    /// only on the rare, bounded anomaly trips.
+    /// reuse their buffers. An anomaly trip reads only the last `window`
+    /// epochs of each trace ring and renders the dump into reused
+    /// buffers, so it costs O(window) and allocates only the dump bytes
+    /// the recorder keeps.
     fn observe_epoch(&mut self, fo: &mut FleetObs, fleet_power: Watts) {
         let epoch = self.epoch;
         fo.metrics.begin_epoch(epoch);
@@ -620,31 +628,30 @@ impl Fleet {
                 // `(epoch, chip, rank, core)` order → bytes are shard-
                 // invariant).
                 let window = rec.config().window;
+                let since = (epoch + 1).saturating_sub(window);
+                fo.trace_scratch.clear();
+                self.collect_trace(
+                    Some(&fo.ring),
+                    since,
+                    &mut fo.chip_scratch,
+                    &mut fo.trace_scratch,
+                );
+                merge_fleet_records(&mut fo.trace_scratch);
                 use std::io::Write as _;
-                let mut bytes = Vec::new();
+                let out = &mut fo.render;
+                out.clear();
                 writeln!(
-                    bytes,
+                    out,
                     "# odrl_flight_record epoch {epoch} rule {} window {window}",
                     kind.name()
                 )
                 .expect("write to Vec cannot fail");
-                bytes.extend_from_slice(fo.snapshot.to_prometheus().as_bytes());
-                writeln!(bytes, "# odrl_trace").expect("write to Vec cannot fail");
-                fo.trace_scratch.clear();
-                self.extend_trace_into(&mut fo.trace_scratch);
-                let mut rack_scratch: Vec<EventRecord> = Vec::new();
-                fo.ring.extend_into(&mut rack_scratch);
-                fo.trace_scratch.extend(
-                    rack_scratch
-                        .into_iter()
-                        .map(|record| FleetEventRecord { chip: RACK, record }),
-                );
-                let cutoff = (epoch + 1).saturating_sub(window);
-                fo.trace_scratch.retain(|r| r.record.epoch >= cutoff);
-                merge_fleet_records(&mut fo.trace_scratch);
-                write_fleet_jsonl(&mut bytes, &fo.trace_scratch)
+                fo.snapshot
+                    .write_prometheus(out)
                     .expect("write to Vec cannot fail");
-                rec.record_dump(epoch, kind, bytes);
+                writeln!(out, "# odrl_trace").expect("write to Vec cannot fail");
+                write_fleet_jsonl(out, &fo.trace_scratch).expect("write to Vec cannot fail");
+                rec.record_dump(epoch, kind, out.clone());
                 // Re-snapshot so the exported combined snapshot reflects
                 // the anomaly counter bump.
                 fo.metrics.snapshot_into(&mut fo.snapshot);
@@ -692,15 +699,30 @@ impl Fleet {
         }
     }
 
-    /// Appends every chip's structured-event records (controller and
-    /// system sides), tagged with the chip's fleet index, **unmerged**.
-    /// Post-run export path — may allocate.
-    pub fn extend_trace_into(&self, out: &mut Vec<FleetEventRecord>) {
-        let mut scratch: Vec<EventRecord> = Vec::new();
+    /// Appends every chip's structured-event records with
+    /// `epoch >= since` (controller and system sides), tagged with the
+    /// chip's fleet index, **unmerged**; `since = 0` for the whole trace.
+    /// Each ring is binary-searched for the window start, so the cost is
+    /// O(records copied). Export path — may allocate.
+    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<FleetEventRecord>) {
+        let rack = self.obs.as_ref().map(|fo| &fo.ring);
+        self.collect_trace(rack, since, &mut Vec::new(), out);
+    }
+
+    /// [`Fleet::extend_trace_into`] with the rack ring passed in (the
+    /// dump path holds the fleet obs outside `self`) and each ring's
+    /// records staged in the caller's reusable `scratch`.
+    fn collect_trace(
+        &self,
+        rack: Option<&TraceRing>,
+        since: u64,
+        scratch: &mut Vec<EventRecord>,
+        out: &mut Vec<FleetEventRecord>,
+    ) {
         for (k, chip) in self.chips.iter().enumerate() {
             scratch.clear();
-            chip.controller.extend_trace_into(&mut scratch);
-            chip.system.extend_trace_into(&mut scratch);
+            chip.controller.extend_trace_into(since, scratch);
+            chip.system.extend_trace_into(since, scratch);
             out.extend(scratch.iter().map(|&record| FleetEventRecord {
                 chip: k as u32,
                 record,
@@ -709,9 +731,9 @@ impl Fleet {
         // Rack-scope events (anomaly trips) ride along under the RACK
         // sentinel chip index, which sorts after every real chip within
         // an epoch in the canonical merge order.
-        if let Some(fo) = &self.obs {
+        if let Some(ring) = rack {
             scratch.clear();
-            fo.ring.extend_into(&mut scratch);
+            ring.extend_into(since, scratch);
             out.extend(
                 scratch
                     .iter()
@@ -725,7 +747,7 @@ impl Fleet {
     /// count. Post-run export path — allocates.
     pub fn merged_trace(&self) -> Vec<FleetEventRecord> {
         let mut records = Vec::new();
-        self.extend_trace_into(&mut records);
+        self.extend_trace_into(0, &mut records);
         merge_fleet_records(&mut records);
         records
     }

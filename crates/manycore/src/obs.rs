@@ -113,9 +113,10 @@ impl SysTracer {
         self.metrics.snapshot_into(epoch, &mut self.snapshot);
     }
 
-    /// Appends the held records (oldest → newest) onto `out`.
-    pub fn extend_into(&self, out: &mut Vec<EventRecord>) {
-        self.ring.extend_into(out);
+    /// Appends the held records with `epoch >= since` (oldest → newest)
+    /// onto `out`; `since = 0` for the whole trace.
+    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+        self.ring.extend_into(since, out);
     }
 
     /// The tracer's ring (len/capacity/dropped introspection).

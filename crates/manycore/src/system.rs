@@ -267,13 +267,13 @@ impl System {
         self.tracer.as_deref()
     }
 
-    /// Appends the system-side trace records (oldest → newest) onto
-    /// `out`; a no-op when tracing is disabled. Merge with the
-    /// controller's records via `odrl_obs::merge_records` for the
-    /// canonical stream.
-    pub fn extend_trace_into(&self, out: &mut Vec<odrl_obs::EventRecord>) {
+    /// Appends the system-side trace records with `epoch >= since`
+    /// (oldest → newest) onto `out`; `since = 0` for the whole trace, and
+    /// a no-op when tracing is disabled. Merge with the controller's
+    /// records via `odrl_obs::merge_records` for the canonical stream.
+    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<odrl_obs::EventRecord>) {
         if let Some(tr) = &self.tracer {
-            tr.extend_into(out);
+            tr.extend_into(since, out);
         }
     }
 

@@ -289,18 +289,29 @@ impl EventRecord {
     }
 }
 
-/// Stably sorts `records` into the canonical merged order and renumbers
-/// `seq` to the merged position, making the result independent of how many
-/// rings (shards) the records came from.
+/// Sorts `records` into the canonical merged order and renumbers `seq` to
+/// the merged position, making the result independent of how many rings
+/// (shards) the records came from.
 ///
 /// Call with the concatenation of every ring's records (each ring appended
 /// oldest → newest, serial rings before shard rings). The sort key is
 /// [`EventRecord::merge_key`]; ties keep their per-ring recording order,
 /// which serial sites make shard-count-invariant by construction.
+///
+/// The order is a stable sort's, but computed without one: `seq` (about
+/// to be overwritten anyway) first takes each record's input position,
+/// and an in-place unstable sort on `(merge key, input position)` — a
+/// total order, so the result is unique — needs no scratch buffer.
 pub fn merge_records(records: &mut [EventRecord]) {
-    records.sort_by_key(EventRecord::merge_key);
-    for (i, r) in records.iter_mut().enumerate() {
-        r.seq = i as u32;
+    number_by_position(records.iter_mut().map(|r| &mut r.seq));
+    records.sort_unstable_by_key(|r| (r.merge_key(), r.seq));
+    number_by_position(records.iter_mut().map(|r| &mut r.seq));
+}
+
+/// Writes each slot's position into it (`seq` renumbering).
+fn number_by_position<'a>(seqs: impl Iterator<Item = &'a mut u32>) {
+    for (i, seq) in seqs.enumerate() {
+        *seq = u32::try_from(i).expect("a merged trace holds at most u32::MAX records");
     }
 }
 
@@ -333,15 +344,15 @@ impl FleetEventRecord {
     }
 }
 
-/// Stably sorts fleet records into the canonical merged order and
-/// renumbers `seq` to the merged position — [`merge_records`] one level
-/// up, keyed by [`FleetEventRecord::merge_key`], making the result
-/// independent of how many shards stepped the fleet.
+/// Sorts fleet records into the canonical merged order and renumbers
+/// `seq` to the merged position — [`merge_records`] one level up, keyed by
+/// [`FleetEventRecord::merge_key`] with the same allocation-free
+/// stable-order construction, making the result independent of how many
+/// shards stepped the fleet.
 pub fn merge_fleet_records(records: &mut [FleetEventRecord]) {
-    records.sort_by_key(FleetEventRecord::merge_key);
-    for (i, r) in records.iter_mut().enumerate() {
-        r.record.seq = i as u32;
-    }
+    number_by_position(records.iter_mut().map(|r| &mut r.record.seq));
+    records.sort_unstable_by_key(|r| (r.merge_key(), r.record.seq));
+    number_by_position(records.iter_mut().map(|r| &mut r.record.seq));
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //!
 //! `observe` is allocation-free: the flip-burst window is a preallocated
 //! ring, streak/cooldown state is a few integers, and rule evaluation is a
-//! linear scan. Dump *assembly* (done by the caller via [`FlightRecorder::
-//! record_dump`]) does allocate, but trips are rare by construction —
-//! cooldown and `max_dumps` bound them — so the steady state stays
-//! alloc-free.
+//! linear scan. The dump list is preallocated to `max_dumps`, so
+//! [`FlightRecorder::record_dump`] only moves the owner's bytes in; the
+//! owner renders each dump into reused buffers, and the retained bytes are
+//! a trip's one allocation. Cooldown and `max_dumps` bound the trips.
 //!
 //! Determinism: every input to `observe` derives from the simulated run
 //! (no wall clock), rules are evaluated in their configured order with the
@@ -134,6 +134,10 @@ pub struct AnomalyDump {
     pub bytes: Vec<u8>,
 }
 
+/// Upper bound on the dump slots reserved up front, so a `max_dumps` of
+/// "effectively unlimited" does not reserve unbounded memory.
+const PREALLOCATED_DUMPS: usize = 1024;
+
 /// The anomaly-triggered flight recorder. Owns rule state and completed
 /// dumps; the fleet (or any other owner) calls [`observe`](Self::observe)
 /// once per epoch and, on a trip, assembles the dump bytes and hands them
@@ -166,13 +170,13 @@ impl FlightRecorder {
             .unwrap_or(0)
             .max(1);
         Self {
-            config,
             overshoot_streak: 0,
             flips: vec![0; max_window],
             flips_pos: 0,
             last_trip: None,
             trips: 0,
-            dumps: Vec::new(),
+            dumps: Vec::with_capacity(config.max_dumps.min(PREALLOCATED_DUMPS)),
+            config,
         }
     }
 

@@ -281,36 +281,49 @@ impl MetricsSnapshot {
     /// for bit (Prometheus itself ignores unknown comments). `f64` values
     /// print through `Display`, which round-trips exactly.
     ///
-    /// Export-time only (allocates).
+    /// Export-time only (allocates); see
+    /// [`MetricsSnapshot::write_prometheus`] for the allocation-free form.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# odrl_snapshot epoch {}", self.epoch);
+        let mut out = Vec::new();
+        self.write_prometheus(&mut out)
+            .expect("write to Vec cannot fail");
+        String::from_utf8(out).expect("metric names are UTF-8")
+    }
+
+    /// Writes [`MetricsSnapshot::to_prometheus`]'s text onto `out`.
+    /// Allocation-free into a `Vec<u8>` with enough capacity (the
+    /// flight recorder renders every dump into one reused buffer).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error, if any.
+    pub fn write_prometheus<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+        writeln!(out, "# odrl_snapshot epoch {}", self.epoch)?;
         for (name, v) in self.counter_names.iter().zip(&self.counters) {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
+            writeln!(out, "# TYPE {name} counter")?;
+            writeln!(out, "{name} {v}")?;
         }
         for (name, v) in self.gauge_names.iter().zip(&self.gauges) {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
+            writeln!(out, "# TYPE {name} gauge")?;
+            writeln!(out, "{name} {v}")?;
         }
         for (name, s) in self.summary_names.iter().zip(&self.summaries) {
             let (count, sum_q, sum_sq_q, min, max, buckets) = s.raw_parts();
-            let _ = write!(
+            write!(
                 out,
                 "# odrl_summary {name} {count} {sum_q} {sum_sq_q} {min} {max}"
-            );
+            )?;
             for b in buckets {
-                let _ = write!(out, " {b}");
+                write!(out, " {b}")?;
             }
-            out.push('\n');
-            let _ = writeln!(out, "{name}_count {count}");
-            let _ = writeln!(out, "{name}_mean {}", s.mean());
-            let _ = writeln!(out, "{name}_stddev {}", s.std_dev());
-            let _ = writeln!(out, "{name}_min {}", s.min());
-            let _ = writeln!(out, "{name}_max {}", s.max());
+            writeln!(out)?;
+            writeln!(out, "{name}_count {count}")?;
+            writeln!(out, "{name}_mean {}", s.mean())?;
+            writeln!(out, "{name}_stddev {}", s.std_dev())?;
+            writeln!(out, "{name}_min {}", s.min())?;
+            writeln!(out, "{name}_max {}", s.max())?;
         }
-        out
+        Ok(())
     }
 
     /// Parses [`MetricsSnapshot::to_prometheus`] output back into a

@@ -7,6 +7,11 @@
 //! with **zero allocations**, and a long run degrades gracefully into a
 //! "last N events" flight recorder instead of growing without bound
 //! (dropped-event count is kept so consumers can tell).
+//!
+//! Records are appended in epoch order, so the held records are sorted by
+//! epoch oldest → newest, and [`TraceRing::extend_into`] can binary-search
+//! for the start of a trailing epoch window instead of copying the whole
+//! ring: a flight-recorder dump costs O(window), not O(capacity).
 
 use crate::event::{Event, EventRecord};
 
@@ -39,8 +44,15 @@ impl TraceRing {
 
     /// Records one event. Allocation-free: the slot was reserved at
     /// construction, and a full ring overwrites its oldest record.
+    ///
+    /// Epochs must be non-decreasing across calls (the order
+    /// [`TraceRing::extend_into`] relies on); debug builds assert it.
     #[inline]
     pub fn record(&mut self, epoch: u64, core: u32, event: Event) {
+        debug_assert!(
+            self.newest().is_none_or(|r| r.epoch <= epoch),
+            "trace ring records must arrive in epoch order"
+        );
         let rec = EventRecord {
             epoch,
             core,
@@ -79,10 +91,21 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Appends the held records, oldest → newest, onto `out`.
-    pub fn extend_into(&self, out: &mut Vec<EventRecord>) {
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
+    /// The most recently recorded event, if any.
+    fn newest(&self) -> Option<&EventRecord> {
+        let n = self.buf.len();
+        (n > 0).then(|| &self.buf[(self.head + n - 1) % n])
+    }
+
+    /// Appends the held records with `epoch >= since`, oldest → newest,
+    /// onto `out` (`since = 0` copies the whole ring). Both halves of the
+    /// wrapped buffer are epoch-sorted, so the window start is found by
+    /// binary search and only the window is copied.
+    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+        for half in [&self.buf[self.head..], &self.buf[..self.head]] {
+            let from = half.partition_point(|r| r.epoch < since);
+            out.extend_from_slice(&half[from..]);
+        }
     }
 
     /// Iterates the held records, oldest → newest.
@@ -132,10 +155,13 @@ mod tests {
         let epochs: Vec<u64> = r.iter().map(|e| e.epoch).collect();
         assert_eq!(epochs, vec![2, 3, 4]);
         let mut out = Vec::new();
-        r.extend_into(&mut out);
+        r.extend_into(0, &mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].epoch, 2);
         assert_eq!(out[2].epoch, 4);
+        out.clear();
+        r.extend_into(4, &mut out);
+        assert_eq!(out.iter().map(|e| e.epoch).collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]

@@ -3,9 +3,90 @@
 //! Sinks consume *merged* records (see [`crate::merge_records`]) at
 //! export time — the hot loop only ever touches the preallocated rings,
 //! so sinks are free to allocate and do I/O.
+//!
+//! JSONL is written by a direct per-record writer that emits exactly the
+//! bytes `serde_json::to_string` produces for [`EventRecord`] and
+//! [`FleetEventRecord`] (externally tagged events, fields in declaration
+//! order, the same float spelling), without building a value tree or a
+//! per-record `String`: rendering into a reused buffer allocates nothing
+//! once the buffer has grown. Reading stays on serde.
 
-use crate::event::{EventRecord, FleetEventRecord};
+use crate::event::{Event, EventRecord, FleetEventRecord};
 use std::io::{self, BufRead, Write};
+
+/// Writes an `f64` the way the JSON serializer spells it: integral values
+/// below 1e15 keep a `.0` marker, other finite values print the shortest
+/// round-tripping form, and non-finite values (which JSON cannot carry)
+/// become `null`.
+fn write_f64<W: Write>(w: &mut W, x: f64) -> io::Result<()> {
+    if !x.is_finite() {
+        w.write_all(b"null")
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        write!(w, "{x:.1}")
+    } else {
+        write!(w, "{x}")
+    }
+}
+
+/// Writes `{"<variant>":{"<field>":<f64>}}`, the shape of every event
+/// whose payload is one float.
+fn write_float_event<W: Write>(w: &mut W, variant: &str, field: &str, x: f64) -> io::Result<()> {
+    write!(w, "{{\"{variant}\":{{\"{field}\":")?;
+    write_f64(w, x)?;
+    w.write_all(b"}}")
+}
+
+/// Writes one event as its externally tagged JSON object. Unit enums
+/// (flag, class, kind) spell their variant name, which is their `Debug`
+/// form.
+fn write_event<W: Write>(w: &mut W, event: Event) -> io::Result<()> {
+    match event {
+        Event::Watchdog { flag, entered } => write!(
+            w,
+            "{{\"Watchdog\":{{\"flag\":\"{flag:?}\",\"entered\":{entered}}}}}"
+        ),
+        Event::OvershootOnset { over_w } => {
+            write_float_event(w, "OvershootOnset", "over_w", over_w)
+        }
+        Event::OvershootEnd { epochs } => {
+            write!(w, "{{\"OvershootEnd\":{{\"epochs\":{epochs}}}}}")
+        }
+        Event::BudgetRealloc { magnitude_w } => {
+            write_float_event(w, "BudgetRealloc", "magnitude_w", magnitude_w)
+        }
+        Event::BudgetRedistribution { freed_w } => {
+            write_float_event(w, "BudgetRedistribution", "freed_w", freed_w)
+        }
+        Event::RlChoice { action, explored } => write!(
+            w,
+            "{{\"RlChoice\":{{\"action\":{action},\"explored\":{explored}}}}}"
+        ),
+        Event::FaultInjected { class } => {
+            write!(w, "{{\"FaultInjected\":{{\"class\":\"{class:?}\"}}}}")
+        }
+        Event::FaultCleared { class } => {
+            write!(w, "{{\"FaultCleared\":{{\"class\":\"{class:?}\"}}}}")
+        }
+        Event::VfAction { level } => write!(w, "{{\"VfAction\":{{\"level\":{level}}}}}"),
+        Event::Epoch { power_w } => write_float_event(w, "Epoch", "power_w", power_w),
+        Event::Anomaly { kind, value } => {
+            write!(w, "{{\"Anomaly\":{{\"kind\":\"{kind:?}\",\"value\":")?;
+            write_f64(w, value)?;
+            w.write_all(b"}}")
+        }
+    }
+}
+
+/// Writes one record as a JSON object (no trailing newline).
+fn write_record<W: Write>(w: &mut W, r: &EventRecord) -> io::Result<()> {
+    write!(
+        w,
+        "{{\"epoch\":{},\"core\":{},\"seq\":{},\"event\":",
+        r.epoch, r.core, r.seq
+    )?;
+    write_event(w, r.event)?;
+    w.write_all(b"}")
+}
 
 /// A consumer of merged trace records.
 pub trait TraceSink {
@@ -49,9 +130,7 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn emit(&mut self, record: &EventRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.writer.write_all(line.as_bytes())?;
+        write_record(&mut self.writer, record)?;
         self.writer.write_all(b"\n")
     }
 }
@@ -145,17 +224,16 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> io::Result<Vec<EventRecord>> {
 
 /// Writes merged fleet records as one JSON object per line (the
 /// `trace_inspect --chip` input format and the flight-recorder trace
-/// section).
+/// section). Allocation-free into a `Vec<u8>` with enough capacity.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error, if any.
 pub fn write_fleet_jsonl<W: Write>(writer: &mut W, records: &[FleetEventRecord]) -> io::Result<()> {
     for r in records {
-        let line = serde_json::to_string(r)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        write!(writer, "{{\"chip\":{},\"record\":", r.chip)?;
+        write_record(writer, &r.record)?;
+        writer.write_all(b"}\n")?;
     }
     Ok(())
 }
