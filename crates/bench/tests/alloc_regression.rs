@@ -27,13 +27,36 @@ static ALLOC: allocs::CountingAllocator = allocs::CountingAllocator;
 
 #[test]
 fn steady_state_epoch_allocates_nothing() {
+    let (da, db) = chip_epoch_allocations(Parallelism::Serial);
+    assert_eq!(
+        da, 0,
+        "steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+#[test]
+fn auto_sharded_epoch_allocates_nothing() {
+    // `Auto` resolves its shard count once per process, so the per-epoch
+    // `shard_chunks` calls in the step and the controller never re-query
+    // the OS (which allocates) after the first epoch. Counts the calling
+    // thread only; chunks a pool worker runs are not counted.
+    let (da, db) = chip_epoch_allocations(Parallelism::Auto);
+    assert_eq!(
+        da, 0,
+        "auto-sharded steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+/// Allocations and bytes of 50 steady-state chip epochs on the calling
+/// thread, after a 30-epoch warm-up.
+fn chip_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
     let scenario = Scenario {
         cores: 64,
         budget_frac: 0.6,
         epochs: 0,
         mix: MixPolicy::RoundRobin,
         seed: 42,
-        parallelism: Parallelism::Serial,
+        parallelism,
     };
     let config = scenario
         .try_system_config()
@@ -59,12 +82,7 @@ fn steady_state_epoch_allocates_nothing() {
         system.step_in_place(&actions).expect("valid actions");
         system.observation_into(budget, &mut obs);
     }
-    let da = allocs::allocations() - a0;
-    let db = allocs::allocated_bytes() - b0;
-    assert_eq!(
-        da, 0,
-        "steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
-    );
+    (allocs::allocations() - a0, allocs::allocated_bytes() - b0)
 }
 
 #[test]
@@ -447,6 +465,40 @@ fn warm_start_boot_allocates_nothing_at_steady_state() {
 
 #[test]
 fn steady_state_fleet_stepping_allocates_nothing() {
+    let (da, db) = fleet_epoch_allocations(Parallelism::Serial);
+    assert_eq!(
+        da, 0,
+        "steady-state fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+#[test]
+fn threaded_fleet_stepping_allocates_nothing() {
+    // Chips sharded across the pool: `shard_chunks` hands out chunks from
+    // the caller's stack. The counters are thread-local, so this counts
+    // the calling thread only: `shard_chunks` itself and whichever chunks
+    // the caller takes. A chunk a pool worker runs is not counted. On a
+    // single-hardware-thread host the caller runs both shards itself.
+    let (da, db) = fleet_epoch_allocations(Parallelism::Threads(2));
+    assert_eq!(
+        da, 0,
+        "2-thread fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+#[test]
+fn auto_fleet_stepping_allocates_nothing() {
+    // Calling thread only, as in `threaded_fleet_stepping_allocates_nothing`.
+    let (da, db) = fleet_epoch_allocations(Parallelism::Auto);
+    assert_eq!(
+        da, 0,
+        "auto-sharded fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+/// Allocations and bytes of 50 steady-state epochs of a faulted 4-chip
+/// fleet stepped with `parallelism` across chips, on the calling thread.
+fn fleet_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
     let scenario = Scenario {
         cores: 16,
         budget_frac: 0.6,
@@ -473,6 +525,7 @@ fn steady_state_fleet_stepping_allocates_nothing() {
         .faults(plan)
         .watchdog(true)
         .arbiter_period(25)
+        .fleet_parallelism(parallelism)
         .build_fleet(4)
         .expect("valid fleet configuration");
 
@@ -490,10 +543,5 @@ fn steady_state_fleet_stepping_allocates_nothing() {
     for _ in 0..50 {
         fleet.step_epoch().expect("fleet epoch completes");
     }
-    let da = allocs::allocations() - a0;
-    let db = allocs::allocated_bytes() - b0;
-    assert_eq!(
-        da, 0,
-        "steady-state fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
-    );
+    (allocs::allocations() - a0, allocs::allocated_bytes() - b0)
 }

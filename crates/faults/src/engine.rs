@@ -19,11 +19,10 @@
 //! bit-identical at every shard count.
 
 use crate::error::FaultError;
+use crate::expand::{burst_threshold, Expander, Path};
 use crate::plan::{ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target};
 use crate::timeline::{Edges, Timeline};
 use odrl_power::{LevelId, Watts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// The widest actuator/budget delay a plan may request, in epochs. Bounds
@@ -43,29 +42,6 @@ pub(crate) struct CompiledEvent {
     pub chip: bool,
     pub start: u64,
     pub end: u64,
-}
-
-/// SplitMix64 — the same per-stream seed derivation the simulator uses, so
-/// burst expansion is decorrelated across (burst, core) pairs.
-fn mix_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The threshold `t` with `u < p ⇔ (x >> 11) < t` for the uniform draw
-/// `u = (x >> 11) · 2⁻⁵³` that `rng.gen::<f64>()` makes from the raw bits
-/// `x`, for `0 < p ≤ 1`.
-///
-/// Proof: `m = x >> 11 < 2⁵³` converts to `f64` exactly, and scaling by a
-/// power of two is exact, so `u = m / 2⁵³` with no rounding. Likewise
-/// `q = p · 2⁵³` is exact (`p ≤ 1`, so `q ≤ 2⁵³`). Then `u < p ⇔ m < q`,
-/// and for an integer `m`, `m < q ⇔ m < ⌈q⌉`. `⌈q⌉ ≤ 2⁵³` is an integer
-/// `f64` and converts to `u64` exactly. Comparing integers skips the
-/// int-to-float conversion per draw and is bit-for-bit the same decision.
-fn burst_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A compiled, immutable fault schedule for one run (see the
@@ -149,6 +125,7 @@ impl FaultEngine {
                 end: ev.start.saturating_add(ev.duration),
             });
         }
+        let mut expander = Expander::new(Path::detect());
         for (bi, burst) in plan.bursts.iter().enumerate() {
             validate_kind(&burst.kind)?;
             if !(burst.rate_per_kepoch.is_finite() && burst.rate_per_kepoch >= 0.0) {
@@ -169,24 +146,24 @@ impl FaultEngine {
             }
             // Each (burst, core) pair draws from its own stream, so the
             // expansion never depends on iteration order elsewhere.
-            let threshold = burst_threshold(p);
-            for core in 0..cores {
-                let mut rng =
-                    StdRng::seed_from_u64(mix_seed(seed ^ (bi as u64), core as u64));
-                for epoch in burst.start..burst.end {
-                    // Same decision as `rng.gen::<f64>() < p`.
-                    if (rng.next_u64() >> 11) < threshold {
-                        events.push(CompiledEvent {
-                            kind: burst.kind,
-                            lo: core,
-                            hi: core + 1,
-                            chip: false,
-                            start: epoch,
-                            end: epoch.saturating_add(burst.duration),
-                        });
-                    }
-                }
-            }
+            let kind = burst.kind;
+            let duration = burst.duration;
+            expander.expand(
+                seed ^ (bi as u64),
+                cores,
+                burst.start..burst.end,
+                burst_threshold(p),
+                |core, epoch| {
+                    events.push(CompiledEvent {
+                        kind,
+                        lo: core,
+                        hi: core + 1,
+                        chip: false,
+                        start: epoch,
+                        end: epoch.saturating_add(duration),
+                    });
+                },
+            );
         }
         let max_delay = events
             .iter()
@@ -586,6 +563,8 @@ impl SensorView<'_> {
 mod tests {
     use super::*;
     use crate::plan::{ChipScope, FaultEvent, RandomBurst};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn plan_one(kind: FaultKind, target: Target, start: u64, duration: u64) -> FaultPlan {
         FaultPlan::new().with_event(kind, target, start, duration)
@@ -787,6 +766,58 @@ mod tests {
             "got {} events",
             a.num_events()
         );
+    }
+
+    /// FNV-1a over every compiled window, in schedule order.
+    fn window_digest(engine: &FaultEngine) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for ev in &engine.schedule.events {
+            eat(format!("{:?}", ev.kind).as_bytes());
+            eat(&(ev.lo as u64).to_le_bytes());
+            eat(&(ev.hi as u64).to_le_bytes());
+            eat(&[u8::from(ev.chip)]);
+            eat(&ev.start.to_le_bytes());
+            eat(&ev.end.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn benchmark_shaped_plan_compiles_to_its_golden_windows() {
+        // The chip fault workload's plan: five bursts of every family over
+        // 20,500 epochs on 256 cores. Pinned before burst expansion went
+        // lane-parallel; any change to the streams or the window order
+        // moves the digest.
+        let burst = |kind, rate_per_kepoch, duration| RandomBurst {
+            kind,
+            start: 0,
+            end: 20_500,
+            rate_per_kepoch,
+            duration,
+            chip: ChipScope::All,
+        };
+        let plan = FaultPlan::new()
+            .with_burst(burst(FaultKind::Sensor(SensorFault::StuckLast), 1.0, 20))
+            .with_burst(burst(
+                FaultKind::Sensor(SensorFault::Drift { rate: 0.01 }),
+                0.5,
+                50,
+            ))
+            .with_burst(burst(
+                FaultKind::Actuator(ActuatorFault::Delayed { epochs: 2 }),
+                1.0,
+                10,
+            ))
+            .with_burst(burst(FaultKind::Budget(BudgetFault::Lost), 2.0, 10))
+            .with_burst(burst(FaultKind::Core(CoreFault::Unplug), 0.1, 100));
+        let engine = FaultEngine::compile(&plan, 256, 1 ^ 0xFA17_FA17_FA17_FA17).unwrap();
+        assert_eq!(engine.num_events(), 24_109);
+        assert_eq!(window_digest(&engine), 0xb730_d41f_4ff0_0053);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Random plans (overlapping `All`/`Range`/`Core`/`Chip` targets of every
 //! fault kind, zero-duration and saturating windows, chip-scoped entries
-//! and seeded bursts) are stepped through random epoch walks — single
+//! and seeded bursts, on core counts that do and do not fill whole 16-lane
+//! expansion groups, with burst rates up to every epoch) are stepped through random epoch walks — single
 //! steps, repeats, forward jumps and one backwards seek. After every
 //! `begin_epoch`, every `FaultState` accessor, the budget channel's links
 //! and `active_at` must equal what the oracle gets by rescanning every
@@ -257,7 +258,12 @@ fn build_plan(cores: usize, chip: u32, events: &[EventSpec], bursts: &[BurstSpec
             kind: kind(ks, param),
             start,
             end: start + len,
-            rate_per_kepoch: if rs == 0 { 1500.0 } else { rate },
+            // Rates of 1000 per kilo-epoch and above hit every epoch.
+            rate_per_kepoch: match rs {
+                0 => 1500.0,
+                1 => 1000.0,
+                _ => rate,
+            },
             duration,
             chip: scope(cs, chip),
         });
@@ -371,7 +377,9 @@ proptest! {
 
     #[test]
     fn timeline_matches_a_full_rescan(
-        cores in 1usize..10,
+        // Partial and whole 16-core groups of the lane-parallel burst
+        // expansion: 1..=15, 16, 17..=31, 32, 33..=40.
+        cores in 1usize..41,
         chip in 0u32..3,
         seed in 0u64..1_000_000,
         events in prop::collection::vec(

@@ -9,19 +9,20 @@
 //! execution order — the output is **bit-identical** for any shard count,
 //! including [`Parallelism::Serial`].
 //!
-//! Shards are contiguous core ranges and results are concatenated in shard
-//! order. Execution uses a small persistent worker pool built on
-//! `std::thread` + `Mutex`/`Condvar` only (no external dependencies): an
-//! epoch's work (tens of microseconds) is far cheaper than spawning even one
-//! OS thread, so per-call `thread::scope` spawning would make every sharded
-//! run slower than serial. The pool parks its workers between epochs and
+//! Shards are contiguous core ranges, and each writes its results into its
+//! own range in place ([`shard_chunks`]). Execution uses a small
+//! persistent worker pool built on `std::thread` + `Mutex`/`Condvar` only
+//! (no external dependencies): an epoch's work (tens of microseconds) is
+//! far cheaper than spawning even one OS thread, so per-call
+//! `thread::scope` spawning would make every sharded run slower than
+//! serial. The pool parks its workers between epochs and
 //! hands each job over with a single lock/notify round trip instead. On a
 //! machine with no spare hardware threads the pool degenerates to the
 //! calling thread running every shard back to back — same chunk boundaries,
 //! same results, no handoff cost.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// How the per-core work inside an epoch is executed.
@@ -37,7 +38,12 @@ pub enum Parallelism {
     Serial,
     /// A fixed number of worker shards (clamped to at least 1).
     Threads(usize),
-    /// One shard per available hardware thread.
+    /// One shard per available hardware thread, as
+    /// `std::thread::available_parallelism` reports it the first time any
+    /// `Auto` setting or the shard pool needs it. The answer is kept for
+    /// the rest of the process (the query costs microseconds and heap
+    /// allocations), so later changes to CPU affinity or quotas are not
+    /// seen.
     Auto,
 }
 
@@ -47,7 +53,7 @@ impl Parallelism {
         let want = match self {
             Self::Serial => 1,
             Self::Threads(k) => k.max(1),
-            Self::Auto => thread::available_parallelism().map_or(1, usize::from),
+            Self::Auto => hardware_threads(),
         };
         want.min(n.max(1))
     }
@@ -56,6 +62,13 @@ impl Parallelism {
     pub fn is_parallel(self) -> bool {
         !matches!(self, Self::Serial)
     }
+}
+
+/// The process's hardware threads, queried once: sizes both
+/// [`Parallelism::Auto`] and the shard pool.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Derives the seed for one core's private RNG stream from a base seed.
@@ -71,75 +84,6 @@ pub fn stream_seed(base: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Maps `f` over `0..n`, sharded across pool workers, collecting results
-/// in index order. `f(i)` must not depend on any other index's evaluation.
-pub fn map_sharded<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(shards);
-    let slots: Vec<Mutex<Vec<R>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(shards, &|k| {
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(n);
-        *slots[k].lock().expect("result slot poisoned") = (lo..hi).map(&f).collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
-}
-
-/// Maps `f` over two zipped mutable slices, sharded across pool workers,
-/// collecting results in index order. Each index's items are visited by
-/// exactly one thread; `f(i, a, b)` must not depend on evaluation order.
-pub fn zip_map_sharded<A, B, R, F>(par: Parallelism, a: &mut [A], b: &mut [B], f: F) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    R: Send,
-    F: Fn(usize, &mut A, &mut B) -> R + Sync,
-{
-    let n = a.len();
-    assert_eq!(n, b.len(), "zipped slices must have equal length");
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .enumerate()
-            .map(|(i, (x, y))| f(i, x, y))
-            .collect();
-    }
-    let chunk = n.div_ceil(shards);
-    let work: Vec<Mutex<(&mut [A], &mut [B])>> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .map(|(ca, cb)| Mutex::new((ca, cb)))
-        .collect();
-    let slots: Vec<Mutex<Vec<R>>> = (0..work.len()).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(work.len(), &|k| {
-        let mut w = work[k].lock().expect("work slot poisoned");
-        let (ca, cb) = &mut *w;
-        let base = k * chunk;
-        *slots[k].lock().expect("result slot poisoned") = ca
-            .iter_mut()
-            .zip(cb.iter_mut())
-            .enumerate()
-            .map(|(j, (x, y))| f(base + j, x, y))
-            .collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
 }
 
 /// Per-core state that can be split into contiguous shard chunks for
@@ -196,12 +140,15 @@ impl_shard_split_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8);
 /// Runs `f(base_index, chunk)` over contiguous chunks of `state`, sharded
 /// across pool workers.
 ///
-/// This is the zero-collection counterpart of [`zip_map_sharded`]: the
-/// caller's closure writes its results directly into the mutable chunk it
-/// receives, so the serial path ([`Parallelism::Serial`] or a single shard)
-/// performs **no heap allocation at all** — it is exactly `f(0, state)`.
-/// Chunk boundaries match the other sharded helpers (`ceil(n / shards)`
-/// items per chunk), and per-item work must not depend on any other item's
+/// The caller's closure writes its results directly into the mutable chunk
+/// it receives, so nothing is collected. The serial path
+/// ([`Parallelism::Serial`] or a single shard) is exactly `f(0, state)`.
+/// The pool path allocates nothing either: the remaining state sits behind
+/// one lock on the caller's stack, and each pool shard splits the next
+/// `ceil(n / shards)` items off its front and runs `f` on them. Chunk
+/// boundaries, and the `base_index` each chunk is run with, therefore
+/// depend only on `n` and the shard count, never on which thread takes
+/// which chunk. Per-item work must not depend on any other item's
 /// evaluation, so results are bit-identical for every shard count.
 pub fn shard_chunks<S, F>(par: Parallelism, state: S, f: F)
 where
@@ -215,86 +162,21 @@ where
         return;
     }
     let chunk = n.div_ceil(shards);
-    let mut work: Vec<Mutex<Option<(usize, S)>>> = Vec::with_capacity(shards);
-    let mut base = 0usize;
-    let mut rest = Some(state);
-    while let Some(s) = rest.take() {
-        if s.shard_len() > chunk {
-            let (head, tail) = s.split_at_mut(chunk);
-            work.push(Mutex::new(Some((base, head))));
-            base += chunk;
-            rest = Some(tail);
-        } else {
-            work.push(Mutex::new(Some((base, s))));
-        }
-    }
-    pool::global().run_shards(work.len(), &|k| {
-        let (b, chunk_state) = work[k]
-            .lock()
-            .expect("work slot poisoned")
-            .take()
-            .expect("each chunk is taken exactly once");
-        f(b, chunk_state);
+    let rest = Mutex::new(Some((0usize, state)));
+    pool::global().run_shards(n.div_ceil(chunk), &|_| {
+        let (base, head) = {
+            let mut rest = rest.lock().expect("shard state poisoned");
+            let (base, s) = rest.take().expect("the pool runs one shard per chunk");
+            if s.shard_len() > chunk {
+                let (head, tail) = s.split_at_mut(chunk);
+                *rest = Some((base + chunk, tail));
+                (base, head)
+            } else {
+                (base, s)
+            }
+        };
+        f(base, head);
     });
-}
-
-/// Maps `f` over three zipped mutable slices, sharded across pool workers,
-/// collecting results in index order. Same contract as
-/// [`zip_map_sharded`].
-pub fn zip3_map_sharded<A, B, C, R, F>(
-    par: Parallelism,
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    f: F,
-) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    R: Send,
-    F: Fn(usize, &mut A, &mut B, &mut C) -> R + Sync,
-{
-    let n = a.len();
-    assert!(
-        n == b.len() && n == c.len(),
-        "zipped slices must have equal length"
-    );
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .zip(c.iter_mut())
-            .enumerate()
-            .map(|(i, ((x, y), z))| f(i, x, y, z))
-            .collect();
-    }
-    let chunk = n.div_ceil(shards);
-    #[allow(clippy::type_complexity)]
-    let work: Vec<Mutex<(&mut [A], &mut [B], &mut [C])>> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .zip(c.chunks_mut(chunk))
-        .map(|((ca, cb), cc)| Mutex::new((ca, cb, cc)))
-        .collect();
-    let slots: Vec<Mutex<Vec<R>>> = (0..work.len()).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(work.len(), &|k| {
-        let mut w = work[k].lock().expect("work slot poisoned");
-        let (ca, cb, cc) = &mut *w;
-        let base = k * chunk;
-        *slots[k].lock().expect("result slot poisoned") = ca
-            .iter_mut()
-            .zip(cb.iter_mut())
-            .zip(cc.iter_mut())
-            .enumerate()
-            .map(|(j, ((x, y), z))| f(base + j, x, y, z))
-            .collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
 }
 
 mod pool {
@@ -347,15 +229,14 @@ mod pool {
     }
 
     /// The process-wide pool, created on first parallel use. It keeps at
-    /// most `available_parallelism - 1` workers, so a machine with a single
-    /// hardware thread gets none: every shard then runs on the calling
-    /// thread, and sharded execution costs the same as serial.
+    /// most one worker per hardware thread but the caller's (the same
+    /// once-per-process count [`Parallelism::Auto`](super::Parallelism::Auto)
+    /// resolves to), so a machine with a single hardware thread gets none:
+    /// every shard then runs on the calling thread, and sharded execution
+    /// costs the same as serial.
     pub(super) fn global() -> &'static ShardPool {
         static POOL: OnceLock<&'static ShardPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            let spare = thread::available_parallelism().map_or(1, usize::from) - 1;
-            Box::leak(Box::new(ShardPool::new(spare)))
-        })
+        POOL.get_or_init(|| Box::leak(Box::new(ShardPool::new(super::hardware_threads() - 1))))
     }
 
     impl ShardPool {
@@ -496,31 +377,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).shards(100), 1);
         assert_eq!(Parallelism::Threads(16).shards(3), 3);
         assert!(Parallelism::Auto.shards(1000) >= 1);
-    }
-
-    #[test]
-    fn map_sharded_matches_serial() {
-        let serial = map_sharded(Parallelism::Serial, 37, |i| i * i);
-        for threads in [2, 4, 8] {
-            let par = map_sharded(Parallelism::Threads(threads), 37, |i| i * i);
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn zip_map_sharded_mutates_every_item_once() {
-        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let mut a = vec![0u64; 25];
-            let mut b = vec![0u64; 25];
-            let r = zip_map_sharded(par, &mut a, &mut b, |i, x, y| {
-                *x += 1;
-                *y += i as u64;
-                i
-            });
-            assert_eq!(r, (0..25).collect::<Vec<_>>());
-            assert!(a.iter().all(|&v| v == 1));
-            assert_eq!(b, (0..25).map(|i| i as u64).collect::<Vec<_>>());
-        }
     }
 
     #[test]
