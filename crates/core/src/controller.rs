@@ -25,8 +25,8 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The per-core learner: plain/SARSA tabular agent or a double-Q pair,
-/// chosen by [`OdRlConfig::algorithm`].
+/// The per-core learner: a Q-learning agent or a double-Q pair, chosen by
+/// [`OdRlConfig::algorithm`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 enum CoreAgent {
     Single(Agent),
@@ -45,7 +45,6 @@ impl CoreAgent {
     #[inline]
     fn decide<R: Rng + ?Sized>(
         &mut self,
-        algorithm: Algorithm,
         s_next: usize,
         draw: Option<u64>,
         scan: Option<(usize, f64)>,
@@ -53,7 +52,7 @@ impl CoreAgent {
         cache: &mut EpsCache,
     ) -> Result<(usize, bool, f64), RlError> {
         match self {
-            Self::Single(agent) => agent.decide(algorithm, s_next, draw, scan, rng, cache),
+            Self::Single(agent) => agent.decide(s_next, draw, scan, rng, cache),
             Self::Double(agent) => agent.decide(s_next, draw, rng, cache),
         }
     }
@@ -939,14 +938,7 @@ impl RlPass<'_> {
                     (usize::from(best), max_v)
                 });
                 let (a_next, explored, bootstrap) = agents[j]
-                    .decide(
-                        self.config.algorithm,
-                        s_next,
-                        draws[j],
-                        scan,
-                        &mut rngs[j],
-                        &mut cache,
-                    )
+                    .decide(s_next, draws[j], scan, &mut rngs[j], &mut cache)
                     .expect("encoded state and indices are in range");
                 boots[j] = bootstrap;
                 if diag_on {
@@ -1545,11 +1537,7 @@ mod tests {
     #[test]
     fn every_algorithm_variant_runs() {
         use odrl_rl::Algorithm;
-        for algorithm in [
-            Algorithm::QLearning,
-            Algorithm::Sarsa,
-            Algorithm::DoubleQLearning,
-        ] {
+        for algorithm in [Algorithm::QLearning, Algorithm::DoubleQLearning] {
             let config = SystemConfig::builder().cores(8).seed(4).build().unwrap();
             let budget = Watts::new(0.6 * config.max_power().value());
             let mut system = System::new(config).unwrap();
@@ -1791,7 +1779,7 @@ mod tests {
         use odrl_manycore::Parallelism;
         use odrl_rl::{QTableLayout, Schedule};
         const CORES: usize = 96;
-        const GOLDEN: u64 = 17422482150650160346;
+        const GOLDEN: u64 = 7625338881224104347;
 
         let softmax = Policy::Softmax {
             temperature: Schedule::constant(0.5).unwrap(),
@@ -1822,11 +1810,6 @@ mod tests {
                 seed: 17,
                 layout,
                 parallelism: par,
-                algorithm: if case.is_multiple_of(2) {
-                    Algorithm::QLearning
-                } else {
-                    Algorithm::Sarsa
-                },
                 ..OdRlConfig::default()
             };
             let mut ctrl = OdRlController::new(cfg.clone(), &system.spec(), budget).unwrap();

@@ -149,15 +149,11 @@ proptest! {
         penalty in 0.0f64..8.0,
         realloc_period in 1u64..40,
         realloc_gain in 0.05f64..1.0,
-        algorithm_idx in 0usize..3,
+        algorithm_idx in 0usize..2,
         thermal in prop::option::of(50.0f64..110.0),
     ) {
         use odrl_rl::{Algorithm, Schedule};
-        let algorithm = [
-            Algorithm::QLearning,
-            Algorithm::Sarsa,
-            Algorithm::DoubleQLearning,
-        ][algorithm_idx];
+        let algorithm = [Algorithm::QLearning, Algorithm::DoubleQLearning][algorithm_idx];
         let config = OdRlConfig {
             power_bins,
             mem_bins,

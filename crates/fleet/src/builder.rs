@@ -6,16 +6,22 @@
 //! start, a parallelism override — and finish with
 //! [`RunBuilder::build_chip`] (one system + controller pair) or
 //! [`RunBuilder::build_fleet`] (N chips under the rack arbiter).
+//!
+//! The builder is a thin front over [`FleetConfig`], the one run
+//! description, and both builds assemble their chips through the same
+//! path (`FleetConfig::assemble_chip`), so a chip run and chip 0 of a
+//! one-chip fleet get the same tracing, diagnostics, watchdog and fault
+//! wiring. They differ only in seeding: a chip run uses the scenario seed
+//! as is, while fleet chips decorrelate theirs (see [`Fleet::new`]).
 
 use crate::config::FleetConfig;
 use crate::error::FleetError;
 use crate::fleet::Fleet;
 use crate::scenario::{build_controller, ControllerKind, Scenario};
 use odrl_controllers::PowerController;
-use odrl_core::{OdRlConfig, WatchdogConfig};
+use odrl_core::{OdRlConfig, PolicySnapshot, WatchdogConfig};
 use odrl_faults::FaultPlan;
-use odrl_manycore::{Parallelism, System};
-use odrl_core::PolicySnapshot;
+use odrl_manycore::{Parallelism, System, SystemConfig};
 use odrl_obs::{ObsConfig, RecorderConfig};
 use odrl_power::Watts;
 use std::path::PathBuf;
@@ -32,14 +38,6 @@ pub struct ChipRun {
     pub budget: Watts,
 }
 
-impl ChipRun {
-    /// Splits into the `(system, controller, budget)` triple the legacy
-    /// bench helpers returned.
-    pub fn into_parts(self) -> (System, Box<dyn PowerController + Send>, Watts) {
-        (self.system, self.controller, self.budget)
-    }
-}
-
 impl std::fmt::Debug for ChipRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChipRun")
@@ -49,52 +47,96 @@ impl std::fmt::Debug for ChipRun {
     }
 }
 
-/// Composable builder for single-chip and fleet runs.
+// Chip assembly, shared by `RunBuilder::build_chip` and `Fleet::new`.
+impl FleetConfig {
+    /// The system configuration of one chip seeded with `seed`, with
+    /// structured tracing on when the run traces.
+    pub(crate) fn chip_system_config(&self, seed: u64) -> Result<SystemConfig, FleetError> {
+        let scenario = Scenario {
+            seed,
+            ..self.scenario.clone()
+        };
+        let mut config = scenario.try_system_config()?;
+        if self.traces() {
+            config.obs = ObsConfig::enabled();
+        }
+        Ok(config)
+    }
+
+    /// Loads the warm-start snapshot, if one is configured.
+    pub(crate) fn load_warm_start(&self) -> Result<Option<PolicySnapshot>, FleetError> {
+        self.warm_start
+            .as_ref()
+            .map(|path| {
+                PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
+                    field: "warm_start",
+                    reason: format!("cannot load snapshot from {}: {e}", path.display()),
+                })
+            })
+            .transpose()
+    }
+
+    /// Assembles chip `chip` of the run under `budget`: builds the system
+    /// from `system` (see [`FleetConfig::chip_system_config`]), attaches
+    /// the fault plan as that fleet index, and builds the controller with
+    /// the run's intra-chip parallelism, watchdog, tracing and
+    /// diagnostics. `explore_salt` is XORed into the OD-RL exploration
+    /// seed (0 keeps the configured seed).
+    pub(crate) fn assemble_chip(
+        &self,
+        chip: u32,
+        system: SystemConfig,
+        explore_salt: u64,
+        budget: Watts,
+        warm: Option<&PolicySnapshot>,
+    ) -> Result<ChipRun, FleetError> {
+        let mut system = System::new(system)?;
+        if let Some(plan) = &self.plan {
+            system.attach_faults_for_chip(plan, chip)?;
+        }
+        let mut odrl = self.odrl.clone();
+        odrl.parallelism = self.scenario.parallelism;
+        odrl.seed ^= explore_salt;
+        if self.watchdog {
+            odrl.watchdog = WatchdogConfig::enabled();
+        }
+        // Diagnostics exist for the recorder, which reads them.
+        if self.recorder.is_some() {
+            odrl.obs = ObsConfig::with_diagnostics();
+        } else if self.traces() {
+            odrl.obs = ObsConfig::enabled();
+        }
+        let controller =
+            build_controller(self.controller, &system, budget, odrl, self.watchdog, warm)?;
+        Ok(ChipRun {
+            system,
+            controller,
+            budget,
+        })
+    }
+}
+
+/// Composable builder for single-chip and fleet runs: chained setters
+/// over one [`FleetConfig`].
 #[derive(Debug, Clone)]
 pub struct RunBuilder {
-    scenario: Scenario,
-    kind: ControllerKind,
-    odrl: OdRlConfig,
-    plan: Option<FaultPlan>,
-    watchdog: bool,
-    obs: bool,
-    recorder: Option<RecorderConfig>,
-    arbiter_period: u64,
-    arbiter_gain: f64,
-    min_share: f64,
-    demand_smoothing: f64,
-    fleet_parallelism: Parallelism,
-    warm_start: Option<PathBuf>,
+    config: FleetConfig,
 }
 
 impl RunBuilder {
-    /// Starts a builder from a scenario, with the defaults the legacy
-    /// helpers used: OD-RL, default `OdRlConfig`, no faults, no watchdog,
-    /// no tracing, and (for fleets) the [`FleetConfig::new`] arbiter
-    /// policy.
+    /// Starts a builder from a scenario with the [`FleetConfig::new`]
+    /// defaults: OD-RL, default `OdRlConfig`, no faults, no watchdog, no
+    /// tracing, and (for fleets) the default arbiter policy.
     pub fn new(scenario: Scenario) -> Self {
-        let defaults = FleetConfig::new(1, scenario);
         Self {
-            scenario: defaults.scenario,
-            kind: defaults.controller,
-            odrl: defaults.odrl,
-            plan: None,
-            watchdog: false,
-            obs: false,
-            recorder: None,
-            arbiter_period: defaults.arbiter_period,
-            arbiter_gain: defaults.arbiter_gain,
-            min_share: defaults.min_share,
-            demand_smoothing: defaults.demand_smoothing,
-            fleet_parallelism: Parallelism::Serial,
-            warm_start: None,
+            config: FleetConfig::new(1, scenario),
         }
     }
 
     /// Which controller drives the run (default OD-RL).
     #[must_use]
     pub fn controller(mut self, kind: ControllerKind) -> Self {
-        self.kind = kind;
+        self.config.controller = kind;
         self
     }
 
@@ -104,14 +146,14 @@ impl RunBuilder {
     /// watchdog and tracing fields.
     #[must_use]
     pub fn odrl(mut self, odrl: OdRlConfig) -> Self {
-        self.odrl = odrl;
+        self.config.odrl = odrl;
         self
     }
 
     /// Attach a fault plan (chip-scoped entries apply per fleet index).
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.plan = Some(plan);
+        self.config.plan = Some(plan);
         self
     }
 
@@ -120,34 +162,32 @@ impl RunBuilder {
     /// take no degradation machinery either way.
     #[must_use]
     pub fn watchdog(mut self, watchdog: bool) -> Self {
-        self.watchdog = watchdog;
+        self.config.watchdog = watchdog;
         self
     }
 
     /// Enable structured tracing on the system(s) and controller(s).
     #[must_use]
     pub fn obs(mut self, obs: bool) -> Self {
-        self.obs = obs;
+        self.config.obs = obs;
         self
     }
 
-    /// Attach the anomaly-triggered flight recorder at rack scope (fleet
-    /// builds only). Implies [`RunBuilder::obs`] and learning-health
-    /// diagnostics (TD-error / Q-span / visit-spread summaries,
-    /// exploration rate, quantized-storage health), which on fleet builds
-    /// aggregate per-chip snapshots into rack-level `FleetMetrics`. Pass
-    /// `RecorderConfig::default()` for the stock watermark rules.
+    /// Attach the anomaly-triggered flight recorder at rack scope (see
+    /// [`FleetConfig::recorder`]). Implies tracing and learning-health
+    /// diagnostics on every chip, chip builds included; only fleet builds
+    /// aggregate and record. Pass `RecorderConfig::default()` for the
+    /// stock watermark rules.
     #[must_use]
     pub fn recorder(mut self, config: RecorderConfig) -> Self {
-        self.recorder = Some(config);
-        self.obs = true;
+        self.config.recorder = Some(config);
         self
     }
 
     /// Override the scenario's intra-chip parallelism.
     #[must_use]
     pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.scenario.parallelism = par;
+        self.config.scenario.parallelism = par;
         self
     }
 
@@ -156,14 +196,14 @@ impl RunBuilder {
     /// parallelism.
     #[must_use]
     pub fn fleet_parallelism(mut self, par: Parallelism) -> Self {
-        self.fleet_parallelism = par;
+        self.config.parallelism = par;
         self
     }
 
     /// Epochs between fleet budget reallocation rounds (fleet runs only).
     #[must_use]
     pub fn arbiter_period(mut self, period: u64) -> Self {
-        self.arbiter_period = period;
+        self.config.arbiter_period = period;
         self
     }
 
@@ -171,7 +211,7 @@ impl RunBuilder {
     /// runs only).
     #[must_use]
     pub fn arbiter_gain(mut self, gain: f64) -> Self {
-        self.arbiter_gain = gain;
+        self.config.arbiter_gain = gain;
         self
     }
 
@@ -181,55 +221,26 @@ impl RunBuilder {
     /// chip; only OD-RL controller kinds accept a warm start.
     #[must_use]
     pub fn warm_start<P: Into<PathBuf>>(mut self, path: P) -> Self {
-        self.warm_start = Some(path.into());
+        self.config.warm_start = Some(path.into());
         self
     }
 
-    /// Builds one chip: system (faults attached as chip 0, tracing per
-    /// [`RunBuilder::obs`]), controller (watchdog wiring per
-    /// [`RunBuilder::watchdog`]), and the resolved budget.
+    /// Builds one chip: the scenario's system as chip 0 (faults attached
+    /// for that index, tracing per [`RunBuilder::obs`]), its controller
+    /// (watchdog wiring per [`RunBuilder::watchdog`]), and the budget the
+    /// scenario's fraction resolves to. The fleet-only settings are
+    /// ignored and not validated.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError`] for invalid scenarios, fault plans, or
     /// controller configurations.
     pub fn build_chip(self) -> Result<ChipRun, FleetError> {
-        let mut config = self.scenario.try_system_config()?;
-        if self.obs {
-            config.obs = ObsConfig::enabled();
-        }
-        let budget = Watts::new(self.scenario.budget_frac * config.max_power().value());
-        let mut system = System::new(config)?;
-        if let Some(plan) = &self.plan {
-            system.attach_faults(plan)?;
-        }
-        let mut odrl = self.odrl;
-        odrl.parallelism = self.scenario.parallelism;
-        if self.watchdog {
-            odrl.watchdog = WatchdogConfig::enabled();
-        }
-        if self.recorder.is_some() {
-            odrl.obs = ObsConfig::with_diagnostics();
-        } else if self.obs {
-            odrl.obs = ObsConfig::enabled();
-        }
-        let warm = self
-            .warm_start
-            .as_ref()
-            .map(|path| {
-                PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
-                    field: "warm_start",
-                    reason: format!("cannot load snapshot from {}: {e}", path.display()),
-                })
-            })
-            .transpose()?;
-        let controller =
-            build_controller(self.kind, &system, budget, odrl, self.watchdog, warm.as_ref())?;
-        Ok(ChipRun {
-            system,
-            controller,
-            budget,
-        })
+        let config = &self.config;
+        let system = config.chip_system_config(config.scenario.seed)?;
+        let budget = Watts::new(config.scenario.budget_frac * system.max_power().value());
+        let warm = config.load_warm_start()?;
+        config.assemble_chip(0, system, 0, budget, warm.as_ref())
     }
 
     /// Builds a fleet of `chips` replicas of the scenario under the rack
@@ -238,24 +249,8 @@ impl RunBuilder {
     /// # Errors
     ///
     /// As [`Fleet::new`].
-    pub fn build_fleet(self, chips: usize) -> Result<Fleet, FleetError> {
-        let config = FleetConfig {
-            chips,
-            scenario: self.scenario,
-            controller: self.kind,
-            odrl: self.odrl,
-            plan: self.plan,
-            watchdog: self.watchdog,
-            obs: self.obs,
-            diag: self.recorder.is_some(),
-            recorder: self.recorder,
-            arbiter_period: self.arbiter_period,
-            arbiter_gain: self.arbiter_gain,
-            min_share: self.min_share,
-            demand_smoothing: self.demand_smoothing,
-            parallelism: self.fleet_parallelism,
-            warm_start: self.warm_start,
-        };
-        Fleet::new(config)
+    pub fn build_fleet(mut self, chips: usize) -> Result<Fleet, FleetError> {
+        self.config.chips = chips;
+        Fleet::new(self.config)
     }
 }

@@ -15,6 +15,10 @@ use std::path::PathBuf;
 ///
 /// The fleet budget is `scenario.budget_frac × Σ chip max power` — the
 /// same fraction a single-chip run uses, scaled to the fleet.
+///
+/// It is also the one run description behind
+/// [`RunBuilder`](crate::RunBuilder): a chip build reads the per-chip
+/// fields and ignores `chips`, the arbiter policy and `parallelism`.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of chips in the fleet.
@@ -40,18 +44,17 @@ pub struct FleetConfig {
     pub watchdog: bool,
     /// Enable structured tracing on every chip's system and controller.
     pub obs: bool,
-    /// Record learning-health diagnostics on every chip (TD-error,
-    /// greedy-Q-span and visit-spread summaries, exploration rate,
-    /// quantized-storage health) and aggregate per-chip metric snapshots
-    /// into rack-level [`FleetMetrics`](odrl_obs::FleetMetrics) each
-    /// epoch. Requires [`FleetConfig::obs`]. Off by default; when off the
-    /// run is bit-identical to a plain `obs` run.
-    pub diag: bool,
-    /// Attach the anomaly-triggered flight recorder at rack scope: each
-    /// epoch a [`HealthSample`](odrl_obs::HealthSample) derived from the
+    /// Attach the anomaly-triggered flight recorder at rack scope. It
+    /// implies [`FleetConfig::obs`] and learning-health diagnostics on
+    /// every chip (TD-error, greedy-Q-span and visit-spread summaries,
+    /// exploration rate, quantized-storage health), whose per-chip metric
+    /// snapshots aggregate into rack-level
+    /// [`FleetMetrics`](odrl_obs::FleetMetrics) each epoch. Each epoch a
+    /// [`HealthSample`](odrl_obs::HealthSample) derived from the
     /// aggregated metrics is checked against the configured watermark
     /// rules, and a trip dumps the last-window merged trace plus the
-    /// combined metrics snapshot. Requires [`FleetConfig::diag`].
+    /// combined metrics snapshot. Off by default; the recorder only reads
+    /// simulation state, so the run's bits match a plain `obs` run.
     pub recorder: Option<RecorderConfig>,
     /// Epochs between fleet budget reallocation rounds. Deliberately
     /// coarser than the intra-chip reallocation period by default: the
@@ -88,7 +91,6 @@ impl FleetConfig {
             plan: None,
             watchdog: false,
             obs: false,
-            diag: false,
             recorder: None,
             arbiter_period: 40,
             arbiter_gain: 0.5,
@@ -143,21 +145,7 @@ impl FleetConfig {
                 ),
             });
         }
-        if self.diag && !self.obs {
-            return Err(FleetError::InvalidConfig {
-                field: "diag",
-                reason: "learning-health diagnostics require obs (structured tracing)".into(),
-            });
-        }
         if let Some(rec) = &self.recorder {
-            if !self.diag {
-                return Err(FleetError::InvalidConfig {
-                    field: "recorder",
-                    reason: "the flight recorder needs diag (it reads the aggregated \
-                             learning-health metrics)"
-                        .into(),
-                });
-            }
             if rec.window == 0 {
                 return Err(FleetError::InvalidConfig {
                     field: "recorder",
@@ -190,6 +178,12 @@ impl FleetConfig {
         }
         self.odrl.validate()?;
         Ok(())
+    }
+
+    /// Whether every chip traces: [`FleetConfig::obs`], or implied by the
+    /// recorder.
+    pub(crate) fn traces(&self) -> bool {
+        self.obs || self.recorder.is_some()
     }
 }
 
@@ -228,18 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_recorder_require_their_parents() {
+    fn recorder_settings_are_validated() {
         let mut c = FleetConfig::new(2, Scenario::default_eval());
-        c.diag = true;
-        assert!(c.validate().is_err());
-        c.obs = true;
-        assert!(c.validate().is_ok());
         c.recorder = Some(RecorderConfig::default());
         assert!(c.validate().is_ok());
-        c.diag = false;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("recorder"), "{err}");
-        c.diag = true;
+        assert!(c.traces());
         c.recorder = Some(RecorderConfig {
             window: 0,
             ..RecorderConfig::default()
@@ -250,6 +237,12 @@ mod tests {
             ..RecorderConfig::default()
         });
         assert!(c.validate().is_err());
+        c.recorder = Some(RecorderConfig {
+            max_dumps: 0,
+            ..RecorderConfig::default()
+        });
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("max_dumps"), "{err}");
     }
 
     #[test]

@@ -24,18 +24,17 @@
 //! action and scalar buffers are built once per chip at construction.
 
 use crate::arbiter::BudgetArbiter;
+use crate::builder::ChipRun;
 use crate::config::FleetConfig;
 use crate::error::FleetError;
-use crate::scenario::build_controller;
 use odrl_controllers::PowerController;
-use odrl_core::{PolicySnapshot, WatchdogConfig};
 use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed};
 use odrl_manycore::{Observation, Parallelism, System, SystemError, Telemetry};
 use odrl_obs::{
     merge_fleet_records, write_fleet_jsonl, AnomalyDump, AnomalyKind, CounterId, Event,
     EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId, HealthSample,
-    MetricsSnapshot, ObsConfig, RecorderConfig, TraceRing, RACK,
+    MetricsSnapshot, RecorderConfig, TraceRing, RACK,
 };
 use odrl_power::{Joules, LevelId, Seconds, Watts};
 use serde::Serialize;
@@ -217,15 +216,15 @@ struct RackIds {
 }
 
 /// Rack-scope observability: hierarchical metric aggregation over the
-/// chips' per-epoch snapshots, rack-level gauges, and the optional
+/// chips' per-epoch snapshots, rack-level gauges, and the
 /// anomaly-triggered flight recorder. Present only when
-/// [`FleetConfig::diag`] is set; everything here reads simulation state
-/// and never feeds back into it, so the run is bit-identical with it on
-/// or off.
+/// [`FleetConfig::recorder`] is set; everything here reads simulation
+/// state and never feeds back into it, so the run is bit-identical with
+/// it on or off.
 #[derive(Debug)]
 struct FleetObs {
     metrics: FleetMetrics,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
     /// Rack-scope events (anomaly trips), exported as chip [`RACK`].
     ring: TraceRing,
     /// The combined `fleet_*` + `rack_*` snapshot, refreshed each epoch.
@@ -247,7 +246,7 @@ struct FleetObs {
 }
 
 impl FleetObs {
-    fn new(recorder: Option<RecorderConfig>) -> Self {
+    fn new(recorder: RecorderConfig) -> Self {
         let mut metrics = FleetMetrics::new();
         let reg = metrics.rack_mut();
         let ids = RackIds {
@@ -257,7 +256,7 @@ impl FleetObs {
         };
         Self {
             metrics,
-            recorder: recorder.map(FlightRecorder::new),
+            recorder: FlightRecorder::new(recorder),
             ring: TraceRing::with_capacity(256),
             snapshot: MetricsSnapshot::default(),
             ids,
@@ -287,7 +286,7 @@ pub struct Fleet {
     epoch: u64,
     telemetry: FleetTelemetry,
     /// Rack-scope metric aggregation + flight recorder, when
-    /// [`FleetConfig::diag`] is set.
+    /// [`FleetConfig::recorder`] is set.
     obs: Option<FleetObs>,
 }
 
@@ -309,12 +308,8 @@ impl Fleet {
         let mut sys_configs = Vec::with_capacity(n);
         let mut fleet_max = 0.0;
         for k in 0..n {
-            let mut scenario = config.scenario.clone();
-            scenario.seed = stream_seed(config.scenario.seed, k as u64);
-            let mut sys_config = scenario.try_system_config()?;
-            if config.obs {
-                sys_config.obs = ObsConfig::enabled();
-            }
+            let sys_config =
+                config.chip_system_config(stream_seed(config.scenario.seed, k as u64))?;
             fleet_max += sys_config.max_power().value();
             sys_configs.push(sys_config);
         }
@@ -338,44 +333,18 @@ impl Fleet {
         let channel = FaultEngine::compile(&fleet_plan, n, channel_seed)?.budget_channel();
         // Warm start: load the snapshot once; every chip imports a copy of
         // the same learned tables (exploration stays decorrelated by seed).
-        let warm = config
-            .warm_start
-            .as_ref()
-            .map(|path| {
-                PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
-                    field: "warm_start",
-                    reason: format!("cannot load snapshot from {}: {e}", path.display()),
-                })
-            })
-            .transpose()?;
+        let warm = config.load_warm_start()?;
         let mut chips = Vec::with_capacity(n);
         for (k, sys_config) in sys_configs.into_iter().enumerate() {
-            let mut system = System::new(sys_config)?;
-            if let Some(plan) = &config.plan {
-                system.attach_faults_for_chip(plan, k as u32)?;
-            }
-            let mut odrl = config.odrl.clone();
-            odrl.parallelism = config.scenario.parallelism;
-            if config.watchdog {
-                odrl.watchdog = WatchdogConfig::enabled();
-            }
-            if config.diag {
-                odrl.obs = ObsConfig::with_diagnostics();
-            } else if config.obs {
-                odrl.obs = ObsConfig::enabled();
-            }
             // Decorrelate exploration across chips (uniformly, so a
             // one-chip fleet is still a fleet, not a disguised chip run).
-            odrl.seed ^= stream_seed(config.scenario.seed ^ ODRL_SEED_SALT, k as u64);
+            let explore_salt = stream_seed(config.scenario.seed ^ ODRL_SEED_SALT, k as u64);
             let budget = Watts::new(arbiter.shares()[k]);
-            let controller = build_controller(
-                config.controller,
-                &system,
+            let ChipRun {
+                system,
+                controller,
                 budget,
-                odrl,
-                config.watchdog,
-                warm.as_ref(),
-            )?;
+            } = config.assemble_chip(k as u32, sys_config, explore_salt, budget, warm.as_ref())?;
             let obs = system.observation(budget);
             let cores = system.num_cores();
             chips.push(FleetChip {
@@ -400,7 +369,7 @@ impl Fleet {
             parallelism: config.parallelism,
             epoch: 0,
             telemetry: FleetTelemetry::default(),
-            obs: config.diag.then(|| FleetObs::new(config.recorder.clone())),
+            obs: config.recorder.map(FleetObs::new),
         })
     }
 
@@ -456,15 +425,15 @@ impl Fleet {
         self.chips[k].system.telemetry()
     }
 
-    /// The rack-scope metric aggregator, when [`FleetConfig::diag`] is
-    /// set: per-chip snapshots merged with the exact summary algebra plus
+    /// The rack-scope metric aggregator, when [`FleetConfig::recorder`]
+    /// is set: per-chip snapshots merged with the exact summary algebra plus
     /// the rack registry (share spread, link loss rate).
     pub fn fleet_metrics(&self) -> Option<&FleetMetrics> {
         self.obs.as_ref().map(|fo| &fo.metrics)
     }
 
     /// The latest combined `fleet_*` + `rack_*` metrics snapshot, `None`
-    /// until the first diagnosed epoch (or with diagnostics off).
+    /// until the first diagnosed epoch (or with the recorder off).
     pub fn fleet_snapshot(&self) -> Option<&MetricsSnapshot> {
         self.obs
             .as_ref()
@@ -475,7 +444,7 @@ impl Fleet {
     /// The anomaly-triggered flight recorder, when
     /// [`FleetConfig::recorder`] attached one.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.obs.as_ref().and_then(|fo| fo.recorder.as_ref())
+        self.obs.as_ref().map(|fo| &fo.recorder)
     }
 
     /// Completed anomaly dumps in trip order (empty with the recorder
@@ -605,58 +574,56 @@ impl Fleet {
         // Refresh the combined snapshot before any dump so a trip
         // captures this epoch's state.
         fo.metrics.snapshot_into(&mut fo.snapshot);
-        if let Some(rec) = &mut fo.recorder {
-            let sample = HealthSample {
-                epoch,
-                overshoot: fleet_power.value() > self.total_budget.value(),
-                td_max_abs: td_epoch,
-                watchdog_flips: d_flips,
-                messages_sent: d_sent,
-                messages_lost: d_lost,
-            };
-            if let Some(kind) = rec.observe(&sample) {
-                let value = match kind {
-                    AnomalyKind::OvershootStreak => fleet_power.value(),
-                    AnomalyKind::TdErrorBlowup => td_epoch,
-                    AnomalyKind::WatchdogFlipBurst => d_flips as f64,
-                    AnomalyKind::BudgetLossSpike => loss,
-                };
-                fo.metrics.rack_mut().inc(ids.c_anomalies);
-                fo.ring.record(epoch, 0, Event::Anomaly { kind, value });
-                // Assemble the dump: header, combined snapshot, then the
-                // last-window merged trace (chips + rack, canonical
-                // `(epoch, chip, rank, core)` order → bytes are shard-
-                // invariant).
-                let window = rec.config().window;
-                let since = (epoch + 1).saturating_sub(window);
-                fo.trace_scratch.clear();
-                self.collect_trace(
-                    Some(&fo.ring),
-                    since,
-                    &mut fo.chip_scratch,
-                    &mut fo.trace_scratch,
-                );
-                merge_fleet_records(&mut fo.trace_scratch);
-                use std::io::Write as _;
-                let out = &mut fo.render;
-                out.clear();
-                writeln!(
-                    out,
-                    "# odrl_flight_record epoch {epoch} rule {} window {window}",
-                    kind.name()
-                )
-                .expect("write to Vec cannot fail");
-                fo.snapshot
-                    .write_prometheus(out)
-                    .expect("write to Vec cannot fail");
-                writeln!(out, "# odrl_trace").expect("write to Vec cannot fail");
-                write_fleet_jsonl(out, &fo.trace_scratch).expect("write to Vec cannot fail");
-                rec.record_dump(epoch, kind, out.clone());
-                // Re-snapshot so the exported combined snapshot reflects
-                // the anomaly counter bump.
-                fo.metrics.snapshot_into(&mut fo.snapshot);
-            }
-        }
+        let sample = HealthSample {
+            epoch,
+            overshoot: fleet_power.value() > self.total_budget.value(),
+            td_max_abs: td_epoch,
+            watchdog_flips: d_flips,
+            messages_sent: d_sent,
+            messages_lost: d_lost,
+        };
+        let Some(kind) = fo.recorder.observe(&sample) else {
+            return;
+        };
+        let value = match kind {
+            AnomalyKind::OvershootStreak => fleet_power.value(),
+            AnomalyKind::TdErrorBlowup => td_epoch,
+            AnomalyKind::WatchdogFlipBurst => d_flips as f64,
+            AnomalyKind::BudgetLossSpike => loss,
+        };
+        fo.metrics.rack_mut().inc(ids.c_anomalies);
+        fo.ring.record(epoch, 0, Event::Anomaly { kind, value });
+        // Assemble the dump: header, combined snapshot, then the
+        // last-window merged trace (chips + rack, canonical
+        // `(epoch, chip, rank, core)` order → bytes are shard-invariant).
+        let window = fo.recorder.config().window;
+        let since = (epoch + 1).saturating_sub(window);
+        fo.trace_scratch.clear();
+        self.collect_trace(
+            Some(&fo.ring),
+            since,
+            &mut fo.chip_scratch,
+            &mut fo.trace_scratch,
+        );
+        merge_fleet_records(&mut fo.trace_scratch);
+        use std::io::Write as _;
+        let out = &mut fo.render;
+        out.clear();
+        writeln!(
+            out,
+            "# odrl_flight_record epoch {epoch} rule {} window {window}",
+            kind.name()
+        )
+        .expect("write to Vec cannot fail");
+        fo.snapshot
+            .write_prometheus(out)
+            .expect("write to Vec cannot fail");
+        writeln!(out, "# odrl_trace").expect("write to Vec cannot fail");
+        write_fleet_jsonl(out, &fo.trace_scratch).expect("write to Vec cannot fail");
+        fo.recorder.record_dump(epoch, kind, out.clone());
+        // Re-snapshot so the exported combined snapshot reflects the
+        // anomaly counter bump.
+        fo.metrics.snapshot_into(&mut fo.snapshot);
     }
 
     /// Steps the fleet for `epochs` epochs.
@@ -750,5 +717,77 @@ impl Fleet {
         self.extend_trace_into(0, &mut records);
         merge_fleet_records(&mut records);
         records
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RunBuilder, Scenario};
+
+    fn scenario() -> Scenario {
+        let mut scenario = Scenario::default_eval();
+        scenario.cores = 8;
+        scenario
+    }
+
+    /// Whether the system traces, the controller traces, and the
+    /// controller records learning-health diagnostics.
+    fn wiring(system: &System, controller: &dyn PowerController) -> (bool, bool, bool) {
+        (
+            system.tracer().is_some(),
+            controller.metrics_snapshot().is_some(),
+            controller.learn_diag().is_some(),
+        )
+    }
+
+    #[test]
+    fn chip_build_and_one_chip_fleet_wire_tracing_alike() {
+        let builds = [
+            ("plain", RunBuilder::new(scenario()), (false, false, false)),
+            (
+                "obs",
+                RunBuilder::new(scenario()).obs(true),
+                (true, true, false),
+            ),
+            (
+                "recorder",
+                RunBuilder::new(scenario()).recorder(RecorderConfig::default()),
+                (true, true, true),
+            ),
+        ];
+        for (name, builder, expected) in builds {
+            let chip = builder.clone().build_chip().unwrap();
+            let fleet = builder.build_fleet(1).unwrap();
+            let chip0 = &fleet.chips[0];
+            assert_eq!(
+                wiring(&chip.system, chip.controller.as_ref()),
+                expected,
+                "{name}: chip"
+            );
+            assert_eq!(
+                wiring(&chip0.system, chip0.controller.as_ref()),
+                expected,
+                "{name}: fleet chip 0"
+            );
+            assert_eq!(
+                fleet.fleet_metrics().is_some(),
+                expected.2,
+                "{name}: rack metrics"
+            );
+        }
+    }
+
+    #[test]
+    fn recorder_without_obs_builds_with_rack_metrics() {
+        let mut config = FleetConfig::new(2, scenario());
+        config.recorder = Some(RecorderConfig::default());
+        assert!(!config.obs);
+        let mut fleet = Fleet::new(config).unwrap();
+        fleet.run(5).unwrap();
+        assert!(fleet.fleet_metrics().is_some());
+        assert!(fleet.fleet_snapshot().is_some());
+        assert!(fleet.flight_recorder().is_some());
+        assert!(!fleet.merged_trace().is_empty(), "the recorder implies obs");
     }
 }

@@ -169,22 +169,7 @@ impl ControllerKind {
     /// Panics if construction fails (e.g. exhaustive MaxBIPS on too many
     /// cores) — experiment harnesses pass vetted sizes.
     pub fn build(&self, spec: &SystemSpec, budget: Watts) -> Box<dyn PowerController> {
-        self.build_with_odrl_config(spec, budget, OdRlConfig::default())
-    }
-
-    /// Instantiates the controller with an explicit OD-RL configuration
-    /// (ignored by the baselines); used by the ablation harnesses.
-    ///
-    /// # Panics
-    ///
-    /// As [`ControllerKind::build`].
-    pub fn build_with_odrl_config(
-        &self,
-        spec: &SystemSpec,
-        budget: Watts,
-        odrl: OdRlConfig,
-    ) -> Box<dyn PowerController> {
-        self.try_instantiate(spec, budget, odrl)
+        self.try_instantiate(spec, budget, OdRlConfig::default())
             .expect("valid controller configuration")
     }
 

@@ -1,4 +1,4 @@
-//! Tabular temporal-difference agents (Q-learning and SARSA).
+//! Tabular temporal-difference agents (Q-learning).
 
 use crate::error::RlError;
 use crate::policy::{EpsCache, Policy};
@@ -9,18 +9,13 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Which TD update rule a controller applies ([`Agent::update`] implements
-/// Q-learning; [`Agent::update_sarsa`] implements SARSA — this enum lets
-/// configurations name the choice, and picks the bootstrap
-/// [`Agent::decide`] returns).
+/// Which TD update rule a controller applies: Q-learning on one
+/// [`Agent`], or double Q-learning on a [`crate::DoubleAgent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Algorithm {
     /// Off-policy: `Q(s,a) ← Q + α·(r + γ·max_a' Q(s',a') − Q)`.
     QLearning,
-    /// On-policy: `Q(s,a) ← Q + α·(r + γ·Q(s',a') − Q)` with the actually
-    /// selected `a'`.
-    Sarsa,
     /// Double Q-learning (two tables, decoupled selection/evaluation); see
     /// [`crate::DoubleAgent`].
     DoubleQLearning,
@@ -107,12 +102,9 @@ impl Agent {
         self.q.best_action(s)
     }
 
-    /// Applies one TD update for transition `(s, a, r, s')`, returning the
-    /// TD error `target − Q(s, a)` (the learning-health signal).
-    ///
-    /// For [`Algorithm::Sarsa`] the bootstrap uses the greedy action of
-    /// `s'` as a stand-in when the next action has not been chosen yet; use
-    /// [`Agent::update_sarsa`] to supply the actual `a'`.
+    /// Applies one Q-learning update for transition `(s, a, r, s')`,
+    /// returning the TD error `target − Q(s, a)` (the learning-health
+    /// signal).
     ///
     /// # Errors
     ///
@@ -129,31 +121,12 @@ impl Agent {
         self.learn(s, a, reward, bootstrap)
     }
 
-    /// SARSA update with an explicit next action `a'`, returning the TD
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// As [`Agent::update`].
-    pub fn update_sarsa(
-        &mut self,
-        s: usize,
-        a: usize,
-        reward: f64,
-        s_next: usize,
-        a_next: usize,
-    ) -> Result<f64, RlError> {
-        let bootstrap = self.q.get(s_next, a_next)?;
-        self.learn(s, a, reward, bootstrap)
-    }
-
     /// The decide half of a decide/learn pair: selects an action in
     /// `s_next` and returns `(action, explored, bootstrap)`. `explored` is
     /// `true` when the action came from the ε branch; `bootstrap` is the
     /// TD bootstrap to hand [`Agent::learn`] once the pending transition's
-    /// reward is known — `max_a Q(s_next, a)` for Q-learning, or
-    /// `Q(s_next, action)` for [`Algorithm::Sarsa`] (on-policy). The
-    /// greedy choice and the Q-learning bootstrap come from one row scan.
+    /// reward is known, `max_a Q(s_next, a)`. The greedy choice and the
+    /// bootstrap come from one row scan.
     ///
     /// A batch caller may hand over work it already did for a block of
     /// agents:
@@ -166,8 +139,8 @@ impl Agent {
     ///   [`crate::kernel::scan_rows`] batch over [`Agent::quant_row`].
     ///
     /// Either way decide → learn is bit-identical to [`Agent::select`]
-    /// followed by [`Agent::update`] / [`Agent::update_sarsa`]: same
-    /// actions, same table state, same RNG position.
+    /// followed by [`Agent::update`]: same actions, same table state, same
+    /// RNG position.
     ///
     /// # Errors
     ///
@@ -175,7 +148,6 @@ impl Agent {
     #[inline]
     pub fn decide<R: Rng + ?Sized>(
         &mut self,
-        algorithm: Algorithm,
         s_next: usize,
         draw: Option<u64>,
         scan: Option<(usize, f64)>,
@@ -201,11 +173,7 @@ impl Agent {
             ),
         };
         self.step += 1;
-        let bootstrap = match algorithm {
-            Algorithm::Sarsa => self.q.get(s_next, a_next)?,
-            _ => max_v,
-        };
-        Ok((a_next, explored, bootstrap))
+        Ok((a_next, explored, max_v))
     }
 
     /// Whether this agent's policy consumes exactly one leading uniform
@@ -459,17 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn sarsa_update_uses_supplied_action() {
+    fn update_bootstraps_from_the_greedy_value() {
         let mut agent = Agent::builder(2, 2)
             .gamma(0.9)
             .alpha(Schedule::constant(1.0).unwrap())
             .build()
             .unwrap();
-        // Set Q(1,0)=0, Q(1,1)=10. SARSA with a'=0 must bootstrap from 0.
+        // Set Q(1,0)=0, Q(1,1)=10: the update bootstraps from max = 10.
         agent.q.set(1, 1, 10.0).unwrap();
-        agent.update_sarsa(0, 0, 1.0, 1, 0).unwrap();
-        assert!((agent.q().get(0, 0).unwrap() - 1.0).abs() < 1e-12);
-        // Q-learning-style update would instead have used max = 10.
         agent.update(0, 1, 1.0, 1).unwrap();
         assert!((agent.q().get(0, 1).unwrap() - 10.0).abs() < 1e-12);
     }

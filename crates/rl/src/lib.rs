@@ -4,8 +4,7 @@
 //! domain-agnostic machinery they are built from:
 //!
 //! * [`QTable`] — dense `|S| × |A|` action values with visit counts;
-//! * [`Agent`] — Q-learning / SARSA TD updates with per-`(s,a)` learning
-//!   rates;
+//! * [`Agent`] — Q-learning TD updates with per-`(s,a)` learning rates;
 //! * [`DoubleAgent`] — double Q-learning (two tables, decoupled selection
 //!   and evaluation) for noise-robust value estimates;
 //! * [`Policy`] — greedy, ε-greedy and softmax action selection;

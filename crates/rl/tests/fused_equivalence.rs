@@ -2,12 +2,12 @@
 //! select-then-update sequence, which serves as the oracle: identical
 //! actions, bitwise-identical tables and counters (compared through the
 //! snapshot encoding, which carries every float as raw bits) and identical
-//! RNG consumption — for every policy, both table layouts and every update
-//! rule, whether or not the caller pre-draws the ε uniform or pre-scans the
+//! RNG consumption — for every policy, both table layouts and both agent
+//! kinds, whether or not the caller pre-draws the ε uniform or pre-scans the
 //! row the way the controller's block pipeline does.
 
 use odrl_rl::kernel::scan_rows;
-use odrl_rl::{Agent, Algorithm, DoubleAgent, EpsCache, Policy, QTableLayout, Schedule};
+use odrl_rl::{Agent, DoubleAgent, EpsCache, Policy, QTableLayout, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,9 +72,9 @@ fn pre_scan(prep: Prep, agent: &Agent, s: usize) -> Option<(usize, f64)> {
     })
 }
 
-/// Runs `select` + `update`/`update_sarsa` against `decide` + `learn` on
-/// one shared trajectory and asserts they stay identical step by step.
-fn check_single(algorithm: Algorithm, layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
+/// Runs `select` + `update` against `decide` + `learn` on one shared
+/// trajectory and asserts they stay identical step by step.
+fn check_single(layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
     let build = || {
         Agent::builder(STATES, ACTIONS)
             .gamma(0.85)
@@ -85,7 +85,7 @@ fn check_single(algorithm: Algorithm, layout: QTableLayout, policy: Policy, prep
             .build()
             .unwrap()
     };
-    let what = format!("{algorithm:?} {layout:?} {policy:?} {prep:?}");
+    let what = format!("{layout:?} {policy:?} {prep:?}");
     let (mut plain, mut split) = (build(), build());
     let mut rng_p = StdRng::seed_from_u64(seed);
     let mut rng_s = StdRng::seed_from_u64(seed);
@@ -95,16 +95,11 @@ fn check_single(algorithm: Algorithm, layout: QTableLayout, policy: Policy, prep
     for t in 0..EPOCHS {
         let a_plain = plain.select(s, &mut rng_p).unwrap();
         if let Some((ps, pa, pr)) = prev {
-            match algorithm {
-                Algorithm::Sarsa => plain.update_sarsa(ps, pa, pr, s, a_plain).unwrap(),
-                _ => plain.update(ps, pa, pr, s).unwrap(),
-            };
+            plain.update(ps, pa, pr, s).unwrap();
         }
         let draw = pre_draw(prep, split.policy_pre_draws(), &mut rng_s);
         let scan = pre_scan(prep, &split, s);
-        let (a_split, _, bootstrap) = split
-            .decide(algorithm, s, draw, scan, &mut rng_s, &mut cache)
-            .unwrap();
+        let (a_split, _, bootstrap) = split.decide(s, draw, scan, &mut rng_s, &mut cache).unwrap();
         if let Some((ps, pa, pr)) = prev {
             split.learn(ps, pa, pr, bootstrap).unwrap();
         }
@@ -131,18 +126,7 @@ fn q_learning_decide_learn_matches_select_then_update() {
     for layout in LAYOUTS {
         for (pi, policy) in policies().into_iter().enumerate() {
             for prep in PREPS {
-                check_single(Algorithm::QLearning, layout, policy, prep, 900 + pi as u64);
-            }
-        }
-    }
-}
-
-#[test]
-fn sarsa_decide_learn_matches_select_then_update_sarsa() {
-    for layout in LAYOUTS {
-        for (pi, policy) in policies().into_iter().enumerate() {
-            for prep in PREPS {
-                check_single(Algorithm::Sarsa, layout, policy, prep, 7_000 + pi as u64);
+                check_single(layout, policy, prep, 900 + pi as u64);
             }
         }
     }
@@ -231,14 +215,10 @@ fn decide_learn_error_paths_match_select_update() {
     let mut rng = StdRng::seed_from_u64(0);
     let mut cache = EpsCache::new();
     // Invalid state fails before anything advances.
-    assert!(agent
-        .decide(Algorithm::QLearning, 9, None, None, &mut rng, &mut cache)
-        .is_err());
+    assert!(agent.decide(9, None, None, &mut rng, &mut cache).is_err());
     assert_eq!(agent.step_count(), 0);
     // A non-finite reward fails the learn half after the decision counted.
-    let (a, _, bootstrap) = agent
-        .decide(Algorithm::QLearning, 0, None, None, &mut rng, &mut cache)
-        .unwrap();
+    let (a, _, bootstrap) = agent.decide(0, None, None, &mut rng, &mut cache).unwrap();
     assert_eq!(agent.step_count(), 1);
     assert!(agent.learn(0, a, f64::NAN, bootstrap).is_err());
     assert!(agent.learn(0, 5, 0.0, bootstrap).is_err());

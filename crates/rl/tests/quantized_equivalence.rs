@@ -10,8 +10,8 @@
 
 use odrl_rl::kernel::{scan_row, scan_row_portable};
 use odrl_rl::{
-    Agent, Algorithm, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT,
-    QUANT_LANES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Agent, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT, QUANT_LANES,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -356,13 +356,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// letting it draw the ε uniform itself (`prepared = false`) or handing it
 /// a pre-drawn one (`prepared = true`), and returns the FNV-1a hash of the
 /// full (action, explored) stream.
-fn decision_stream_hash(layout: QTableLayout, sarsa: bool, prepared: bool) -> u64 {
+fn decision_stream_hash(layout: QTableLayout, prepared: bool) -> u64 {
     let mut agent = build(layout);
-    let algorithm = if sarsa {
-        Algorithm::Sarsa
-    } else {
-        Algorithm::QLearning
-    };
     let mut rng = StdRng::seed_from_u64(23);
     let mut cache = EpsCache::new();
     let mut s = 0usize;
@@ -371,9 +366,7 @@ fn decision_stream_hash(layout: QTableLayout, sarsa: bool, prepared: bool) -> u6
         // The controller's batching: one `next_u64` pre-drawn from this
         // agent's own stream, handed back as the leading ε draw.
         let draw = prepared.then(|| rng.next_u64());
-        let (a, explored, bootstrap) = agent
-            .decide(algorithm, s, draw, None, &mut rng, &mut cache)
-            .unwrap();
+        let (a, explored, bootstrap) = agent.decide(s, draw, None, &mut rng, &mut cache).unwrap();
         let (s_next, r) = env(s, a, t);
         agent.learn(s, a, r, bootstrap).unwrap();
         bytes.push(a as u8);
@@ -391,17 +384,12 @@ fn batched_epsilon_stream_is_bit_identical_and_pinned() {
     // neither encoding can drift silently. Layout-independent: the ε draw
     // happens before any Q lookup.
     const GOLDEN_Q: u64 = 12652406293724573599;
-    const GOLDEN_SARSA: u64 = 7514869419901196477;
     for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
-        let q_plain = decision_stream_hash(layout, false, false);
-        let q_prep = decision_stream_hash(layout, false, true);
+        let q_plain = decision_stream_hash(layout, false);
+        let q_prep = decision_stream_hash(layout, true);
         assert_eq!(q_plain, q_prep, "{layout:?}: batched Q stream diverged");
-        let s_plain = decision_stream_hash(layout, true, false);
-        let s_prep = decision_stream_hash(layout, true, true);
-        assert_eq!(s_plain, s_prep, "{layout:?}: batched SARSA stream diverged");
         if layout == QTableLayout::Scalar {
             assert_eq!(q_plain, GOLDEN_Q, "Q decision stream drifted from golden");
-            assert_eq!(s_plain, GOLDEN_SARSA, "SARSA decision stream drifted");
         }
     }
 }

@@ -14,5 +14,3 @@ for bin in $BINS; do
     echo "=== $bin ==="
     cargo run --release -q -p odrl-bench --bin "$bin" | tee "results/$bin.txt"
 done
-echo "=== criterion benches ==="
-cargo bench -p odrl-bench | tee results/criterion.txt
