@@ -162,12 +162,8 @@ fn demo_recorder() -> RecorderConfig {
 /// first trip has grown the dump buffers, every later trip must allocate
 /// at most once — the dump bytes the recorder keeps.
 fn trip_window(knobs: &Knobs) {
-    let plan = FaultPlan::new().with_event(
-        FaultKind::Budget(BudgetFault::Lost),
-        Target::All,
-        10,
-        1_000,
-    );
+    let plan =
+        FaultPlan::new().with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 10, 1_000);
     let mut fleet = knobs
         .apply(RunBuilder::new(scenario(64, 0)))
         .faults(plan)
@@ -239,12 +235,8 @@ fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
     // (a) + (b): a faulted, diagnosed fleet. The budget-Lost window
     // makes the rack links lossy, so the loss-spike rule has real
     // traffic to trip on; the TD watermark trips at the first learn.
-    let plan = FaultPlan::new().with_event(
-        FaultKind::Budget(BudgetFault::Lost),
-        Target::All,
-        10,
-        40,
-    );
+    let plan =
+        FaultPlan::new().with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 10, 40);
     let mut fleet = knobs
         .apply(RunBuilder::new(scenario(64, 0)))
         .faults(plan)

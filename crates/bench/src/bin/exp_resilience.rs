@@ -102,7 +102,10 @@ fn plan_for(intensity: Intensity, n: usize, epochs: u64) -> FaultPlan {
         )
         .with_event(
             FaultKind::Core(CoreFault::Unplug),
-            Target::Range { lo: n / 4, hi: n / 4 + 2 },
+            Target::Range {
+                lo: n / 4,
+                hi: n / 4 + 2,
+            },
             start,
             len,
         )

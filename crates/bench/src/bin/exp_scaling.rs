@@ -174,8 +174,7 @@ fn main() {
                 },
                 ..OdRlConfig::default()
             };
-            let mut ctrl =
-                OdRlController::new(config, &spec, budget).expect("valid OD-RL config");
+            let mut ctrl = OdRlController::new(config, &spec, budget).expect("valid OD-RL config");
             let ns = measure(&mut ctrl, &obs, 11).ns;
             if i == 0 {
                 serial_ns = ns;

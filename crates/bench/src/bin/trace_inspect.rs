@@ -23,9 +23,7 @@
 //! (records tagged with a chip index).
 
 use odrl_metrics::Table;
-use odrl_obs::{
-    read_fleet_jsonl, read_jsonl, Event, EventRecord, MetricsSnapshot, CHIP, RACK,
-};
+use odrl_obs::{read_fleet_jsonl, read_jsonl, Event, EventRecord, MetricsSnapshot, CHIP, RACK};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::process::ExitCode;

@@ -36,8 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod allocs;
-pub mod cputime;
 pub mod cli;
+pub mod cputime;
 
 use odrl_controllers::PowerController;
 use odrl_faults::FaultPlan;
@@ -684,6 +684,9 @@ mod tests {
             observed_builder(&scenario, ControllerKind::Pid, Some(&plan), false)
                 .build_chip()
                 .expect("valid configuration");
-        assert!(system.tracer().is_some(), "observed builder enables tracing");
+        assert!(
+            system.tracer().is_some(),
+            "observed builder enables tracing"
+        );
     }
 }

@@ -103,7 +103,12 @@ fn fault_enabled_steady_state_allocates_nothing() {
         parallelism: Parallelism::Serial,
     };
     let plan = FaultPlan::new()
-        .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::Range { lo: 0, hi: 8 }, 0, 100)
+        .with_event(
+            FaultKind::Sensor(SensorFault::StuckLast),
+            Target::Range { lo: 0, hi: 8 },
+            0,
+            100,
+        )
         .with_event(
             FaultKind::Sensor(SensorFault::Drift { rate: 0.01 }),
             Target::Range { lo: 8, hi: 16 },
@@ -116,14 +121,24 @@ fn fault_enabled_steady_state_allocates_nothing() {
             0,
             100,
         )
-        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::Range { lo: 24, hi: 32 }, 0, 100)
+        .with_event(
+            FaultKind::Budget(BudgetFault::Lost),
+            Target::Range { lo: 24, hi: 32 },
+            0,
+            100,
+        )
         .with_event(
             FaultKind::Budget(BudgetFault::Delayed { epochs: 2 }),
             Target::Range { lo: 32, hi: 40 },
             0,
             100,
         )
-        .with_event(FaultKind::Core(CoreFault::Unplug), Target::Range { lo: 40, hi: 44 }, 40, 60)
+        .with_event(
+            FaultKind::Core(CoreFault::Unplug),
+            Target::Range { lo: 40, hi: 44 },
+            40,
+            60,
+        )
         .with_event(
             FaultKind::Core(CoreFault::Throttle { max_level: 2 }),
             Target::Range { lo: 44, hi: 48 },
@@ -353,7 +368,12 @@ fn recorder_trips_allocate_only_their_dump() {
         parallelism: Parallelism::Serial,
     };
     let plan = FaultPlan::new()
-        .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::All, 15, 15)
+        .with_event(
+            FaultKind::Sensor(SensorFault::StuckLast),
+            Target::All,
+            15,
+            15,
+        )
         .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 25, 1_000);
     let mut fleet = RunBuilder::new(scenario)
         .controller(ControllerKind::OdRl)
@@ -376,7 +396,10 @@ fn recorder_trips_allocate_only_their_dump() {
         fleet.step_epoch().expect("fleet epoch completes");
     }
     let warm_trips = fleet.anomaly_dumps().len();
-    assert_eq!(warm_trips, 1, "exactly one trip sizes the buffers in warm-up");
+    assert_eq!(
+        warm_trips, 1,
+        "exactly one trip sizes the buffers in warm-up"
+    );
 
     let a0 = allocs::allocations();
     let b0 = allocs::allocated_bytes();
@@ -387,9 +410,14 @@ fn recorder_trips_allocate_only_their_dump() {
     let db = allocs::allocated_bytes() - b0;
     let dumps = fleet.anomaly_dumps();
     let trips = (dumps.len() - warm_trips) as u64;
-    assert!(trips >= 2, "the measured window must hold at least two trips, saw {trips}");
     assert!(
-        dumps[warm_trips..].iter().all(|d| d.bytes.len() <= dumps[0].bytes.len()),
+        trips >= 2,
+        "the measured window must hold at least two trips, saw {trips}"
+    );
+    assert!(
+        dumps[warm_trips..]
+            .iter()
+            .all(|d| d.bytes.len() <= dumps[0].bytes.len()),
         "the warm-up trip must be the largest dump"
     );
     let kept: usize = dumps[warm_trips..].iter().map(|d| d.bytes.len()).sum();
@@ -397,7 +425,10 @@ fn recorder_trips_allocate_only_their_dump() {
         da <= trips,
         "{trips} recorder trips allocated {da} times ({db} bytes, {kept} of them kept)"
     );
-    assert_eq!(db, kept as u64, "trips allocated bytes beyond the dumps they keep");
+    assert_eq!(
+        db, kept as u64,
+        "trips allocated bytes beyond the dumps they keep"
+    );
 }
 
 #[test]
@@ -418,9 +449,8 @@ fn warm_start_boot_allocates_nothing_at_steady_state() {
         .expect("scenario parameters are valid");
     let budget = Watts::new(scenario.budget_frac * config.max_power().value());
     let mut donor_system = System::new(config).expect("valid scenario config");
-    let mut donor =
-        OdRlController::new(OdRlConfig::default(), &donor_system.spec(), budget)
-            .expect("valid OD-RL config");
+    let mut donor = OdRlController::new(OdRlConfig::default(), &donor_system.spec(), budget)
+        .expect("valid OD-RL config");
     let mut actions = vec![LevelId(0); 64];
     let mut obs = donor_system.observation(budget);
     for _ in 0..40 {

@@ -53,7 +53,12 @@ fn stress_plan() -> FaultPlan {
             5,
             60,
         )
-        .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::Chip, 30, 6)
+        .with_event(
+            FaultKind::Sensor(SensorFault::StuckLast),
+            Target::Chip,
+            30,
+            6,
+        )
         .with_event(
             FaultKind::Actuator(ActuatorFault::Dropped),
             Target::Range { lo: 24, hi: 28 },
@@ -72,7 +77,12 @@ fn stress_plan() -> FaultPlan {
             0,
             EPOCHS,
         )
-        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::Range { lo: 36, hi: 44 }, 10, 40)
+        .with_event(
+            FaultKind::Budget(BudgetFault::Lost),
+            Target::Range { lo: 36, hi: 44 },
+            10,
+            40,
+        )
         .with_event(
             FaultKind::Budget(BudgetFault::Delayed { epochs: 2 }),
             Target::Range { lo: 44, hi: 48 },

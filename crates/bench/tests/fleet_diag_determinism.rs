@@ -42,12 +42,7 @@ fn plan() -> FaultPlan {
             10,
             30,
         )
-        .with_event(
-            FaultKind::Budget(BudgetFault::Lost),
-            Target::All,
-            10,
-            30,
-        )
+        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 10, 30)
 }
 
 /// A recorder tuned to trip deterministically early in the run: cold
@@ -76,7 +71,8 @@ fn build(par: Parallelism, faulted: bool) -> Fleet {
     if faulted {
         b = b.faults(plan()).watchdog(true);
     }
-    b.build_fleet(CHIPS).expect("valid diagnosed fleet configuration")
+    b.build_fleet(CHIPS)
+        .expect("valid diagnosed fleet configuration")
 }
 
 fn run(par: Parallelism, faulted: bool) -> (MetricsSnapshot, Vec<(u64, Vec<u8>)>) {
@@ -97,7 +93,9 @@ fn run(par: Parallelism, faulted: bool) -> (MetricsSnapshot, Vec<(u64, Vec<u8>)>
 fn check_invariant(faulted: bool) {
     let (snap0, dumps0) = run(Parallelism::Serial, faulted);
     assert!(
-        snap0.summary_by_name("fleet_rl_td_error").is_some_and(|s| s.count() > 0),
+        snap0
+            .summary_by_name("fleet_rl_td_error")
+            .is_some_and(|s| s.count() > 0),
         "aggregated TD-error summary must carry samples"
     );
     assert!(
@@ -198,12 +196,11 @@ fn dump_body_sections_parse_back() {
         .split_once('\n')
         .map(|x| x.1)
         .expect("header line present");
-    let snap = MetricsSnapshot::from_prometheus(metrics_text)
-        .expect("dump metrics section parses");
+    let snap = MetricsSnapshot::from_prometheus(metrics_text).expect("dump metrics section parses");
     assert!(snap.counter_by_name("rack_anomalies").is_some());
     // The trace section is fleet JSONL (comment lines are skipped by the
     // reader).
-    let records = odrl_obs::read_fleet_jsonl(trace_part.as_bytes())
-        .expect("dump trace section parses");
+    let records =
+        odrl_obs::read_fleet_jsonl(trace_part.as_bytes()).expect("dump trace section parses");
     assert!(!records.is_empty(), "dump trace window must carry events");
 }

@@ -91,7 +91,6 @@ fn check(par: Parallelism, empty_fault_plan: bool) {
     let summary = recorder.finish();
     let policy = ctrl.export_policy();
 
-
     assert_eq!(system.telemetry().epochs(), EPOCHS, "{par:?}");
     assert_eq!(
         system.telemetry().total_instructions().to_bits(),

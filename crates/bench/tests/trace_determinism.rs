@@ -75,7 +75,12 @@ fn trace_hash(records: &[EventRecord]) -> u64 {
 }
 
 fn check_invariant(plan: Option<&FaultPlan>, watchdog: bool) {
-    let serial = run_scenario_observed(&scenario(Parallelism::Serial), ControllerKind::OdRl, plan, watchdog);
+    let serial = run_scenario_observed(
+        &scenario(Parallelism::Serial),
+        ControllerKind::OdRl,
+        plan,
+        watchdog,
+    );
     assert!(
         !serial.records.is_empty(),
         "an observed run must record events"

@@ -1092,7 +1092,11 @@ impl PowerController for OdRlController {
         // the part. Pin every core to the floor level (already written to
         // `out`), drop the unpriceable pending transition, and wait for
         // the meter to return.
-        if self.watchdog.as_ref().is_some_and(SensorWatchdog::chip_dark) {
+        if self
+            .watchdog
+            .as_ref()
+            .is_some_and(SensorWatchdog::chip_dark)
+        {
             if let Some(p) = self.pending.take() {
                 self.spare = p;
             }
@@ -1330,7 +1334,10 @@ mod tests {
             traces.push(recs);
         }
         assert_eq!(counts[0], counts[1]);
-        assert_eq!(traces[0], traces[1], "merged trace must not depend on shard count");
+        assert_eq!(
+            traces[0], traces[1],
+            "merged trace must not depend on shard count"
+        );
     }
 
     #[test]
@@ -1732,8 +1739,7 @@ mod tests {
         let config = SystemConfig::builder().cores(8).seed(31).build().unwrap();
         let budget = Watts::new(0.6 * config.max_power().value());
         let mut system = System::new(config).unwrap();
-        let mut ctrl =
-            OdRlController::new(OdRlConfig::default(), &system.spec(), budget).unwrap();
+        let mut ctrl = OdRlController::new(OdRlConfig::default(), &system.spec(), budget).unwrap();
         ctrl.attach_budget_faults(&engine).unwrap();
         for _ in 0..100 {
             let obs = system.observation(budget);
@@ -1753,8 +1759,7 @@ mod tests {
         use odrl_faults::{FaultEngine, FaultPlan};
         let engine = FaultEngine::compile(&FaultPlan::new(), 4, 0).unwrap();
         let spec = SystemConfig::builder().cores(8).build().unwrap().spec();
-        let mut ctrl =
-            OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
+        let mut ctrl = OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
         assert!(ctrl.attach_budget_faults(&engine).is_err());
     }
 

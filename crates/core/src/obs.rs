@@ -211,7 +211,8 @@ impl CtrlTracer {
     pub fn record_power(&mut self, epoch: u64, total_power_w: f64, budget_w: f64) {
         let over = budget_w > 0.0 && total_power_w > budget_w;
         if over {
-            self.metrics.observe(self.h_overshoot_w, total_power_w - budget_w);
+            self.metrics
+                .observe(self.h_overshoot_w, total_power_w - budget_w);
         }
         if over && !self.over {
             self.ring.record(
@@ -374,7 +375,9 @@ impl CtrlTracer {
     pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
         self.ring.extend_into(since, out);
         for r in &self.shard_rings {
-            r.lock().expect("shard ring poisoned").extend_into(since, out);
+            r.lock()
+                .expect("shard ring poisoned")
+                .extend_into(since, out);
         }
     }
 

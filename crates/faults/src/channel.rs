@@ -181,7 +181,9 @@ mod tests {
     use crate::plan::{FaultPlan, Target};
 
     fn channel(plan: FaultPlan, cores: usize) -> BudgetChannel {
-        FaultEngine::compile(&plan, cores, 1).unwrap().budget_channel()
+        FaultEngine::compile(&plan, cores, 1)
+            .unwrap()
+            .budget_channel()
     }
 
     #[test]

@@ -20,7 +20,9 @@
 
 use crate::error::FaultError;
 use crate::expand::{burst_threshold, Expander, Path};
-use crate::plan::{ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target};
+use crate::plan::{
+    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target,
+};
 use crate::timeline::{Edges, Timeline};
 use odrl_power::{LevelId, Watts};
 use std::sync::Arc;
@@ -131,7 +133,10 @@ impl FaultEngine {
             if !(burst.rate_per_kepoch.is_finite() && burst.rate_per_kepoch >= 0.0) {
                 return Err(FaultError::InvalidPlan {
                     field: "rate_per_kepoch",
-                    reason: format!("must be finite and non-negative, got {}", burst.rate_per_kepoch),
+                    reason: format!(
+                        "must be finite and non-negative, got {}",
+                        burst.rate_per_kepoch
+                    ),
                 });
             }
             if burst.end < burst.start {
@@ -288,17 +293,13 @@ impl FaultEngine {
 
 fn validate_kind(kind: &FaultKind) -> Result<(), FaultError> {
     match kind {
-        FaultKind::Sensor(SensorFault::Spike { gain })
-            if !(gain.is_finite() && *gain >= 0.0) =>
-        {
+        FaultKind::Sensor(SensorFault::Spike { gain }) if !(gain.is_finite() && *gain >= 0.0) => {
             Err(FaultError::InvalidPlan {
                 field: "gain",
                 reason: format!("must be finite and non-negative, got {gain}"),
             })
         }
-        FaultKind::Sensor(SensorFault::Drift { rate })
-            if !(rate.is_finite() && *rate > -1.0) =>
-        {
+        FaultKind::Sensor(SensorFault::Drift { rate }) if !(rate.is_finite() && *rate > -1.0) => {
             Err(FaultError::InvalidPlan {
                 field: "rate",
                 reason: format!("must be finite and above -1, got {rate}"),
@@ -694,7 +695,12 @@ mod tests {
     #[test]
     fn sensor_modes_transform_readings() {
         let plan = FaultPlan::new()
-            .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::Core(0), 0, 10)
+            .with_event(
+                FaultKind::Sensor(SensorFault::StuckLast),
+                Target::Core(0),
+                0,
+                10,
+            )
             .with_event(
                 FaultKind::Sensor(SensorFault::Spike { gain: 2.0 }),
                 Target::Core(1),
@@ -740,7 +746,8 @@ mod tests {
         );
         engine.begin_epoch(5, &mut st);
         assert_eq!(
-            st.chip_sensor_value(Watts::new(30.0), Watts::new(28.0)).value(),
+            st.chip_sensor_value(Watts::new(30.0), Watts::new(28.0))
+                .value(),
             30.0
         );
     }
@@ -923,7 +930,12 @@ mod tests {
         // allocator); instead pin the invariant structurally: state vectors
         // keep their capacity across many epochs.
         let plan = FaultPlan::new()
-            .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::All, 0, 50)
+            .with_event(
+                FaultKind::Sensor(SensorFault::StuckLast),
+                Target::All,
+                0,
+                50,
+            )
             .with_event(
                 FaultKind::Actuator(ActuatorFault::Delayed { epochs: 3 }),
                 Target::All,
@@ -952,8 +964,19 @@ mod tests {
     #[test]
     fn chip_scoped_events_compile_only_on_their_chip() {
         let plan = FaultPlan::new()
-            .with_event(FaultKind::Sensor(SensorFault::StuckZero), Target::All, 0, 10)
-            .with_chip_event(2, FaultKind::Core(CoreFault::Unplug), Target::Core(1), 0, 10);
+            .with_event(
+                FaultKind::Sensor(SensorFault::StuckZero),
+                Target::All,
+                0,
+                10,
+            )
+            .with_chip_event(
+                2,
+                FaultKind::Core(CoreFault::Unplug),
+                Target::Core(1),
+                0,
+                10,
+            );
         // Chip 0 (and the standalone `compile` path) sees only the
         // unscoped event.
         let chip0 = FaultEngine::compile(&plan, 4, 1).unwrap();

@@ -76,8 +76,8 @@
 pub mod channel;
 pub mod engine;
 pub mod error;
-pub mod plan;
 mod expand;
+pub mod plan;
 mod timeline;
 
 pub use channel::BudgetChannel;

@@ -214,7 +214,13 @@ impl FaultPlan {
 
     /// Adds one deterministic fault window (builder style).
     #[must_use]
-    pub fn with_event(mut self, kind: FaultKind, target: Target, start: u64, duration: u64) -> Self {
+    pub fn with_event(
+        mut self,
+        kind: FaultKind,
+        target: Target,
+        start: u64,
+        duration: u64,
+    ) -> Self {
         self.events.push(FaultEvent {
             kind,
             target,
@@ -324,14 +330,13 @@ mod tests {
                 0,
                 1000,
             )
-            .with_event(FaultKind::Sensor(SensorFault::StuckLast), Target::Chip, 7, 3)
-            .with_chip_event(
+            .with_event(
+                FaultKind::Sensor(SensorFault::StuckLast),
+                Target::Chip,
+                7,
                 3,
-                FaultKind::Budget(BudgetFault::Stale),
-                Target::All,
-                20,
-                5,
             )
+            .with_chip_event(3, FaultKind::Budget(BudgetFault::Stale), Target::All, 20, 5)
             .with_burst(RandomBurst {
                 kind: FaultKind::Budget(BudgetFault::Lost),
                 start: 50,

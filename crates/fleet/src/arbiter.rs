@@ -177,7 +177,10 @@ mod tests {
         }
         // The last share is defined as total − partial, so the running sum
         // reproduces the total bit-exactly.
-        assert_eq!(partial + a.shares()[a.shares().len() - 1], a.total().value());
+        assert_eq!(
+            partial + a.shares()[a.shares().len() - 1],
+            a.total().value()
+        );
     }
 
     #[test]

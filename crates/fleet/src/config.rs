@@ -120,8 +120,7 @@ impl FleetConfig {
                 reason: "reallocation period must be at least 1 epoch".into(),
             });
         }
-        if !(self.arbiter_gain.is_finite() && self.arbiter_gain > 0.0 && self.arbiter_gain <= 1.0)
-        {
+        if !(self.arbiter_gain.is_finite() && self.arbiter_gain > 0.0 && self.arbiter_gain <= 1.0) {
             return Err(FleetError::InvalidConfig {
                 field: "arbiter_gain",
                 reason: format!("gain must be in (0, 1], got {}", self.arbiter_gain),

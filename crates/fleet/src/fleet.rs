@@ -115,7 +115,14 @@ pub struct FleetTelemetry {
 }
 
 impl FleetTelemetry {
-    fn record(&mut self, fleet_power: Watts, budget: Watts, instructions: f64, energy: Joules, dt: Seconds) {
+    fn record(
+        &mut self,
+        fleet_power: Watts,
+        budget: Watts,
+        instructions: f64,
+        energy: Joules,
+        dt: Seconds,
+    ) {
         self.epochs += 1;
         self.total_instructions += instructions;
         self.total_energy += energy.value();
@@ -500,8 +507,13 @@ impl Fleet {
             energy += chip.energy.value();
             dt = chip.dt;
         }
-        self.telemetry
-            .record(fleet_power, self.total_budget, instructions, Joules::new(energy), dt);
+        self.telemetry.record(
+            fleet_power,
+            self.total_budget,
+            instructions,
+            Joules::new(energy),
+            dt,
+        );
         // 5. Rack-scope observability: merge the chips' fresh metric
         // snapshots, refresh the rack gauges, and feed the flight
         // recorder. Taken out of `self` for the duration so the helper
@@ -560,10 +572,14 @@ impl Fleet {
         // so the blowup rule sees the epoch the spike happened, not
         // every epoch after it.
         let merged = fo.metrics.merged();
-        let flips: u64 = ["watchdog_stale_flips", "watchdog_dead_flips", "watchdog_dark_flips"]
-            .iter()
-            .filter_map(|n| merged.counter_by_name(n))
-            .sum();
+        let flips: u64 = [
+            "watchdog_stale_flips",
+            "watchdog_dead_flips",
+            "watchdog_dark_flips",
+        ]
+        .iter()
+        .filter_map(|n| merged.counter_by_name(n))
+        .sum();
         let d_flips = flips.saturating_sub(fo.prev_flips);
         fo.prev_flips = flips;
         let td_cum = merged

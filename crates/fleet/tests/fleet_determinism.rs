@@ -57,12 +57,7 @@ fn plan() -> FaultPlan {
             20,
             25,
         )
-        .with_event(
-            FaultKind::Budget(BudgetFault::Lost),
-            Target::All,
-            15,
-            10,
-        )
+        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 15, 10)
 }
 
 fn run_fleet(par: Parallelism, plan: Option<&FaultPlan>) -> Fleet {

@@ -89,7 +89,8 @@ impl SysTracer {
                 continue;
             }
             if mask & b != 0 {
-                self.ring.record(epoch, core, Event::FaultInjected { class });
+                self.ring
+                    .record(epoch, core, Event::FaultInjected { class });
                 self.metrics.inc(self.c_class_injected[bit]);
                 self.metrics.inc(self.c_injected);
             } else {

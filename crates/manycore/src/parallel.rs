@@ -453,7 +453,10 @@ mod tests {
                 }
             });
         }));
-        assert!(caught.is_err(), "worker panics must propagate to the caller");
+        assert!(
+            caught.is_err(),
+            "worker panics must propagate to the caller"
+        );
         // The pool stays usable after a panicking job.
         let done = AtomicUsize::new(0);
         pool.run_shards(3, &|_| {

@@ -339,8 +339,8 @@ mod tests {
         assert!((rate - 0.2).abs() < 0.02, "dropout rate {rate}");
         // Non-dropped reads are exact with zero noise.
         let mut rng = StdRng::seed_from_u64(18);
-        let any_exact = (0..50)
-            .any(|_| s.measure_with_last(Watts::new(5.0), last, &mut rng).value() == 5.0);
+        let any_exact =
+            (0..50).any(|_| s.measure_with_last(Watts::new(5.0), last, &mut rng).value() == 5.0);
         assert!(any_exact);
     }
 
@@ -414,12 +414,17 @@ mod tests {
         let s = SensorModel::new(0.3, 0.125).unwrap();
         let n = 64;
         let truth: Vec<Watts> = (0..n).map(|i| Watts::new(1.0 + i as f64 * 0.05)).collect();
-        let mut rngs_block: Vec<StdRng> =
-            (0..n).map(|i| StdRng::seed_from_u64(i as u64)).collect();
+        let mut rngs_block: Vec<StdRng> = (0..n).map(|i| StdRng::seed_from_u64(i as u64)).collect();
         let mut rngs_scalar: Vec<StdRng> =
             (0..n).map(|i| StdRng::seed_from_u64(i as u64)).collect();
         // Odd cores are mid-pair, even cores are empty.
-        let seed_spare = |i: usize| if i % 2 == 1 { 0.25 * i as f64 } else { f64::NAN };
+        let seed_spare = |i: usize| {
+            if i % 2 == 1 {
+                0.25 * i as f64
+            } else {
+                f64::NAN
+            }
+        };
         let mut spares_block: Vec<f64> = (0..n).map(seed_spare).collect();
         let mut spares_scalar: Vec<f64> = (0..n).map(seed_spare).collect();
         let mut out = vec![Watts::ZERO; n];

@@ -34,7 +34,6 @@ pub enum SyncModel {
     },
 }
 
-
 impl SyncModel {
     /// A barrier model with the default idle activity (0.15).
     pub fn barrier(group_size: usize) -> Self {

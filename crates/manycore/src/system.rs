@@ -11,11 +11,11 @@ use crate::telemetry::Telemetry;
 use odrl_faults::{FaultEngine, FaultPlan, FaultState};
 use odrl_noc::NocModel;
 use odrl_power::{Joules, LevelId, PowerBreakdown, PowerCoefficients, Seconds, Watts};
-use std::time::Instant;
 use odrl_thermal::{Floorplan, ThermalGrid};
 use odrl_workload::{PhaseParams, WorkloadMix, WorkloadStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// A simulated many-core chip with per-core DVFS domains.
 ///
@@ -196,12 +196,17 @@ impl System {
     /// Returns [`SystemError::InvalidConfig`] if the plan does not compile
     /// for this core count (entries scoped to other chips included — an
     /// invalid plan is rejected on every chip).
-    pub fn attach_faults_for_chip(&mut self, plan: &FaultPlan, chip: u32) -> Result<(), SystemError> {
-        let engine = FaultEngine::compile_for_chip(plan, chip, self.config.cores, self.fault_seed())
-            .map_err(|e| SystemError::InvalidConfig {
-                field: "faults",
-                reason: e.to_string(),
-            })?;
+    pub fn attach_faults_for_chip(
+        &mut self,
+        plan: &FaultPlan,
+        chip: u32,
+    ) -> Result<(), SystemError> {
+        let engine =
+            FaultEngine::compile_for_chip(plan, chip, self.config.cores, self.fault_seed())
+                .map_err(|e| SystemError::InvalidConfig {
+                    field: "faults",
+                    reason: e.to_string(),
+                })?;
         self.scratch.faults = Some(engine.state());
         self.faults = Some(engine);
         Ok(())
@@ -324,27 +329,34 @@ impl System {
         match &self.last_report {
             Some(report) => out
                 .cores
-                .extend(report.cores.iter().enumerate().map(|(i, c)| CoreObservation {
-                    level: c.level,
-                    ips: c.ips,
-                    power: self
-                        .arrays
-                        .measured
-                        .get(i)
-                        .copied()
-                        .unwrap_or_else(|| c.power.total()),
-                    temperature: c.temperature,
-                    counters: c.counters,
+                .extend(report.cores.iter().enumerate().map(|(i, c)| {
+                    CoreObservation {
+                        level: c.level,
+                        ips: c.ips,
+                        power: self
+                            .arrays
+                            .measured
+                            .get(i)
+                            .copied()
+                            .unwrap_or_else(|| c.power.total()),
+                        temperature: c.temperature,
+                        counters: c.counters,
+                    }
                 })),
-            None => out
-                .cores
-                .extend(self.streams.iter().enumerate().map(|(i, s)| CoreObservation {
-                    level: self.arrays.levels[i],
-                    ips: 0.0,
-                    power: Watts::ZERO,
-                    temperature: self.grid.temperature(i),
-                    counters: s.params(),
-                })),
+            None => {
+                out.cores.extend(
+                    self.streams
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| CoreObservation {
+                            level: self.arrays.levels[i],
+                            ips: 0.0,
+                            power: Watts::ZERO,
+                            temperature: self.grid.temperature(i),
+                            counters: s.params(),
+                        }),
+                )
+            }
         }
     }
 
@@ -464,7 +476,12 @@ impl System {
             let switched: &[bool] = switched;
             shard_chunks(
                 par,
-                (&mut vf[..], &mut params[..], &mut standalone[..], &mut cpi[..]),
+                (
+                    &mut vf[..],
+                    &mut params[..],
+                    &mut standalone[..],
+                    &mut cpi[..],
+                ),
                 |base, (vf, params, standalone, cpi)| {
                     for j in 0..vf.len() {
                         let i = base + j;
@@ -543,8 +560,7 @@ impl System {
                             // Barrier wait: the active stretch runs at full
                             // activity, the idle tail at the sync model's
                             // idle activity.
-                            act = act * (1.0 - idle_frac)
-                                + config.sync.idle_activity() * idle_frac;
+                            act = act * (1.0 - idle_frac) + config.sync.idle_activity() * idle_frac;
                         }
                         activity[j] = act;
                         instructions[j] = instr;

@@ -266,12 +266,7 @@ impl NocModel {
     /// # Panics
     ///
     /// Panics if `miss_rates.len()` differs from the mesh tile count.
-    pub fn latencies_into(
-        &self,
-        miss_rates: &[f64],
-        scratch: &mut NocScratch,
-        out: &mut Vec<f64>,
-    ) {
+    pub fn latencies_into(&self, miss_rates: &[f64], scratch: &mut NocScratch, out: &mut Vec<f64>) {
         assert_eq!(
             miss_rates.len(),
             self.config.floorplan.tiles(),

@@ -154,25 +154,30 @@ impl FleetMetrics {
                 .chain(self.rack.summaries().map(|(n, _)| format!("rack_{n}")))
                 .collect();
         }
-        for (dst, v) in snap
-            .counters
-            .iter_mut()
-            .zip(self.merged.counters.iter().copied().chain(self.rack.counters().map(|(_, v)| v)))
-        {
+        for (dst, v) in snap.counters.iter_mut().zip(
+            self.merged
+                .counters
+                .iter()
+                .copied()
+                .chain(self.rack.counters().map(|(_, v)| v)),
+        ) {
             *dst = v;
         }
-        for (dst, v) in snap
-            .gauges
-            .iter_mut()
-            .zip(self.merged.gauges.iter().copied().chain(self.rack.gauges().map(|(_, v)| v)))
-        {
+        for (dst, v) in snap.gauges.iter_mut().zip(
+            self.merged
+                .gauges
+                .iter()
+                .copied()
+                .chain(self.rack.gauges().map(|(_, v)| v)),
+        ) {
             *dst = v;
         }
-        for (dst, s) in snap
-            .summaries
-            .iter_mut()
-            .zip(self.merged.summaries.iter().chain(self.rack.summaries().map(|(_, s)| s)))
-        {
+        for (dst, s) in snap.summaries.iter_mut().zip(
+            self.merged
+                .summaries
+                .iter()
+                .chain(self.rack.summaries().map(|(_, s)| s)),
+        ) {
             *dst = *s;
         }
     }

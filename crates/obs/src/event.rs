@@ -242,14 +242,21 @@ impl Event {
     pub fn detail(self) -> String {
         match self {
             Self::Watchdog { flag, entered } => {
-                format!("{} {}", flag.name(), if entered { "enter" } else { "clear" })
+                format!(
+                    "{} {}",
+                    flag.name(),
+                    if entered { "enter" } else { "clear" }
+                )
             }
             Self::OvershootOnset { over_w } => format!("onset +{over_w:.3} W"),
             Self::OvershootEnd { epochs } => format!("end after {epochs} ep"),
             Self::BudgetRealloc { magnitude_w } => format!("moved {magnitude_w:.3} W"),
             Self::BudgetRedistribution { freed_w } => format!("freed {freed_w:.3} W"),
             Self::RlChoice { action, explored } => {
-                format!("{} a={action}", if explored { "explore" } else { "exploit" })
+                format!(
+                    "{} a={action}",
+                    if explored { "explore" } else { "exploit" }
+                )
             }
             Self::FaultInjected { class } => format!("{} inject", class.name()),
             Self::FaultCleared { class } => format!("{} clear", class.name()),
@@ -484,7 +491,10 @@ mod tests {
             .collect();
         assert_eq!(keys, vec![(1, 0, 2), (1, 1, 0), (1, 1, 1), (2, 0, 0)]);
         // seq is renumbered to the merged position.
-        assert_eq!(ab.iter().map(|r| r.record.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            ab.iter().map(|r| r.record.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]

@@ -90,7 +90,10 @@ impl Default for RecorderConfig {
             rules: vec![
                 WatermarkRule::OvershootStreak { epochs: 25 },
                 WatermarkRule::TdErrorBlowup { max_abs: 50.0 },
-                WatermarkRule::WatchdogFlipBurst { flips: 8, window: 16 },
+                WatermarkRule::WatchdogFlipBurst {
+                    flips: 8,
+                    window: 16,
+                },
                 WatermarkRule::BudgetLossSpike {
                     loss_rate: 0.5,
                     min_sent: 4,
@@ -227,8 +230,7 @@ impl FlightRecorder {
                 min_sent,
             } => {
                 let sent = sample.messages_sent;
-                (sent >= min_sent
-                    && sample.messages_lost as f64 >= loss_rate * sent as f64)
+                (sent >= min_sent && sample.messages_lost as f64 >= loss_rate * sent as f64)
                     .then(|| rule.kind())
             }
         });
@@ -325,7 +327,10 @@ mod tests {
     #[test]
     fn flip_burst_uses_sliding_window() {
         let mut rec = FlightRecorder::new(RecorderConfig {
-            rules: vec![WatermarkRule::WatchdogFlipBurst { flips: 6, window: 3 }],
+            rules: vec![WatermarkRule::WatchdogFlipBurst {
+                flips: 6,
+                window: 3,
+            }],
             cooldown: 0,
             ..RecorderConfig::default()
         });

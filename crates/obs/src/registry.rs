@@ -81,7 +81,8 @@ impl MetricsRegistry {
 
     /// Registers a streaming summary (construction time).
     pub fn summary(&mut self, name: &str) -> SummaryId {
-        self.summaries.push((name.to_string(), StreamSummary::new()));
+        self.summaries
+            .push((name.to_string(), StreamSummary::new()));
         SummaryId(self.summaries.len() - 1)
     }
 
@@ -177,7 +178,8 @@ impl MetricsRegistry {
         snap.epoch = epoch;
         snap.counters.resize(self.counters.len(), 0);
         snap.gauges.resize(self.gauges.len(), 0.0);
-        snap.summaries.resize(self.summaries.len(), StreamSummary::new());
+        snap.summaries
+            .resize(self.summaries.len(), StreamSummary::new());
         if snap.counter_names.len() != self.counters.len()
             || snap.gauge_names.len() != self.gauges.len()
             || snap.summary_names.len() != self.summaries.len()

@@ -110,7 +110,9 @@ impl TraceRing {
 
     /// Iterates the held records, oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &EventRecord> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
+        self.buf[self.head..]
+            .iter()
+            .chain(self.buf[..self.head].iter())
     }
 
     /// Forgets all records (capacity and allocation are kept).

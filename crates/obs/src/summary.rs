@@ -411,7 +411,10 @@ mod tests {
         assert_eq!(s.count(), 4);
         // Empty summaries render as zeros.
         let e = StreamSummary::new();
-        assert_eq!((e.min(), e.max(), e.mean(), e.std_dev()), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(
+            (e.min(), e.max(), e.mean(), e.std_dev()),
+            (0.0, 0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

@@ -168,7 +168,8 @@ impl Agent {
         ) {
             Some(pair) => pair,
             None => (
-                self.policy.select_storage(&self.q, s_next, self.step, rng)?,
+                self.policy
+                    .select_storage(&self.q, s_next, self.step, rng)?,
                 false,
             ),
         };
@@ -205,7 +206,13 @@ impl Agent {
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices or
     /// [`RlError::InvalidParameter`] for a non-finite reward.
     #[inline]
-    pub fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
+    pub fn learn(
+        &mut self,
+        s: usize,
+        a: usize,
+        reward: f64,
+        bootstrap: f64,
+    ) -> Result<f64, RlError> {
         if !reward.is_finite() {
             return Err(RlError::InvalidParameter {
                 name: "reward",
@@ -222,13 +229,7 @@ impl Agent {
     /// [`crate::snapshot`] for the layout).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = snapshot::header(snapshot::KIND_AGENT);
-        snapshot::write_agent_block(
-            &mut out,
-            self.gamma,
-            self.step,
-            &self.alpha,
-            &self.policy,
-        );
+        snapshot::write_agent_block(&mut out, self.gamma, self.step, &self.alpha, &self.policy);
         snapshot::write_storage(&mut out, &self.q);
         out
     }

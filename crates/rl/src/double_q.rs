@@ -189,8 +189,16 @@ impl DoubleAgent {
                 let better = v > best_cv;
                 best_cv = if better { v } else { best_cv };
                 best_c = if better { i } else { best_c };
-                best_a = if qa_row[i] > qa_row[best_a] { i } else { best_a };
-                best_b = if qb_row[i] > qb_row[best_b] { i } else { best_b };
+                best_a = if qa_row[i] > qa_row[best_a] {
+                    i
+                } else {
+                    best_a
+                };
+                best_b = if qb_row[i] > qb_row[best_b] {
+                    i
+                } else {
+                    best_b
+                };
             }
             return Ok((best_c, best_a, best_b));
         }
@@ -312,7 +320,13 @@ impl DoubleAgent {
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices or
     /// [`RlError::InvalidParameter`] for a non-finite reward.
     #[inline]
-    pub fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
+    pub fn learn(
+        &mut self,
+        s: usize,
+        a: usize,
+        reward: f64,
+        bootstrap: f64,
+    ) -> Result<f64, RlError> {
         if !reward.is_finite() {
             return Err(RlError::InvalidParameter {
                 name: "reward",

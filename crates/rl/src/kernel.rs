@@ -251,10 +251,7 @@ unsafe fn scan_row_avx2(row: &[i16]) -> (usize, i16) {
     /// Horizontal max over 16 × i16 in one 256-bit register.
     #[inline]
     unsafe fn hmax256(v: __m256i) -> i16 {
-        let m: __m128i = _mm_max_epi16(
-            _mm256_castsi256_si128(v),
-            _mm256_extracti128_si256::<1>(v),
-        );
+        let m: __m128i = _mm_max_epi16(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
         let m = _mm_max_epi16(m, _mm_shuffle_epi32::<0b0100_1110>(m));
         let m = _mm_max_epi16(m, _mm_shuffle_epi32::<0b1011_0001>(m));
         let m = _mm_max_epi16(m, _mm_shufflelo_epi16::<0b1011_0001>(m));
@@ -305,7 +302,9 @@ mod tests {
         // Cheap deterministic value mixer (no RNG dependency in unit tests).
         let mut state = 0x9E37_79B9_u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             // Clamp into the real-lane range so pads stay strictly smaller.
             ((state >> 33) as i16).max(-i16::MAX)
         };
@@ -362,7 +361,13 @@ mod tests {
 
     #[test]
     fn draw_matches_rand_shim_formula() {
-        for u in [0u64, 1, u64::MAX, 0x8000_0000_0000_0000, 0x0123_4567_89AB_CDEF] {
+        for u in [
+            0u64,
+            1,
+            u64::MAX,
+            0x8000_0000_0000_0000,
+            0x0123_4567_89AB_CDEF,
+        ] {
             let want = (u >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
             assert_eq!(draw_to_unit_f64(u).to_bits(), want.to_bits());
             assert!((0.0..1.0).contains(&draw_to_unit_f64(u)));

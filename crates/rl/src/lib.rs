@@ -62,7 +62,8 @@ pub use policy::{EpsCache, Policy};
 pub use qtable::QTable;
 pub use schedule::Schedule;
 pub use snapshot::{
-    SnapshotError, KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    SnapshotError, KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use storage::{QTableLayout, QTableStorage, QuantHealth, QuantizedTable, RowStats, QUANT_LANES};
+pub use storage::{
+    QTableLayout, QTableStorage, QuantHealth, QuantizedTable, RowStats, QUANT_LANES,
+};

@@ -996,8 +996,8 @@ mod tests {
         let stats = q.row_stats(0).unwrap();
         assert!((stats.q_min - -2.0).abs() < 1e-3);
         assert_eq!(stats.q_max, 0.0); // padding (i16::MIN) must not leak in
-        // Force doublings on row 1: growth stops once the value fits with
-        // half-range headroom (|q| ≤ 2^14), so 20.0 needs scale × 16.
+                                      // Force doublings on row 1: growth stops once the value fits with
+                                      // half-range headroom (|q| ≤ 2^14), so 20.0 needs scale × 16.
         q.set(1, 0, 20.0).unwrap();
         let health = q.quant_health();
         assert_eq!(health.doublings, 4);

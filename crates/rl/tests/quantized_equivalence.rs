@@ -150,7 +150,10 @@ fn snapshot_rejects_corruption() {
     // Bad magic.
     let mut bad = good.clone();
     bad[0] ^= 0xFF;
-    assert!(Agent::from_snapshot_bytes(&bad).is_err(), "bad magic must be rejected");
+    assert!(
+        Agent::from_snapshot_bytes(&bad).is_err(),
+        "bad magic must be rejected"
+    );
 
     // Version from the future.
     let mut bad = good.clone();
@@ -225,7 +228,9 @@ fn simd_scan_matches_scalar_argmax_at_every_bank_remainder() {
     // two banks.
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Map into the real-lane range [-i16::MAX, i16::MAX].
         (((state >> 33) as i32 % i32::from(i16::MAX)) as i16).max(-i16::MAX)
     };

@@ -548,7 +548,8 @@ mod tests {
         }
 
         fn step(&mut self, powers: &[Watts], dt: f64) {
-            let h_max = 0.5 * self.params.c_tile / (self.params.g_vertical() + 4.0 * self.params.g_lateral);
+            let h_max =
+                0.5 * self.params.c_tile / (self.params.g_vertical() + 4.0 * self.params.g_lateral);
             let substeps = (dt / h_max).ceil().max(1.0) as usize;
             let h = dt / substeps as f64;
             let gv = self.params.g_vertical();
@@ -576,7 +577,10 @@ mod tests {
 
     impl Lcg {
         fn next_f64(&mut self) -> f64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (self.0 >> 11) as f64 / (1u64 << 53) as f64
         }
     }
@@ -610,8 +614,7 @@ mod tests {
             let mut naive = NaiveGrid::of(&fast);
             let mut buf = Vec::new();
             for step in 0..25 {
-                let powers: Vec<Watts> =
-                    (0..n).map(|_| Watts::new(6.0 * lcg.next_f64())).collect();
+                let powers: Vec<Watts> = (0..n).map(|_| Watts::new(6.0 * lcg.next_f64())).collect();
                 // Mix dts so both the 1-substep and multi-substep schedules
                 // are exercised (and the memoized schedule is invalidated).
                 let dt = if step % 3 == 0 { 1e-4 } else { 2.7e-3 };

@@ -34,7 +34,12 @@ fn incident_plan() -> FaultPlan {
             200,
             60,
         )
-        .with_event(FaultKind::Sensor(SensorFault::StuckZero), Target::Chip, 200, 60)
+        .with_event(
+            FaultKind::Sensor(SensorFault::StuckZero),
+            Target::Chip,
+            200,
+            60,
+        )
         .with_event(
             FaultKind::Core(CoreFault::Unplug),
             Target::Range { lo: 16, hi: 18 },
@@ -43,7 +48,9 @@ fn incident_plan() -> FaultPlan {
         )
 }
 
-fn run(watchdog: bool) -> Result<(odrl::metrics::RunSummary, u64, u64), Box<dyn std::error::Error>> {
+fn run(
+    watchdog: bool,
+) -> Result<(odrl::metrics::RunSummary, u64, u64), Box<dyn std::error::Error>> {
     let config = SystemConfig::builder().cores(CORES).seed(23).build()?;
     let budget = Watts::new(0.45 * config.max_power().value());
     let mut system = System::new(config)?;
@@ -63,7 +70,11 @@ fn run(watchdog: bool) -> Result<(odrl::metrics::RunSummary, u64, u64), Box<dyn 
         controller.attach_budget_faults(engine)?;
     }
 
-    let mut recorder = RunRecorder::new(if watchdog { "od-rl + watchdog" } else { "od-rl blind" });
+    let mut recorder = RunRecorder::new(if watchdog {
+        "od-rl + watchdog"
+    } else {
+        "od-rl blind"
+    });
     let mut actions = vec![LevelId(0); CORES];
     let mut obs = system.observation(budget);
     let mut stale_epochs = 0u64;

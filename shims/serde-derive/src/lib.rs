@@ -125,9 +125,7 @@ fn parse_container_attrs(streams: &[TokenStream]) -> Result<ContainerAttrs, Stri
                                 i += 2;
                             }
                         }
-                        other => {
-                            return Err(format!("unsupported container serde attr `{other}`"))
-                        }
+                        other => return Err(format!("unsupported container serde attr `{other}`")),
                     }
                 }
                 TokenTree::Punct(p) if p.as_char() == ',' => i += 1,
@@ -395,8 +393,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     )),
                     VariantShape::Struct(fields) => {
                         let pat: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let mut inner =
-                            String::from("let mut __inner = ::serde::Map::new();\n");
+                        let mut inner = String::from("let mut __inner = ::serde::Map::new();\n");
                         for f in fields {
                             inner.push_str(&format!(
                                 "__inner.insert({:?}, ::serde::Serialize::to_value({}));\n",
@@ -487,9 +484,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 s
             }
         }
-        Container::TupleStruct(1) => {
-            "Ok(Self(::serde::Deserialize::from_value(__v)?))".to_string()
-        }
+        Container::TupleStruct(1) => "Ok(Self(::serde::Deserialize::from_value(__v)?))".to_string(),
         Container::TupleStruct(n) => {
             let mut s = format!(
                 "let __arr = __v.as_array().ok_or_else(|| \
@@ -499,7 +494,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                  Ok(Self(\n"
             );
             for i in 0..*n {
-                s.push_str(&format!("::serde::Deserialize::from_value(&__arr[{i}])?,\n"));
+                s.push_str(&format!(
+                    "::serde::Deserialize::from_value(&__arr[{i}])?,\n"
+                ));
             }
             s.push_str("))");
             s

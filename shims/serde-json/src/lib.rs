@@ -219,7 +219,10 @@ impl<'a> Parser<'a> {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(Error::new(format!("invalid literal at offset {}", self.pos)))
+            Err(Error::new(format!(
+                "invalid literal at offset {}",
+                self.pos
+            )))
         }
     }
 

@@ -67,10 +67,10 @@ pub trait Deserialize: Sized {
 
 /// Marker alias so `serde::de::DeserializeOwned` bounds keep compiling.
 pub mod de {
+    pub use super::DeError as Error;
     /// In this shim every `Deserialize` is owned.
     pub use super::Deserialize as DeserializeOwned;
     pub use super::Deserialize;
-    pub use super::DeError as Error;
 }
 
 /// Marker alias so `serde::ser` paths keep compiling.

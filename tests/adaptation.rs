@@ -46,8 +46,7 @@ fn recovers_from_budget_step_down() {
     let config = SystemConfig::builder().cores(24).seed(71).build().unwrap();
     let max = config.max_power();
     let mut system = System::new(config).unwrap();
-    let mut ctrl =
-        OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.8).unwrap();
+    let mut ctrl = OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.8).unwrap();
 
     // Warm up at a loose cap.
     run_phase(&mut system, &mut ctrl, max * 0.8, 600, 100);
@@ -75,8 +74,7 @@ fn recovers_from_budget_step_up() {
     let config = SystemConfig::builder().cores(24).seed(73).build().unwrap();
     let max = config.max_power();
     let mut system = System::new(config).unwrap();
-    let mut ctrl =
-        OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.45).unwrap();
+    let mut ctrl = OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.45).unwrap();
 
     let before = run_phase(&mut system, &mut ctrl, max * 0.45, 600, 100);
     // Loosen the cap: throughput-seeking must raise power meaningfully.
@@ -94,8 +92,7 @@ fn coverage_keeps_growing_across_steps() {
     let config = SystemConfig::builder().cores(16).seed(75).build().unwrap();
     let max = config.max_power();
     let mut system = System::new(config).unwrap();
-    let mut ctrl =
-        OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.8).unwrap();
+    let mut ctrl = OdRlController::new(OdRlConfig::default(), &system.spec(), max * 0.8).unwrap();
 
     run_phase(&mut system, &mut ctrl, max * 0.8, 300, 10);
     let c1 = ctrl.coverage();

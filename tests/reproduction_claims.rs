@@ -132,7 +132,8 @@ fn claim2b_odrl_energy_efficiency_is_competitive() {
         &cfg,
         budget,
     );
-    let baselines = [summarize(Box::new(MaxBips::dp(spec.clone()).unwrap()), &cfg, budget),
+    let baselines = [
+        summarize(Box::new(MaxBips::dp(spec.clone()).unwrap()), &cfg, budget),
         summarize(
             Box::new(SteepestDrop::new(spec.clone()).unwrap()),
             &cfg,
@@ -142,7 +143,8 @@ fn claim2b_odrl_energy_efficiency_is_competitive() {
             Box::new(PidController::new(spec.clone(), PidGains::default()).unwrap()),
             &cfg,
             budget,
-        )];
+        ),
+    ];
     let eff = |s: &odrl::metrics::RunSummary| s.instructions_per_joule();
     let best = baselines.iter().map(&eff).fold(0.0, f64::max);
     let worst = baselines.iter().map(&eff).fold(f64::MAX, f64::min);
