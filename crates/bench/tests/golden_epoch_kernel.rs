@@ -2,8 +2,8 @@
 //!
 //! The constants below were captured from the pre-SoA (per-core struct)
 //! implementation of the fixed-seed 256-core closed loop: run summary,
-//! telemetry totals and the exported Q-table snapshot, hashed over their
-//! canonical JSON encodings. The SoA kernel — `observation_into` +
+//! telemetry totals and the exported Q-table snapshot, hashed over the
+//! summary's canonical JSON and the snapshot's binary encoding. The SoA kernel — `observation_into` +
 //! `step_in_place` with reused scratch — must reproduce every one of them
 //! bit for bit, both on the serial path and sharded four ways.
 //!
@@ -33,18 +33,16 @@ const GOLDEN_ENERGY_BITS: u64 = 0x4049_0737_2bf4_f1ec;
 const GOLDEN_MEAN_POWER_BITS: u64 = 0x407a_122e_cdc9_d155;
 const GOLDEN_OVERSHOOT_BITS: u64 = 0x0000_0000_0000_0000;
 const GOLDEN_SUMMARY_HASH: u64 = 0xfe16_4aa4_946d_c5c2;
-/// Re-captured when per-agent tables moved behind the `QTableStorage`
-/// enum: the serialized snapshot gained the storage-layout wrapper, so the
-/// canonical JSON (and only it — every trajectory constant above is
-/// untouched, and serial and four-shard runs still agree bit for bit)
-/// hashes differently.
-const GOLDEN_POLICY_HASH: u64 = 0x295c_358b_e39a_0425;
+/// FNV-1a over the exported policy's versioned binary snapshot
+/// (`PolicySnapshot::to_bytes`), which carries every Q value, visit count
+/// and counter as raw bits.
+const GOLDEN_POLICY_BYTES: u64 = 0x921a_a096_0c22_473e;
 
-/// FNV-1a over a canonical JSON encoding: cheap, stable, and sensitive to
-/// any bit difference in any serialized field.
-fn fnv1a(s: &str) -> u64 {
+/// FNV-1a over an encoding: cheap, stable, and sensitive to any bit
+/// difference in any encoded field.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -119,14 +117,13 @@ fn check(par: Parallelism, empty_fault_plan: bool) {
     );
     let summary_json = serde_json::to_string(&summary).expect("serializable summary");
     assert_eq!(
-        fnv1a(&summary_json),
+        fnv1a(summary_json.as_bytes()),
         GOLDEN_SUMMARY_HASH,
         "{par:?}: full run summary drifted"
     );
-    let policy_json = serde_json::to_string(&policy).expect("serializable snapshot");
     assert_eq!(
-        fnv1a(&policy_json),
-        GOLDEN_POLICY_HASH,
+        fnv1a(&policy.to_bytes()),
+        GOLDEN_POLICY_BYTES,
         "{par:?}: exported Q-table snapshot drifted"
     );
 }

@@ -1541,6 +1541,68 @@ mod tests {
         );
     }
 
+    /// Pins the ε-greedy double-Q controller: the action stream and the
+    /// exported policy bytes over both table layouts, serial and sharded
+    /// four ways.
+    #[test]
+    fn double_q_controller_is_pinned_and_shard_invariant() {
+        use odrl_manycore::Parallelism;
+        use odrl_rl::QTableLayout;
+        const CORES: usize = 48;
+        const GOLDEN: u64 = 18398126560090273698;
+
+        let fnv = |h: &mut u64, bytes: &[u8]| {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let run = |layout: QTableLayout, par: Parallelism| {
+            let config = SystemConfig::builder()
+                .cores(CORES)
+                .seed(23)
+                .build()
+                .unwrap();
+            let budget = Watts::new(0.55 * config.max_power().value());
+            let mut system = System::new(config).unwrap();
+            let mut ctrl = OdRlController::new(
+                OdRlConfig {
+                    algorithm: Algorithm::DoubleQLearning,
+                    seed: 23,
+                    layout,
+                    parallelism: par,
+                    ..OdRlConfig::default()
+                },
+                &system.spec(),
+                budget,
+            )
+            .unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut out = vec![LevelId(0); CORES];
+            for _ in 0..200 {
+                let obs = system.observation(budget);
+                ctrl.decide_into(&obs, &mut out);
+                for a in &out {
+                    fnv(&mut h, &(a.index() as u16).to_le_bytes());
+                }
+                system.step(&out).unwrap();
+            }
+            fnv(&mut h, &ctrl.export_policy().to_bytes());
+            h
+        };
+        let mut all = 0xcbf2_9ce4_8422_2325u64;
+        for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
+            let serial = run(layout, Parallelism::Serial);
+            let sharded = run(layout, Parallelism::Threads(4));
+            assert_eq!(serial, sharded, "{layout:?}: shard count leaked");
+            fnv(&mut all, &serial.to_le_bytes());
+        }
+        assert_eq!(
+            all, GOLDEN,
+            "double-Q controller stream drifted from golden"
+        );
+    }
+
     #[test]
     fn every_algorithm_variant_runs() {
         use odrl_rl::Algorithm;

@@ -70,11 +70,13 @@ fn serial_and_parallel_closed_loops_are_bit_identical() {
         assert_eq!(energy, p_energy, "energy diverged under {par:?}");
         assert_eq!(epochs, p_epochs, "epoch count diverged under {par:?}");
         assert_eq!(policy, p_policy, "Q-tables diverged under {par:?}");
-        // And the serialized Q-table digest — byte-for-byte equality of
-        // the snapshot's canonical form — must agree as well.
-        let digest = serde_json::to_string(&policy).expect("serializable snapshot");
-        let p_digest = serde_json::to_string(&p_policy).expect("serializable snapshot");
-        assert_eq!(digest, p_digest, "policy digest diverged under {par:?}");
+        // And the binary snapshot — every Q value and counter as raw bits
+        // — must agree byte for byte as well.
+        assert_eq!(
+            policy.to_bytes(),
+            p_policy.to_bytes(),
+            "policy digest diverged under {par:?}"
+        );
     }
 }
 
