@@ -15,168 +15,12 @@ use odrl_manycore::{Observation, Stage, StageTimers, SystemSpec};
 use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing, DIAG_PERIOD};
 use odrl_power::{LevelId, Watts};
 use odrl_rl::snapshot as rl_snapshot;
-use odrl_rl::{
-    Agent, Algorithm, DoubleAgent, EpsCache, Policy, RlError, SnapshotError, UpdateMask,
-    KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET,
-};
+use odrl_rl::{Agent, EpsCache, Policy, RlError, SnapshotError, UpdateMask, KIND_POLICY_SET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// The per-core learner: a Q-learning agent or a double-Q pair, chosen by
-/// [`OdRlConfig::algorithm`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-enum CoreAgent {
-    Single(Agent),
-    Double(DoubleAgent),
-}
-
-impl CoreAgent {
-    /// The decide half of the RL step: one pass over this state's Q-row
-    /// selects the action *and* captures the TD bootstrap the pending
-    /// transition will be priced with — the argmax the TD target needs
-    /// and the greedy choice the policy needs are the same scan. The flag
-    /// is `true` when the action came from an exploration draw. `draw` is
-    /// the block-refilled ε uniform (when [`CoreAgent::pre_draws`]) and
-    /// `scan` the block-scanned `(argmax, max)` of the `s_next` row (only
-    /// when [`CoreAgent::quant_row`] offered one).
-    #[inline]
-    fn decide<R: Rng + ?Sized>(
-        &mut self,
-        s_next: usize,
-        draw: Option<u64>,
-        scan: Option<(usize, f64)>,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        match self {
-            Self::Single(agent) => agent.decide(s_next, draw, scan, rng, cache),
-            Self::Double(agent) => agent.decide(s_next, draw, rng, cache),
-        }
-    }
-
-    /// The banked row and scale the next decision in `s_next` would scan,
-    /// when this agent can consume a block-scanned argmax (single-agent
-    /// quantized storage only — a double agent scans the sum of two
-    /// tables, which the block kernel does not model).
-    #[inline]
-    fn quant_row(&self, s_next: usize) -> Option<(&[i16], f32)> {
-        match self {
-            Self::Single(a) => a.quant_row(s_next),
-            Self::Double(_) => None,
-        }
-    }
-
-    /// Whether this agent's policy consumes exactly one leading uniform
-    /// draw per decision — the gate for the block ε refill.
-    #[inline]
-    fn pre_draws(&self) -> bool {
-        match self {
-            Self::Single(a) => a.policy_pre_draws(),
-            Self::Double(a) => a.policy_pre_draws(),
-        }
-    }
-
-    /// The learn half: applies the TD update for `(s, a, reward)` with the
-    /// bootstrap captured by the same epoch's [`CoreAgent::decide`].
-    /// Returns the TD error (the learning-health diagnostics signal).
-    #[inline]
-    fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
-        match self {
-            Self::Single(agent) => agent.learn(s, a, reward, bootstrap),
-            Self::Double(agent) => agent.learn(s, a, reward, bootstrap),
-        }
-    }
-
-    /// Min/max action value and visit count of state `s` — the
-    /// diagnostics tap (for double-Q, the element-wise union over both
-    /// tables).
-    fn row_stats(&self, s: usize) -> Result<odrl_rl::RowStats, RlError> {
-        match self {
-            Self::Single(a) => a.q().row_stats(s),
-            Self::Double(a) => {
-                let sa = a.qa().row_stats(s)?;
-                let sb = a.qb().row_stats(s)?;
-                Ok(odrl_rl::RowStats {
-                    q_min: sa.q_min.min(sb.q_min),
-                    q_max: sa.q_max.max(sb.q_max),
-                    visit_min: sa.visit_min.min(sb.visit_min),
-                    visit_max: sa.visit_max.max(sb.visit_max),
-                })
-            }
-        }
-    }
-
-    /// Quantized-storage health (summed over both tables for double-Q);
-    /// `None` when the storage is scalar.
-    fn quant_health(&self) -> Option<odrl_rl::QuantHealth> {
-        match self {
-            Self::Single(a) => a.q().quant_health(),
-            Self::Double(a) => {
-                let ha = a.qa().quant_health()?;
-                let hb = a.qb().quant_health()?;
-                Some(odrl_rl::QuantHealth {
-                    doublings: ha.doublings + hb.doublings,
-                    saturated: ha.saturated + hb.saturated,
-                    lanes: ha.lanes + hb.lanes,
-                })
-            }
-        }
-    }
-
-    /// Hints the CPU to pull state `s`'s Q-row(s) and row scale(s) toward
-    /// L1 — issued for a whole block during the encode pass, so each row
-    /// is resident by the time its scan starts.
-    #[inline]
-    fn prefetch(&self, s: usize) {
-        match self {
-            Self::Single(a) => a.q().prefetch_row(s),
-            Self::Double(a) => {
-                a.qa().prefetch_row(s);
-                a.qb().prefetch_row(s);
-            }
-        }
-    }
-
-    /// Hints the CPU at everything the pending TD update of `(s, a)` will
-    /// touch (bank lane, row scale, visit counter — separate allocations
-    /// on the quantized layout). The learn pass issues this one block
-    /// ahead.
-    #[inline]
-    fn prefetch_update(&self, s: usize, a: usize) {
-        match self {
-            Self::Single(ag) => ag.q().prefetch_update(s, a),
-            Self::Double(ag) => {
-                ag.qa().prefetch_update(s, a);
-                ag.qb().prefetch_update(s, a);
-            }
-        }
-    }
-
-    fn coverage(&self) -> f64 {
-        match self {
-            Self::Single(a) => a.q().coverage(),
-            Self::Double(a) => a.coverage(),
-        }
-    }
-
-    fn values(&self, s: usize) -> Result<Vec<f64>, RlError> {
-        match self {
-            Self::Single(a) => a.q().row_values(s),
-            Self::Double(a) => a.combined_row(s),
-        }
-    }
-
-    /// `(states, actions)` of the underlying table(s).
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            Self::Single(a) => (a.q().states(), a.q().actions()),
-            Self::Double(a) => (a.qa().states(), a.qa().actions()),
-        }
-    }
-}
 
 /// On-line Distributed Reinforcement Learning DVFS control
 /// (Chen & Marculescu, DATE 2015).
@@ -217,7 +61,7 @@ impl CoreAgent {
 pub struct OdRlController {
     config: OdRlConfig,
     encoder: StateEncoder,
-    agents: Vec<CoreAgent>,
+    agents: Vec<Agent>,
     shaper: RewardShaper,
     allocator: Option<BudgetAllocator>,
     budgets: Vec<Watts>,
@@ -335,26 +179,15 @@ impl OdRlController {
             epsilon: config.epsilon,
         };
         let agents = (0..spec.cores)
-            .map(|_| match config.algorithm {
-                Algorithm::DoubleQLearning => Ok(CoreAgent::Double(
-                    DoubleAgent::builder(encoder.num_states(), encoder.num_actions())
-                        .gamma(config.gamma)
-                        .alpha(config.alpha)
-                        .policy(policy)
-                        .layout(config.layout)
-                        // Selection sums both tables, so halve the prior.
-                        .optimistic(optimistic / 2.0)
-                        .build()?,
-                )),
-                _ => Ok(CoreAgent::Single(
-                    Agent::builder(encoder.num_states(), encoder.num_actions())
-                        .gamma(config.gamma)
-                        .alpha(config.alpha)
-                        .policy(policy)
-                        .layout(config.layout)
-                        .optimistic(optimistic)
-                        .build()?,
-                )),
+            .map(|_| {
+                Agent::builder(encoder.num_states(), encoder.num_actions())
+                    .algorithm(config.algorithm)
+                    .gamma(config.gamma)
+                    .alpha(config.alpha)
+                    .policy(policy)
+                    .layout(config.layout)
+                    .optimistic(optimistic)
+                    .build()
             })
             .collect::<Result<Vec<_>, RlError>>()?;
         let allocator = reallocate
@@ -528,7 +361,7 @@ impl OdRlController {
         let core = obs.cores.get(i)?;
         let agent = self.agents.get(i)?;
         let s = self.encoder.encode(core, self.affordability(i));
-        agent.values(s).ok()
+        agent.row_values(s).ok()
     }
 
     /// Core `i`'s effective share: its base allocation times the chip
@@ -551,7 +384,7 @@ impl OdRlController {
     /// Fraction of `(state, action)` pairs the per-core agents have visited
     /// (averaged over cores) — a learning-progress diagnostic.
     pub fn coverage(&self) -> f64 {
-        let sum: f64 = self.agents.iter().map(CoreAgent::coverage).sum();
+        let sum: f64 = self.agents.iter().map(Agent::coverage).sum();
         sum / self.agents.len() as f64
     }
 
@@ -777,8 +610,8 @@ impl OdRlController {
         };
         if epoch.is_multiple_of(DIAG_PERIOD) {
             let (mut doublings, mut saturated, mut lanes) = (0u64, 0u64, 0u64);
-            for agent in &self.agents[..n] {
-                if let Some(h) = agent.quant_health() {
+            for table in self.agents[..n].iter().flat_map(Agent::tables) {
+                if let Some(h) = table.quant_health() {
                     doublings += h.doublings;
                     saturated += h.saturated;
                     lanes += h.lanes;
@@ -797,7 +630,7 @@ impl OdRlController {
 /// `(state, action)` decisions, their validity bits, TD bootstraps, ε
 /// draws, mem bins, and the shard's `[decide_ns, learn_ns]` stamp slot.
 type RlShard<'a> = (
-    &'a mut [CoreAgent],
+    &'a mut [Agent],
     &'a mut [StdRng],
     RewardRows<'a>,
     &'a mut [(usize, usize)],
@@ -891,13 +724,13 @@ impl RlPass<'_> {
                 let (s, mb) = self.encode(base + j);
                 dec[j].0 = s;
                 mem_phase[j] = mb as u16;
-                agents[j].prefetch(s);
+                agents[j].tables().for_each(|t| t.prefetch_row(s));
             }
             self.prefetch_updates(agents, base, end, (end + BLOCK).min(len));
             // Pass 2: ε refill.
             for j in blk..end {
-                draws[j] =
-                    (agents[j].pre_draws() && !self.is_dead(base + j)).then(|| rngs[j].next_u64());
+                draws[j] = (agents[j].policy_pre_draws() && !self.is_dead(base + j))
+                    .then(|| rngs[j].next_u64());
             }
             // Pass 3a: one dispatched kernel call scans the whole block's
             // rows when every agent offers a banked row. Each result is
@@ -1046,11 +879,11 @@ impl RlPass<'_> {
     /// Prefetches the pending TD-update targets of shard cores
     /// `from..to` (last epoch's decisions are known before any pass runs).
     #[inline]
-    fn prefetch_updates(&self, agents: &[CoreAgent], base: usize, from: usize, to: usize) {
+    fn prefetch_updates(&self, agents: &[Agent], base: usize, from: usize, to: usize) {
         if let Some(pending) = self.pending {
             for k in from..to {
                 let (s, a) = pending[base + k];
-                agents[k].prefetch_update(s, a);
+                agents[k].tables().for_each(|t| t.prefetch_update(s, a));
             }
         }
     }
@@ -1134,13 +967,14 @@ impl PowerController for OdRlController {
 }
 
 /// An exported set of learned per-core policies (see
-/// [`OdRlController::export_policy`]). Opaque but serializable, so it can
-/// be written to disk and imported into a compatible controller later.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// [`OdRlController::export_policy`]). Opaque; it persists as versioned
+/// snapshot bytes ([`PolicySnapshot::to_bytes`], [`PolicySnapshot::save`])
+/// and can be imported into a compatible controller later.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySnapshot {
     states: usize,
     actions: usize,
-    agents: Vec<CoreAgent>,
+    agents: Vec<Agent>,
 }
 
 impl PolicySnapshot {
@@ -1170,16 +1004,8 @@ impl PolicySnapshot {
         rl_snapshot::put_u64(&mut out, self.actions as u64);
         rl_snapshot::put_u64(&mut out, self.agents.len() as u64);
         for agent in &self.agents {
-            match agent {
-                CoreAgent::Single(a) => {
-                    rl_snapshot::put_u64(&mut out, u64::from(KIND_AGENT));
-                    a.encode_block(&mut out);
-                }
-                CoreAgent::Double(a) => {
-                    rl_snapshot::put_u64(&mut out, u64::from(KIND_DOUBLE_AGENT));
-                    a.encode_block(&mut out);
-                }
-            }
+            rl_snapshot::put_u64(&mut out, u64::from(agent.snapshot_kind()));
+            agent.encode_block(&mut out);
         }
         out
     }
@@ -1199,17 +1025,9 @@ impl PolicySnapshot {
         let count = cur.take_len()?;
         let mut agents = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let kind = cur.take_u64()?;
-            let agent = if kind == u64::from(KIND_AGENT) {
-                CoreAgent::Single(Agent::decode_block(&mut cur)?)
-            } else if kind == u64::from(KIND_DOUBLE_AGENT) {
-                CoreAgent::Double(DoubleAgent::decode_block(&mut cur)?)
-            } else {
-                return Err(RlError::Snapshot {
-                    reason: "unknown agent kind in policy set",
-                });
-            };
-            if agent.dims() != (states, actions) {
+            let kind = u8::try_from(cur.take_u64()?).unwrap_or(u8::MAX);
+            let agent = Agent::decode_block(&mut cur, kind)?;
+            if (agent.q().states(), agent.q().actions()) != (states, actions) {
                 return Err(RlError::Snapshot {
                     reason: "agent dimensions disagree with the policy-set header",
                 });
@@ -1547,7 +1365,7 @@ mod tests {
     #[test]
     fn double_q_controller_is_pinned_and_shard_invariant() {
         use odrl_manycore::Parallelism;
-        use odrl_rl::QTableLayout;
+        use odrl_rl::{Algorithm, QTableLayout};
         const CORES: usize = 48;
         const GOLDEN: u64 = 18398126560090273698;
 
@@ -1672,6 +1490,24 @@ mod tests {
             warm > cold * 1.02,
             "warm start should beat cold start early: {warm} vs {cold}"
         );
+    }
+
+    #[test]
+    fn policy_set_decoder_rejects_impossible_dimensions() {
+        let spec = SystemConfig::builder().cores(4).build().unwrap().spec();
+        let ctrl = OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
+        let mut bytes = ctrl.export_policy().to_bytes();
+        assert!(PolicySnapshot::from_bytes(&bytes).is_ok());
+        // Header (16) · states, actions, count (24) · first agent's kind
+        // (8) · its gamma, step, alpha and ε-greedy policy (104) · storage
+        // layout tag (8), then the table's `states` and `actions`.
+        let huge = (1u64 << 30).to_le_bytes();
+        bytes[160..168].copy_from_slice(&huge);
+        bytes[168..176].copy_from_slice(&huge);
+        assert!(matches!(
+            PolicySnapshot::from_bytes(&bytes),
+            Err(RlError::Snapshot { .. })
+        ));
     }
 
     #[test]
@@ -1844,7 +1680,7 @@ mod tests {
     #[test]
     fn imported_non_epsilon_policies_are_pinned_and_shard_invariant() {
         use odrl_manycore::Parallelism;
-        use odrl_rl::{QTableLayout, Schedule};
+        use odrl_rl::{Algorithm, QTableLayout, Schedule};
         const CORES: usize = 96;
         const GOLDEN: u64 = 7625338881224104347;
 
@@ -1888,29 +1724,20 @@ mod tests {
             let agents = (0..CORES)
                 .map(|i| {
                     let policy = cases[case][i % cases[case].len()];
-                    if i % 2 == 0 {
-                        CoreAgent::Single(
-                            Agent::builder(states, actions)
-                                .gamma(cfg.gamma)
-                                .alpha(cfg.alpha)
-                                .policy(policy)
-                                .layout(layout)
-                                .optimistic(optimistic)
-                                .build()
-                                .unwrap(),
-                        )
+                    let algorithm = if i % 2 == 0 {
+                        Algorithm::QLearning
                     } else {
-                        CoreAgent::Double(
-                            DoubleAgent::builder(states, actions)
-                                .gamma(cfg.gamma)
-                                .alpha(cfg.alpha)
-                                .policy(policy)
-                                .layout(layout)
-                                .optimistic(optimistic / 2.0)
-                                .build()
-                                .unwrap(),
-                        )
-                    }
+                        Algorithm::DoubleQLearning
+                    };
+                    Agent::builder(states, actions)
+                        .algorithm(algorithm)
+                        .gamma(cfg.gamma)
+                        .alpha(cfg.alpha)
+                        .policy(policy)
+                        .layout(layout)
+                        .optimistic(optimistic)
+                        .build()
+                        .unwrap()
                 })
                 .collect();
             ctrl.import_policy(PolicySnapshot {

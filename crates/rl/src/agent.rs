@@ -1,39 +1,46 @@
-//! Tabular temporal-difference agents (Q-learning).
+//! Tabular temporal-difference agents: Q-learning on one table, or double
+//! Q-learning on two.
 
 use crate::error::RlError;
 use crate::policy::{EpsCache, Policy};
 use crate::schedule::Schedule;
 use crate::snapshot::{self, SnapshotError};
-use crate::storage::{QTableLayout, QTableStorage};
+use crate::storage::{QTableLayout, QTableStorage, RowStats};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Which TD update rule a controller applies: Q-learning on one
-/// [`Agent`], or double Q-learning on a [`crate::DoubleAgent`].
+/// Which TD update rule an [`Agent`] applies, chosen with
+/// [`AgentBuilder::algorithm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Algorithm {
     /// Off-policy: `Q(s,a) ← Q + α·(r + γ·max_a' Q(s',a') − Q)`.
     QLearning,
-    /// Double Q-learning (two tables, decoupled selection/evaluation); see
-    /// [`crate::DoubleAgent`].
+    /// Double Q-learning (van Hasselt, NIPS 2010): two tables `QA`, `QB`.
+    /// Updates alternate deterministically between them; the updated
+    /// table picks the argmax action in `s'` and the *other* table
+    /// evaluates it, so a lucky noise spike in one table cannot inflate
+    /// its own bootstrap. Selection acts on the sum `QA + QB`.
     DoubleQLearning,
 }
 
-/// A tabular TD agent: Q-table, update rule, learning-rate schedule and
+/// A tabular TD agent: Q-table(s), update rule, learning-rate schedule and
 /// exploration policy.
 ///
 /// The paper's per-core controllers are instances of this with the OD-RL
-/// state encoding; the agent itself is domain-agnostic.
+/// state encoding; the agent itself is domain-agnostic. Built with
+/// [`Algorithm::DoubleQLearning`] it keeps a second table and applies the
+/// double-Q rules, which trade some throughput for robustness to the max
+/// operator's overestimation under noisy rewards.
 ///
 /// ```
 /// use odrl_rl::{Agent, Algorithm, Policy, Schedule};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
-/// let _which = Algorithm::QLearning; // named in configs; `update` implements it
 /// let mut agent = Agent::builder(4, 2)
+///     .algorithm(Algorithm::DoubleQLearning)
 ///     .gamma(0.9)
 ///     .alpha(Schedule::constant(0.2)?)
 ///     .policy(Policy::default_epsilon_greedy())
@@ -41,15 +48,22 @@ pub enum Algorithm {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let a = agent.select(0, &mut rng)?;
 /// agent.update(0, a, 1.0, 1)?;
+/// assert_eq!(agent.tables().count(), 2);
 /// # Ok::<(), odrl_rl::RlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Agent {
+    /// The Q-table (double Q-learning's `QA`).
     q: QTableStorage,
+    /// Double Q-learning's `QB`; `None` for Q-learning.
+    qb: Option<QTableStorage>,
     gamma: f64,
     alpha: Schedule,
     policy: Policy,
     step: u64,
+    /// Double-Q TD updates applied so far: the parity picks the table the
+    /// next update writes (even `QA`, odd `QB`). Stays 0 with one table.
+    updates: u64,
 }
 
 impl Agent {
@@ -58,6 +72,7 @@ impl Agent {
         AgentBuilder {
             states,
             actions,
+            algorithm: Algorithm::QLearning,
             gamma: 0.9,
             alpha: Schedule::Constant { value: 0.1 },
             policy: Policy::default_epsilon_greedy(),
@@ -66,9 +81,15 @@ impl Agent {
         }
     }
 
-    /// The agent's Q-table storage.
+    /// The agent's Q-table storage (for double Q-learning, `QA`).
     pub fn q(&self) -> &QTableStorage {
         &self.q
+    }
+
+    /// The agent's tables: `q()` alone, or `QA` then `QB` for double
+    /// Q-learning.
+    pub fn tables(&self) -> impl Iterator<Item = &QTableStorage> {
+        std::iter::once(&self.q).chain(self.qb.as_ref())
     }
 
     /// Number of decisions made so far.
@@ -81,6 +102,17 @@ impl Agent {
         self.gamma
     }
 
+    fn check_state(&self, s: usize) -> Result<(), RlError> {
+        if s >= self.q.states() {
+            return Err(RlError::IndexOutOfRange {
+                what: "state",
+                requested: s,
+                size: self.q.states(),
+            });
+        }
+        Ok(())
+    }
+
     /// Selects an action in state `s` (advances the decision counter, which
     /// drives the exploration schedule).
     ///
@@ -88,23 +120,58 @@ impl Agent {
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
     pub fn select<R: Rng + ?Sized>(&mut self, s: usize, rng: &mut R) -> Result<usize, RlError> {
-        let a = self.policy.select_storage(&self.q, s, self.step, rng)?;
+        let a = self.choose(s, rng)?;
         self.step += 1;
         Ok(a)
     }
 
-    /// The greedy action in state `s` without exploring or counting.
+    /// The full policy selection in `s` at the current step, without
+    /// counting it. Two tables select on their sum, summed on the fly so
+    /// selection stays allocation-free; UCB1 then degrades to greedy (see
+    /// [`Policy::select_with`]).
+    fn choose<R: Rng + ?Sized>(&self, s: usize, rng: &mut R) -> Result<usize, RlError> {
+        match &self.qb {
+            None => self.policy.select_storage(&self.q, s, self.step, rng),
+            Some(qb) => {
+                self.check_state(s)?;
+                let qa = &self.q;
+                Ok(self.policy.select_with(
+                    qa.actions(),
+                    |i| qa.value_at(s, i) + qb.value_at(s, i),
+                    self.step,
+                    rng,
+                ))
+            }
+        }
+    }
+
+    /// The greedy action in state `s` (on the summed tables for double
+    /// Q-learning) without exploring or counting.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
     pub fn exploit(&self, s: usize) -> Result<usize, RlError> {
-        self.q.best_action(s)
+        let Some(qb) = &self.qb else {
+            return self.q.best_action(s);
+        };
+        self.check_state(s)?;
+        let mut best = 0;
+        let mut best_v = f64::NEG_INFINITY;
+        for i in 0..self.q.actions() {
+            let v = self.q.value_at(s, i) + qb.value_at(s, i);
+            if v > best_v {
+                best_v = v;
+                best = i;
+            }
+        }
+        Ok(best)
     }
 
-    /// Applies one Q-learning update for transition `(s, a, r, s')`,
-    /// returning the TD error `target − Q(s, a)` (the learning-health
-    /// signal).
+    /// Applies one TD update for transition `(s, a, r, s')`, returning the
+    /// TD error `target − Q(s, a)` (the learning-health signal). Q-learning
+    /// bootstraps from `max_a' Q(s', a')`; double Q-learning from the table
+    /// next in the rotation's argmax, evaluated by the other table.
     ///
     /// # Errors
     ///
@@ -117,7 +184,13 @@ impl Agent {
         reward: f64,
         s_next: usize,
     ) -> Result<f64, RlError> {
-        let bootstrap = self.q.max_value(s_next)?;
+        let bootstrap = match &self.qb {
+            None => self.q.max_value(s_next)?,
+            Some(qb) if self.updates.is_multiple_of(2) => {
+                qb.get(s_next, self.q.best_action(s_next)?)?
+            }
+            Some(qb) => self.q.get(s_next, qb.best_action(s_next)?)?,
+        };
         self.learn(s, a, reward, bootstrap)
     }
 
@@ -125,8 +198,11 @@ impl Agent {
     /// `s_next` and returns `(action, explored, bootstrap)`. `explored` is
     /// `true` when the action came from the ε branch; `bootstrap` is the
     /// TD bootstrap to hand [`Agent::learn`] once the pending transition's
-    /// reward is known, `max_a Q(s_next, a)`. The greedy choice and the
-    /// bootstrap come from one row scan.
+    /// reward is known — exactly what [`Agent::update`] would bootstrap
+    /// from. The greedy choice and the bootstrap come from one row scan;
+    /// for double Q-learning one pass over both rows yields the summed
+    /// argmax for selection and each table's own argmax for the bootstrap,
+    /// and the rotation parity is only peeked (`learn` advances it).
     ///
     /// A batch caller may hand over work it already did for a block of
     /// agents:
@@ -136,7 +212,8 @@ impl Agent {
     ///   [`Agent::policy_pre_draws`] is true; other policies ignore it and
     ///   draw from `rng` as usual);
     /// * `scan` — `(argmax, max)` of the `s_next` row from a
-    ///   [`crate::kernel::scan_rows`] batch over [`Agent::quant_row`].
+    ///   [`crate::kernel::scan_rows`] batch over [`Agent::quant_row`]
+    ///   (ignored by a two-table agent, which offers no such row).
     ///
     /// Either way decide → learn is bit-identical to [`Agent::select`]
     /// followed by [`Agent::update`]: same actions, same table state, same
@@ -154,27 +231,33 @@ impl Agent {
         rng: &mut R,
         cache: &mut EpsCache,
     ) -> Result<(usize, bool, f64), RlError> {
-        let (best, max_v) = match scan {
-            Some(pair) => pair,
-            None => self.q.best_action_and_max(s_next)?,
+        let (greedy, bootstrap) = match (&self.qb, scan) {
+            (None, Some(pair)) => pair,
+            (None, None) => self.q.best_action_and_max(s_next)?,
+            (Some(qb), _) => {
+                self.check_state(s_next)?;
+                let (best_c, best_a, best_b) = scan_pair(&self.q, qb, s_next)?;
+                let bootstrap = if self.updates.is_multiple_of(2) {
+                    qb.get(s_next, best_a)?
+                } else {
+                    self.q.get(s_next, best_b)?
+                };
+                (best_c, bootstrap)
+            }
         };
         let (a_next, explored) = match self.policy.select_from_argmax(
             self.q.actions(),
-            best,
+            greedy,
             self.step,
             draw,
             rng,
             cache,
         ) {
             Some(pair) => pair,
-            None => (
-                self.policy
-                    .select_storage(&self.q, s_next, self.step, rng)?,
-                false,
-            ),
+            None => (self.choose(s_next, rng)?, false),
         };
         self.step += 1;
-        Ok((a_next, explored, max_v))
+        Ok((a_next, explored, bootstrap))
     }
 
     /// Whether this agent's policy consumes exactly one leading uniform
@@ -187,19 +270,24 @@ impl Agent {
     }
 
     /// The banked row and scale this agent's next decision in `s_next`
-    /// would scan, or `None` when the storage is not quantized. A batch
-    /// caller collects one pair per agent, scans them all in one
-    /// [`crate::kernel::scan_rows`] call, and feeds each result back as
-    /// the `scan` argument of [`Agent::decide`].
+    /// would scan, or `None` when the storage is not quantized or the
+    /// agent has two tables (it scans their sum, which the block kernel
+    /// does not model). A batch caller collects one pair per agent, scans
+    /// them all in one [`crate::kernel::scan_rows`] call, and feeds each
+    /// result back as the `scan` argument of [`Agent::decide`].
     #[inline]
     #[must_use]
     pub fn quant_row(&self, s_next: usize) -> Option<(&[i16], f32)> {
-        self.q.quant_row(s_next)
+        match self.qb {
+            None => self.q.quant_row(s_next),
+            Some(_) => None,
+        }
     }
 
     /// The learning half of a decide/learn pair: applies the TD update for
     /// `(s, a, reward)` against a bootstrap previously returned by
-    /// [`Agent::decide`]. Returns the TD error `target − Q(s, a)`.
+    /// [`Agent::decide`] (advancing the double-Q rotation). Returns the TD
+    /// error `target − Q(s, a)` against the updated table.
     ///
     /// # Errors
     ///
@@ -220,58 +308,158 @@ impl Agent {
             });
         }
         let target = reward + self.gamma * bootstrap;
+        let table = match &mut self.qb {
+            None => &mut self.q,
+            Some(qb) => {
+                let update_a = self.updates.is_multiple_of(2);
+                self.updates += 1;
+                if update_a {
+                    &mut self.q
+                } else {
+                    qb
+                }
+            }
+        };
         // Per-(s,a) learning rate driven by visit count gives the
         // Robbins-Monro convergence conditions when using InverseTime.
-        self.q.td_step(s, a, &self.alpha, target)
+        table.td_step(s, a, &self.alpha, target)
+    }
+
+    /// The action values of state `s` (summed over both tables for double
+    /// Q-learning — what selection acts on), materialised as `f64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
+    pub fn row_values(&self, s: usize) -> Result<Vec<f64>, RlError> {
+        let Some(qb) = &self.qb else {
+            return self.q.row_values(s);
+        };
+        self.check_state(s)?;
+        Ok((0..self.q.actions())
+            .map(|i| self.q.value_at(s, i) + qb.value_at(s, i))
+            .collect())
+    }
+
+    /// Min/max action value and visit count of state `s` — the
+    /// learning-health diagnostics tap (for two tables, the element-wise
+    /// union over both).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
+    pub fn row_stats(&self, s: usize) -> Result<RowStats, RlError> {
+        let sa = self.q.row_stats(s)?;
+        let Some(qb) = &self.qb else {
+            return Ok(sa);
+        };
+        let sb = qb.row_stats(s)?;
+        Ok(RowStats {
+            q_min: sa.q_min.min(sb.q_min),
+            q_max: sa.q_max.max(sb.q_max),
+            visit_min: sa.visit_min.min(sb.visit_min),
+            visit_max: sa.visit_max.max(sb.visit_max),
+        })
+    }
+
+    /// Fraction of `(s, a)` pairs visited at least once (averaged over
+    /// both tables for double Q-learning).
+    pub fn coverage(&self) -> f64 {
+        match &self.qb {
+            None => self.q.coverage(),
+            Some(qb) => (self.q.coverage() + qb.coverage()) / 2.0,
+        }
+    }
+
+    /// The snapshot kind this agent encodes as:
+    /// [`snapshot::KIND_AGENT`] for one table,
+    /// [`snapshot::KIND_DOUBLE_AGENT`] for two.
+    pub fn snapshot_kind(&self) -> u8 {
+        match self.qb {
+            None => snapshot::KIND_AGENT,
+            Some(_) => snapshot::KIND_DOUBLE_AGENT,
+        }
     }
 
     /// Serializes the agent to the versioned binary snapshot format (see
     /// [`crate::snapshot`] for the layout).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = snapshot::header(snapshot::KIND_AGENT);
-        snapshot::write_agent_block(&mut out, self.gamma, self.step, &self.alpha, &self.policy);
-        snapshot::write_storage(&mut out, &self.q);
+        let mut out = snapshot::header(self.snapshot_kind());
+        self.encode_block(&mut out);
         out
     }
 
-    /// Decodes an agent from [`Agent::snapshot_bytes`] output. Round trips
-    /// are bit-identical: every Q value, visit count, scale and counter is
-    /// restored exactly.
+    /// Decodes an agent from [`Agent::snapshot_bytes`] output, of either
+    /// kind. Round trips are bit-identical: every Q value, visit count,
+    /// scale and counter is restored exactly.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::Snapshot`] for a malformed, truncated or
-    /// version-mismatched buffer.
+    /// version-mismatched buffer, or one holding no agent.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, RlError> {
-        let mut cur = snapshot::check_header(bytes, snapshot::KIND_AGENT)?;
-        let agent = Self::decode_block(&mut cur)?;
+        let (kind, mut cur) = snapshot::read_header(bytes)?;
+        let agent = Self::decode_block(&mut cur, kind)?;
         cur.finish()?;
         Ok(agent)
     }
 
-    /// Decodes one agent block (header already consumed) — the building
-    /// block multi-agent controller snapshots frame per agent.
+    /// Decodes one agent block of snapshot kind `kind` (header already
+    /// consumed) — the building block multi-agent controller snapshots
+    /// frame per agent.
     ///
     /// # Errors
     ///
-    /// Returns [`RlError::Snapshot`] for a malformed or truncated block.
-    pub fn decode_block(cur: &mut snapshot::SnapCursor<'_>) -> Result<Self, RlError> {
+    /// Returns [`RlError::Snapshot`] for a malformed or truncated block,
+    /// or a `kind` that is not an agent kind.
+    pub fn decode_block(cur: &mut snapshot::SnapCursor<'_>, kind: u8) -> Result<Self, RlError> {
+        let double = match kind {
+            snapshot::KIND_AGENT => false,
+            snapshot::KIND_DOUBLE_AGENT => true,
+            _ => {
+                return Err(RlError::Snapshot {
+                    reason: "snapshot kind is not an agent",
+                })
+            }
+        };
         let (gamma, step, alpha, policy) = snapshot::read_agent_block(cur)?;
+        let updates = if double { cur.take_u64()? } else { 0 };
         let q = snapshot::read_storage(cur)?;
+        let qb = if double {
+            let qb = snapshot::read_storage(cur)?;
+            if q.states() != qb.states() || q.actions() != qb.actions() || q.layout() != qb.layout()
+            {
+                return Err(RlError::Snapshot {
+                    reason: "double-agent tables disagree on dimensions or layout",
+                });
+            }
+            Some(qb)
+        } else {
+            None
+        };
         Ok(Self {
             q,
+            qb,
             gamma,
             alpha,
             policy,
             step,
+            updates,
         })
     }
 
     /// Encodes this agent's block without the file header — the building
-    /// block multi-agent controller snapshots frame per agent.
+    /// block multi-agent controller snapshots frame per agent, tagged with
+    /// [`Agent::snapshot_kind`].
     pub fn encode_block(&self, out: &mut Vec<u8>) {
         snapshot::write_agent_block(out, self.gamma, self.step, &self.alpha, &self.policy);
-        snapshot::write_storage(out, &self.q);
+        if let Some(qb) = &self.qb {
+            snapshot::put_u64(out, self.updates);
+            snapshot::write_storage(out, &self.q);
+            snapshot::write_storage(out, qb);
+        } else {
+            snapshot::write_storage(out, &self.q);
+        }
     }
 
     /// Writes the snapshot to `path` (see [`Agent::snapshot_bytes`]).
@@ -295,11 +483,66 @@ impl Agent {
     }
 }
 
+/// One fused pass over both tables' `s` rows (`s` already checked):
+/// `(summed argmax, QA argmax, QB argmax)`, lowest index winning ties.
+fn scan_pair(
+    qa: &QTableStorage,
+    qb: &QTableStorage,
+    s: usize,
+) -> Result<(usize, usize, usize), RlError> {
+    if let (QTableStorage::Scalar(qa), QTableStorage::Scalar(qb)) = (qa, qb) {
+        let (qa_row, qb_row) = (qa.row(s)?, qb.row(s)?);
+        let mut best_c = 0;
+        let mut best_cv = qa_row[0] + qb_row[0];
+        let mut best_a = 0;
+        let mut best_b = 0;
+        for i in 1..qa_row.len() {
+            let v = qa_row[i] + qb_row[i];
+            let better = v > best_cv;
+            best_cv = if better { v } else { best_cv };
+            best_c = if better { i } else { best_c };
+            best_a = if qa_row[i] > qa_row[best_a] {
+                i
+            } else {
+                best_a
+            };
+            best_b = if qb_row[i] > qb_row[best_b] {
+                i
+            } else {
+                best_b
+            };
+        }
+        return Ok((best_c, best_a, best_b));
+    }
+    if let (QTableStorage::Quantized(qa), QTableStorage::Quantized(qb)) = (qa, qb) {
+        // Per-table argmax via the SIMD kernel: one positive scale per
+        // row makes the i16 argmax equal the dequantized argmax, ties
+        // included. The summed argmax still adds dequantized values (the
+        // two rows may carry different scales).
+        let (ra, rb) = (qa.lanes(s), qb.lanes(s));
+        let (best_a, _) = crate::kernel::scan_row(ra);
+        let (best_b, _) = crate::kernel::scan_row(rb);
+        let (sa, sb) = (qa.scale_at(s), qb.scale_at(s));
+        let mut best_c = 0;
+        let mut best_cv = f64::from(ra[0]) * sa + f64::from(rb[0]) * sb;
+        for i in 1..qa.actions() {
+            let v = f64::from(ra[i]) * sa + f64::from(rb[i]) * sb;
+            let better = v > best_cv;
+            best_cv = if better { v } else { best_cv };
+            best_c = if better { i } else { best_c };
+        }
+        return Ok((best_c, best_a, best_b));
+    }
+    // The builder and the snapshot decoder give both tables one layout.
+    unreachable!("double-Q tables with mixed layouts")
+}
+
 /// Builder for [`Agent`].
 #[derive(Debug, Clone)]
 pub struct AgentBuilder {
     states: usize,
     actions: usize,
+    algorithm: Algorithm,
     gamma: f64,
     alpha: Schedule,
     policy: Policy,
@@ -308,6 +551,13 @@ pub struct AgentBuilder {
 }
 
 impl AgentBuilder {
+    /// Sets the TD update rule (default [`Algorithm::QLearning`]);
+    /// [`Algorithm::DoubleQLearning`] gives the agent a second table.
+    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
+        self
+    }
+
     /// Sets the discount factor (must be in `[0, 1)`).
     pub fn gamma(mut self, gamma: f64) -> Self {
         self.gamma = gamma;
@@ -327,6 +577,8 @@ impl AgentBuilder {
     }
 
     /// Initialises all action values to `value` (optimistic exploration).
+    /// Double Q-learning selects on the sum of its two tables, so each
+    /// table starts at `value / 2`.
     pub fn optimistic(mut self, value: f64) -> Self {
         self.optimistic = value;
         self
@@ -351,17 +603,27 @@ impl AgentBuilder {
                 value: self.gamma,
             });
         }
-        let q = if self.optimistic != 0.0 {
-            QTableStorage::optimistic(self.layout, self.states, self.actions, self.optimistic)?
+        let double = self.algorithm == Algorithm::DoubleQLearning;
+        let prior = if double {
+            self.optimistic / 2.0
         } else {
-            QTableStorage::new(self.layout, self.states, self.actions)?
+            self.optimistic
+        };
+        let table = || {
+            if prior != 0.0 {
+                QTableStorage::optimistic(self.layout, self.states, self.actions, prior)
+            } else {
+                QTableStorage::new(self.layout, self.states, self.actions)
+            }
         };
         Ok(Agent {
-            q,
+            q: table()?,
+            qb: if double { Some(table()?) } else { None },
             gamma: self.gamma,
             alpha: self.alpha,
             policy: self.policy,
             step: 0,
+            updates: 0,
         })
     }
 }
@@ -470,5 +732,116 @@ mod tests {
         assert!(agent.update(5, 0, 0.0, 0).is_err());
         assert!(agent.update(0, 5, 0.0, 0).is_err());
         assert!(agent.update(0, 0, 0.0, 5).is_err());
+    }
+
+    fn double(states: usize, actions: usize) -> AgentBuilder {
+        Agent::builder(states, actions).algorithm(Algorithm::DoubleQLearning)
+    }
+
+    #[test]
+    fn double_q_converges_on_deterministic_chain() {
+        // Same fixed point as plain Q-learning: Q*(0,0) = 1/(1-gamma).
+        let mut agent = double(1, 1)
+            .gamma(0.5)
+            .alpha(Schedule::constant(0.2).unwrap())
+            .policy(Policy::Greedy)
+            .build()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        for _ in 0..3000 {
+            let a = agent.select(0, &mut rng).unwrap();
+            agent.update(0, a, 1.0, 0).unwrap();
+        }
+        let q = agent.row_values(0).unwrap()[0] / 2.0;
+        assert!((q - 2.0).abs() < 0.05, "combined mean {q}");
+    }
+
+    /// Sutton & Barto's maximization-bias MDP: from A, `right` terminates
+    /// with reward 0; `left` goes to B, whose many actions pay
+    /// N(-0.1, 1) then terminate. The optimal policy goes right; plain
+    /// Q-learning is fooled by the max over B's noisy values far longer
+    /// than double Q-learning.
+    #[test]
+    fn double_q_reduces_maximization_bias() {
+        let episodes = 300;
+        let b_actions = 8;
+        // States: 0 = A, 1 = B, 2 = terminal. A has 2 actions, B has 8.
+        let left_fraction = |algorithm: Algorithm, seed: u64| -> f64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut agent = Agent::builder(3, b_actions)
+                .algorithm(algorithm)
+                .gamma(1.0 - 1e-9)
+                .alpha(Schedule::constant(0.1).unwrap())
+                .policy(Policy::EpsilonGreedy {
+                    epsilon: Schedule::constant(0.1).unwrap(),
+                })
+                .build()
+                .unwrap();
+            let mut lefts = 0;
+            for _ in 0..episodes {
+                // In A, action 0 = left, action 1 = right (restrict to 2).
+                let a = loop {
+                    let cand = agent.select(0, &mut rng).unwrap();
+                    if cand < 2 {
+                        break cand;
+                    }
+                };
+                if a == 0 {
+                    lefts += 1;
+                    // Go to B, take a (random-ish greedy) action, get noisy
+                    // reward, terminate.
+                    let ab = agent.select(1, &mut rng).unwrap();
+                    let u1: f64 = rng.gen::<f64>().max(1e-12);
+                    let u2: f64 = rng.gen();
+                    let noise = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                    agent.update(0, 0, 0.0, 1).unwrap();
+                    agent.update(1, ab, -0.1 + noise, 2).unwrap();
+                } else {
+                    agent.update(0, 1, 0.0, 2).unwrap();
+                }
+            }
+            lefts as f64 / episodes as f64
+        };
+
+        let mut single_total = 0.0;
+        let mut double_total = 0.0;
+        for seed in 0..8 {
+            single_total += left_fraction(Algorithm::QLearning, seed);
+            double_total += left_fraction(Algorithm::DoubleQLearning, seed + 100);
+        }
+        assert!(
+            double_total < single_total,
+            "double-Q should take the biased branch less: single {single_total} double {double_total}"
+        );
+    }
+
+    #[test]
+    fn double_q_alternates_tables() {
+        let mut agent = double(1, 1)
+            .gamma(0.0)
+            .alpha(Schedule::constant(1.0).unwrap())
+            .build()
+            .unwrap();
+        agent.update(0, 0, 1.0, 0).unwrap();
+        agent.update(0, 0, 2.0, 0).unwrap();
+        let values: Vec<f64> = agent.tables().map(|t| t.get(0, 0).unwrap()).collect();
+        assert_eq!(values, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn double_q_rejects_bad_parameters() {
+        assert!(double(0, 2).build().is_err());
+        assert!(double(2, 2).gamma(1.0).build().is_err());
+        let mut agent = double(2, 2).build().unwrap();
+        assert!(agent.update(0, 0, f64::NAN, 1).is_err());
+        assert!(agent.update(5, 0, 0.0, 1).is_err());
+    }
+
+    #[test]
+    fn double_q_coverage_and_halved_optimism() {
+        let agent = double(2, 2).optimistic(6.0).build().unwrap();
+        assert_eq!(agent.q().get(0, 0).unwrap(), 3.0);
+        assert_eq!(agent.coverage(), 0.0);
+        assert_eq!(agent.row_values(0).unwrap(), vec![6.0, 6.0]);
     }
 }

@@ -4,9 +4,9 @@
 //! domain-agnostic machinery they are built from:
 //!
 //! * [`QTable`] — dense `|S| × |A|` action values with visit counts;
-//! * [`Agent`] — Q-learning TD updates with per-`(s,a)` learning rates;
-//! * [`DoubleAgent`] — double Q-learning (two tables, decoupled selection
-//!   and evaluation) for noise-robust value estimates;
+//! * [`Agent`] — Q-learning TD updates with per-`(s,a)` learning rates,
+//!   or, built with [`Algorithm::DoubleQLearning`], double Q-learning (two
+//!   tables, decoupled selection and evaluation);
 //! * [`Policy`] — greedy, ε-greedy and softmax action selection;
 //! * [`Schedule`] — constant / exponential / inverse-time / linear decay
 //!   for learning and exploration rates (always floored: an on-line
@@ -43,7 +43,6 @@
 
 pub mod agent;
 pub mod discretize;
-pub mod double_q;
 pub mod error;
 pub mod kernel;
 pub mod mask;
@@ -55,7 +54,6 @@ pub mod storage;
 
 pub use agent::{Agent, AgentBuilder, Algorithm};
 pub use discretize::{StateSpace, UniformBins};
-pub use double_q::{DoubleAgent, DoubleAgentBuilder};
 pub use error::RlError;
 pub use mask::UpdateMask;
 pub use policy::{EpsCache, Policy};

@@ -5,10 +5,9 @@ use crate::qtable::QTable;
 use crate::schedule::Schedule;
 use crate::storage::QTableStorage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How an agent turns action values into an action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Policy {
     /// Always the greedy action.

@@ -3,7 +3,6 @@
 use crate::error::RlError;
 use crate::schedule::Schedule;
 use crate::storage::RowStats;
-use serde::{Deserialize, Serialize};
 
 /// A dense `|S| × |A|` table of action values with visit counts.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.max_value(1)?, 5.0);
 /// # Ok::<(), odrl_rl::RlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     states: usize,
     actions: usize,

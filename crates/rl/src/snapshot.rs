@@ -11,7 +11,8 @@
 //! offset  size  field
 //!      0     8  magic  b"ODRLQSNP"
 //!      8     4  version (u32, currently 1)
-//!     12     1  kind    (1 = Agent, 2 = DoubleAgent, 3 = policy set)
+//!     12     1  kind    (1 = single-table `Agent`,
+//!                        2 = two-table (double-Q) `Agent`, 3 = policy set)
 //!     13     3  reserved (zero)
 //!     16     …  kind-specific payload
 //! ```
@@ -24,7 +25,7 @@
 //! ```
 //!
 //! A **schedule** is `tag u8 · pad[7] · p0 f64 · p1 f64 · p2 f64 · p3 u64`
-//! (48 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`
+//! (40 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`
 //! followed by a schedule (ε-greedy, softmax) or one `f64` (UCB1). A
 //! **storage block** is `layout u8 · pad[7] · states u64 · actions u64`
 //! followed by the raw banks: `f64` values then `u64` visits for the
@@ -33,7 +34,9 @@
 //!
 //! Decoders validate magic, version, every tag, dimension consistency and
 //! exact buffer length, rejecting corrupt, truncated or version-mismatched
-//! snapshots with [`RlError::Snapshot`].
+//! snapshots with [`RlError::Snapshot`]. Table dimensions are checked
+//! against the bytes actually left before anything is reserved, so a
+//! tampered header cannot trigger a huge (or overflowing) allocation.
 
 use crate::error::RlError;
 use crate::policy::Policy;
@@ -49,10 +52,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODRLQSNP";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Header kind tag for a single [`crate::Agent`].
+/// Header kind tag for a single-table (Q-learning) [`crate::Agent`].
 pub const KIND_AGENT: u8 = 1;
 
-/// Header kind tag for a [`crate::DoubleAgent`].
+/// Header kind tag for a two-table (double Q-learning) [`crate::Agent`].
 pub const KIND_DOUBLE_AGENT: u8 = 2;
 
 /// Header kind tag for a multi-agent policy set (one block per agent,
@@ -174,6 +177,18 @@ impl<'a> SnapCursor<'a> {
         Ok(f32::from_bits(self.take_u32()?))
     }
 
+    /// Fails unless `count` items of `size` bytes fit in the unread rest
+    /// of the buffer — the guard in front of every allocation sized from
+    /// header fields.
+    fn expect_section(&self, count: usize, size: usize) -> Result<(), RlError> {
+        match count.checked_mul(size) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(()),
+            _ => Err(RlError::Snapshot {
+                reason: "table dimensions exceed the snapshot",
+            }),
+        }
+    }
+
     fn skip_pad(&mut self, payload: usize) -> Result<(), RlError> {
         let pad = payload.next_multiple_of(8) - payload;
         if pad > 0 {
@@ -214,6 +229,23 @@ pub fn header(kind: u8) -> Vec<u8> {
 /// Returns [`RlError::Snapshot`] for wrong magic, an unsupported version,
 /// or a kind other than `expect_kind`.
 pub fn check_header(bytes: &[u8], expect_kind: u8) -> Result<SnapCursor<'_>, RlError> {
+    let (kind, cur) = read_header(bytes)?;
+    if kind != expect_kind {
+        return Err(RlError::Snapshot {
+            reason: "snapshot kind mismatch",
+        });
+    }
+    Ok(cur)
+}
+
+/// Validates the magic and version of the 16-byte header and returns the
+/// kind byte with a cursor over the payload.
+///
+/// # Errors
+///
+/// Returns [`RlError::Snapshot`] for wrong magic, an unsupported version
+/// or a truncated header.
+pub fn read_header(bytes: &[u8]) -> Result<(u8, SnapCursor<'_>), RlError> {
     let mut cur = SnapCursor { buf: bytes, pos: 0 };
     let magic = cur.take(8)?;
     if magic != SNAPSHOT_MAGIC {
@@ -228,13 +260,8 @@ pub fn check_header(bytes: &[u8], expect_kind: u8) -> Result<SnapCursor<'_>, RlE
         });
     }
     let kind = cur.take_u8()?;
-    if kind != expect_kind {
-        return Err(RlError::Snapshot {
-            reason: "snapshot kind mismatch",
-        });
-    }
     cur.take(3)?; // reserved
-    Ok(cur)
+    Ok((kind, cur))
 }
 
 /// Appends a little-endian `u64`.
@@ -424,10 +451,12 @@ pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, Rl
     })?;
     match tag {
         0 => {
+            cur.expect_section(cells, 8)?;
             let mut values = Vec::with_capacity(cells);
             for _ in 0..cells {
                 values.push(cur.take_f64()?);
             }
+            cur.expect_section(cells, 8)?;
             let mut visits = Vec::with_capacity(cells);
             for _ in 0..cells {
                 visits.push(cur.take_u64()?);
@@ -441,17 +470,20 @@ pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, Rl
             let lanes = states.checked_mul(stride).ok_or(RlError::Snapshot {
                 reason: "table dimensions overflow",
             })?;
+            cur.expect_section(states, 4)?;
             let mut scales = Vec::with_capacity(states);
             for _ in 0..states {
                 scales.push(cur.take_f32()?);
             }
             cur.skip_pad(states * 4)?;
+            cur.expect_section(lanes, 2)?;
             let mut bank = Vec::with_capacity(lanes);
             for _ in 0..lanes {
                 let b = cur.take(2)?;
                 bank.push(i16::from_le_bytes([b[0], b[1]]));
             }
             cur.skip_pad(lanes * 2)?;
+            cur.expect_section(cells, 4)?;
             let mut visits = Vec::with_capacity(cells);
             for _ in 0..cells {
                 visits.push(cur.take_u32()?);
@@ -492,6 +524,22 @@ mod tests {
             let back = read_storage(&mut cur).unwrap();
             cur.finish().unwrap();
             assert_eq!(st, back);
+        }
+    }
+
+    #[test]
+    fn quantized_storage_rejects_misplaced_padding() {
+        let mut good = Vec::new();
+        write_storage(&mut good, &sample_storage(QTableLayout::Quantized));
+        // Tag, states, actions, stride (32) · 3 row scales padded to 16;
+        // row 0's five real lanes come first, then its padding.
+        let bank = 48;
+        for (lane, value) in [(0, i16::MIN), (5, 0i16)] {
+            let mut bad = good.clone();
+            let at = bank + 2 * lane;
+            bad[at..at + 2].copy_from_slice(&value.to_le_bytes());
+            let mut cur = SnapCursor { buf: &bad, pos: 0 };
+            assert!(read_storage(&mut cur).is_err(), "lane {lane} = {value}");
         }
     }
 

@@ -122,7 +122,7 @@ pub enum QTableLayout {
 /// assert!((q.max_value(1)? - 5.0).abs() < 1e-3);
 /// # Ok::<(), odrl_rl::RlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTable {
     states: usize,
     actions: usize,
@@ -509,6 +509,16 @@ impl QuantizedTable {
                 reason: "quantized table scale not positive finite",
             });
         }
+        // Only padding may hold the sentinel, or a row's argmax could land
+        // past the last action.
+        let misplaced_pad = bank
+            .chunks_exact(stride)
+            .any(|row| row.iter().enumerate().any(|(a, &q)| (a < actions) != (q != PAD)));
+        if misplaced_pad {
+            return Err(RlError::Snapshot {
+                reason: "quantized table padding lanes corrupt",
+            });
+        }
         Ok(Self {
             states,
             actions,
@@ -533,7 +543,7 @@ fn quantize(value: f64, scale: f64) -> i16 {
 ///
 /// Kept as an enum (not a trait object) so the decide/learn hot paths
 /// dispatch with one match per call and stay allocation-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QTableStorage {
     /// The `f64` reference layout.
     Scalar(QTable),

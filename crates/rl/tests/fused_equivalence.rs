@@ -7,7 +7,7 @@
 //! row the way the controller's block pipeline does.
 
 use odrl_rl::kernel::scan_rows;
-use odrl_rl::{Agent, DoubleAgent, EpsCache, Policy, QTableLayout, Schedule};
+use odrl_rl::{Agent, Algorithm, EpsCache, Policy, QTableLayout, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -140,12 +140,13 @@ fn double_q_decide_learn_matches_select_then_update() {
             // the ε draw can be handed over.
             for prep in [Prep::Plain, Prep::Draw] {
                 let build = || {
-                    DoubleAgent::builder(STATES, ACTIONS)
+                    Agent::builder(STATES, ACTIONS)
+                        .algorithm(Algorithm::DoubleQLearning)
                         .gamma(0.8)
                         .alpha(Schedule::inverse_time(1.0, 0.05).unwrap())
                         .policy(policy)
                         .layout(layout)
-                        .optimistic(0.5)
+                        .optimistic(1.0)
                         .build()
                         .unwrap()
                 };
@@ -163,7 +164,7 @@ fn double_q_decide_learn_matches_select_then_update() {
                     }
                     let draw = pre_draw(prep, split.policy_pre_draws(), &mut rng_s);
                     let (a_split, _, bootstrap) =
-                        split.decide(s, draw, &mut rng_s, &mut cache).unwrap();
+                        split.decide(s, draw, None, &mut rng_s, &mut cache).unwrap();
                     if let Some((ps, pa, pr)) = prev {
                         split.learn(ps, pa, pr, bootstrap).unwrap();
                     }
@@ -223,9 +224,12 @@ fn decide_learn_error_paths_match_select_update() {
     assert!(agent.learn(0, a, f64::NAN, bootstrap).is_err());
     assert!(agent.learn(0, 5, 0.0, bootstrap).is_err());
 
-    let mut dbl = DoubleAgent::builder(2, 2).build().unwrap();
-    assert!(dbl.decide(9, None, &mut rng, &mut cache).is_err());
+    let mut dbl = Agent::builder(2, 2)
+        .algorithm(Algorithm::DoubleQLearning)
+        .build()
+        .unwrap();
+    assert!(dbl.decide(9, None, None, &mut rng, &mut cache).is_err());
     assert_eq!(dbl.step_count(), 0);
-    let (a, _, bootstrap) = dbl.decide(0, None, &mut rng, &mut cache).unwrap();
+    let (a, _, bootstrap) = dbl.decide(0, None, None, &mut rng, &mut cache).unwrap();
     assert!(dbl.learn(0, a, f64::INFINITY, bootstrap).is_err());
 }

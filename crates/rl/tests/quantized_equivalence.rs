@@ -10,8 +10,8 @@
 
 use odrl_rl::kernel::{scan_row, scan_row_portable};
 use odrl_rl::{
-    Agent, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT, QUANT_LANES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Agent, Algorithm, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_POLICY_SET,
+    QUANT_LANES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,7 +124,8 @@ fn snapshot_round_trip_is_bit_identical() {
 
 #[test]
 fn double_agent_snapshot_round_trips() {
-    let mut agent = DoubleAgent::builder(STATES, ACTIONS)
+    let mut agent = Agent::builder(STATES, ACTIONS)
+        .algorithm(Algorithm::DoubleQLearning)
         .gamma(0.9)
         .layout(QTableLayout::Quantized)
         .build()
@@ -137,8 +138,48 @@ fn double_agent_snapshot_round_trips() {
         agent.update(s, a, r, s_next).unwrap();
         s = s_next;
     }
-    let restored = DoubleAgent::from_snapshot_bytes(&agent.snapshot_bytes()).unwrap();
+    let restored = Agent::from_snapshot_bytes(&agent.snapshot_bytes()).unwrap();
     assert_eq!(agent, restored);
+}
+
+/// Overwrites the `states` and `actions` fields of the storage block at
+/// byte `storage_at` (they follow its 8-byte layout tag) with `2^30` each.
+fn with_impossible_dims(mut bytes: Vec<u8>, storage_at: usize) -> Vec<u8> {
+    let huge = (1u64 << 30).to_le_bytes();
+    bytes[storage_at + 8..storage_at + 16].copy_from_slice(&huge);
+    bytes[storage_at + 16..storage_at + 24].copy_from_slice(&huge);
+    bytes
+}
+
+#[test]
+fn snapshot_decoder_rejects_impossible_dimensions() {
+    // Header (16) · gamma (8) · step (8) · alpha schedule (40) · ε-greedy
+    // policy (8 + 40); a double-Q agent adds its update counter (8).
+    const SINGLE_STORAGE_AT: usize = 120;
+    const DOUBLE_STORAGE_AT: usize = 128;
+    for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
+        for (algorithm, storage_at) in [
+            (Algorithm::QLearning, SINGLE_STORAGE_AT),
+            (Algorithm::DoubleQLearning, DOUBLE_STORAGE_AT),
+        ] {
+            let agent = Agent::builder(STATES, ACTIONS)
+                .algorithm(algorithm)
+                .layout(layout)
+                .build()
+                .unwrap();
+            let good = agent.snapshot_bytes();
+            assert_eq!(Agent::from_snapshot_bytes(&good).unwrap(), agent);
+            let bad = with_impossible_dims(good, storage_at);
+            assert!(
+                matches!(
+                    Agent::from_snapshot_bytes(&bad),
+                    Err(odrl_rl::RlError::Snapshot { .. })
+                ),
+                "{algorithm:?} {layout:?}: 2^30 x 2^30 table must be rejected: {:?}",
+                Agent::from_snapshot_bytes(&bad)
+            );
+        }
+    }
 }
 
 #[test]
@@ -164,11 +205,12 @@ fn snapshot_rejects_corruption() {
         "version mismatch must be rejected"
     );
 
-    // Wrong kind: a DoubleAgent payload fed to Agent.
-    let double = DoubleAgent::builder(STATES, ACTIONS).build().unwrap();
+    // Wrong kind: a policy-set header over an agent payload.
+    let mut bad = good.clone();
+    bad[SNAPSHOT_MAGIC.len() + 4] = KIND_POLICY_SET;
     assert!(
-        Agent::from_snapshot_bytes(&double.snapshot_bytes()).is_err(),
-        "kind {KIND_AGENT} decoder must reject other kinds"
+        Agent::from_snapshot_bytes(&bad).is_err(),
+        "the agent decoder must reject kind {KIND_POLICY_SET}"
     );
 
     // Truncation anywhere in the payload.

@@ -5,8 +5,7 @@
 //! rules can drift without a fixture failing.
 
 use odrl_rl::{
-    Agent, DoubleAgent, Policy, QTableLayout, Schedule, KIND_AGENT, KIND_DOUBLE_AGENT,
-    SNAPSHOT_MAGIC,
+    Agent, Algorithm, Policy, QTableLayout, Schedule, KIND_AGENT, KIND_DOUBLE_AGENT, SNAPSHOT_MAGIC,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,36 +37,16 @@ fn alpha() -> Schedule {
     Schedule::inverse_time(0.5, 0.05).unwrap()
 }
 
-/// The kind-1 recipe: optimistic prior 1.0, `STEPS` select/update rounds.
-fn train_single(layout: QTableLayout) -> Vec<u8> {
+/// The recipe: optimistic prior 1.0 (for double Q-learning, 0.5 in each
+/// table), `STEPS` select/update rounds.
+fn train(algorithm: Algorithm, layout: QTableLayout) -> Vec<u8> {
     let mut agent = Agent::builder(STATES, ACTIONS)
+        .algorithm(algorithm)
         .gamma(0.85)
         .alpha(alpha())
         .policy(policy())
         .layout(layout)
         .optimistic(1.0)
-        .build()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(41);
-    let mut s = 0usize;
-    for t in 0..STEPS {
-        let a = agent.select(s, &mut rng).unwrap();
-        let (s_next, r) = env(s, a, t);
-        agent.update(s, a, r, s_next).unwrap();
-        s = s_next;
-    }
-    agent.snapshot_bytes()
-}
-
-/// The kind-2 recipe: the same run on a double-Q agent whose two tables
-/// each start at 0.5 (a summed prior of 1.0).
-fn train_double(layout: QTableLayout) -> Vec<u8> {
-    let mut agent = DoubleAgent::builder(STATES, ACTIONS)
-        .gamma(0.85)
-        .alpha(alpha())
-        .policy(policy())
-        .layout(layout)
-        .optimistic(0.5)
         .build()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(41);
@@ -99,15 +78,17 @@ fn kind1_fixtures_decode_and_reencode_byte_identical() {
 fn kind2_fixtures_decode_and_reencode_byte_identical() {
     for fixture in [KIND2_SCALAR, KIND2_QUANTIZED] {
         assert_eq!(kind(fixture), KIND_DOUBLE_AGENT);
-        let agent = DoubleAgent::from_snapshot_bytes(fixture).unwrap();
+        let agent = Agent::from_snapshot_bytes(fixture).unwrap();
         assert_eq!(agent.snapshot_bytes(), fixture);
     }
 }
 
 #[test]
 fn retraining_reproduces_every_fixture() {
-    assert_eq!(train_single(QTableLayout::Scalar), KIND1_SCALAR);
-    assert_eq!(train_single(QTableLayout::Quantized), KIND1_QUANTIZED);
-    assert_eq!(train_double(QTableLayout::Scalar), KIND2_SCALAR);
-    assert_eq!(train_double(QTableLayout::Quantized), KIND2_QUANTIZED);
+    use Algorithm::{DoubleQLearning, QLearning};
+    use QTableLayout::{Quantized, Scalar};
+    assert_eq!(train(QLearning, Scalar), KIND1_SCALAR);
+    assert_eq!(train(QLearning, Quantized), KIND1_QUANTIZED);
+    assert_eq!(train(DoubleQLearning, Scalar), KIND2_SCALAR);
+    assert_eq!(train(DoubleQLearning, Quantized), KIND2_QUANTIZED);
 }
