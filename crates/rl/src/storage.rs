@@ -511,9 +511,11 @@ impl QuantizedTable {
         }
         // Only padding may hold the sentinel, or a row's argmax could land
         // past the last action.
-        let misplaced_pad = bank
-            .chunks_exact(stride)
-            .any(|row| row.iter().enumerate().any(|(a, &q)| (a < actions) != (q != PAD)));
+        let misplaced_pad = bank.chunks_exact(stride).any(|row| {
+            row.iter()
+                .enumerate()
+                .any(|(a, &q)| (a < actions) != (q != PAD))
+        });
         if misplaced_pad {
             return Err(RlError::Snapshot {
                 reason: "quantized table padding lanes corrupt",

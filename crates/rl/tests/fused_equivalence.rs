@@ -2,8 +2,8 @@
 //! select-then-update sequence, which serves as the oracle: identical
 //! actions, bitwise-identical tables and counters (compared through the
 //! snapshot encoding, which carries every float as raw bits) and identical
-//! RNG consumption — for every policy, both table layouts and both agent
-//! kinds, whether or not the caller pre-draws the ε uniform or pre-scans the
+//! RNG consumption — for every policy, both table layouts, one and two
+//! tables, whether or not the caller pre-draws the ε uniform or pre-scans the
 //! row the way the controller's block pipeline does.
 
 use odrl_rl::kernel::scan_rows;
@@ -74,9 +74,10 @@ fn pre_scan(prep: Prep, agent: &Agent, s: usize) -> Option<(usize, f64)> {
 
 /// Runs `select` + `update` against `decide` + `learn` on one shared
 /// trajectory and asserts they stay identical step by step.
-fn check_single(layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
+fn check(algorithm: Algorithm, layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
     let build = || {
         Agent::builder(STATES, ACTIONS)
+            .algorithm(algorithm)
             .gamma(0.85)
             .alpha(Schedule::inverse_time(0.5, 0.1).unwrap())
             .policy(policy)
@@ -85,7 +86,7 @@ fn check_single(layout: QTableLayout, policy: Policy, prep: Prep, seed: u64) {
             .build()
             .unwrap()
     };
-    let what = format!("{layout:?} {policy:?} {prep:?}");
+    let what = format!("{algorithm:?} {layout:?} {policy:?} {prep:?}");
     let (mut plain, mut split) = (build(), build());
     let mut rng_p = StdRng::seed_from_u64(seed);
     let mut rng_s = StdRng::seed_from_u64(seed);
@@ -126,63 +127,22 @@ fn q_learning_decide_learn_matches_select_then_update() {
     for layout in LAYOUTS {
         for (pi, policy) in policies().into_iter().enumerate() {
             for prep in PREPS {
-                check_single(layout, policy, prep, 900 + pi as u64);
+                check(Algorithm::QLearning, layout, policy, prep, 900 + pi as u64);
             }
         }
     }
 }
 
+/// A two-table agent offers no banked row and ignores a pre-scanned one
+/// (it scans the sum of both tables itself), so `DrawAndScan` must match
+/// too.
 #[test]
 fn double_q_decide_learn_matches_select_then_update() {
     for layout in LAYOUTS {
         for (pi, policy) in policies().into_iter().enumerate() {
-            // A double agent scans the sum of two tables itself, so only
-            // the ε draw can be handed over.
-            for prep in [Prep::Plain, Prep::Draw] {
-                let build = || {
-                    Agent::builder(STATES, ACTIONS)
-                        .algorithm(Algorithm::DoubleQLearning)
-                        .gamma(0.8)
-                        .alpha(Schedule::inverse_time(1.0, 0.05).unwrap())
-                        .policy(policy)
-                        .layout(layout)
-                        .optimistic(1.0)
-                        .build()
-                        .unwrap()
-                };
-                let what = format!("{layout:?} {policy:?} {prep:?}");
-                let (mut plain, mut split) = (build(), build());
-                let mut rng_p = StdRng::seed_from_u64(31_000 + pi as u64);
-                let mut rng_s = StdRng::seed_from_u64(31_000 + pi as u64);
-                let mut cache = EpsCache::new();
-                let mut prev: Option<(usize, usize, f64)> = None;
-                let mut s = 0usize;
-                for t in 0..EPOCHS {
-                    let a_plain = plain.select(s, &mut rng_p).unwrap();
-                    if let Some((ps, pa, pr)) = prev {
-                        plain.update(ps, pa, pr, s).unwrap();
-                    }
-                    let draw = pre_draw(prep, split.policy_pre_draws(), &mut rng_s);
-                    let (a_split, _, bootstrap) =
-                        split.decide(s, draw, None, &mut rng_s, &mut cache).unwrap();
-                    if let Some((ps, pa, pr)) = prev {
-                        split.learn(ps, pa, pr, bootstrap).unwrap();
-                    }
-                    assert_eq!(a_plain, a_split, "{what}: action diverged at epoch {t}");
-                    assert_eq!(
-                        plain.snapshot_bytes(),
-                        split.snapshot_bytes(),
-                        "{what}: state diverged at epoch {t}"
-                    );
-                    let (s_next, r) = env(s, a_plain, t);
-                    prev = Some((s, a_plain, r));
-                    s = s_next;
-                }
-                assert_eq!(
-                    rng_p.gen::<u64>(),
-                    rng_s.gen::<u64>(),
-                    "{what}: RNG position"
-                );
+            for prep in PREPS {
+                let seed = 31_000 + pi as u64;
+                check(Algorithm::DoubleQLearning, layout, policy, prep, seed);
             }
         }
     }
