@@ -681,7 +681,7 @@ impl RlPass<'_> {
     ///    matches drawing at decision time; other policies draw inside
     ///    `decide`;
     /// 3. scan the block's rows in one [`odrl_rl::kernel::scan_rows`]
-    ///    call (single-agent quantized storage) and select;
+    ///    call (one-table agents on quantized storage) and select;
     /// 4. learn: price last epoch's transition and TD-step it while the
     ///    agent's scale line and the core's observation are still hot.
     ///
