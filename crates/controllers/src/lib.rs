@@ -129,4 +129,11 @@ pub trait PowerController {
     fn learn_diag(&self) -> Option<&LearnDiag> {
         None
     }
+
+    /// The learned policy as versioned snapshot bytes, when the controller
+    /// learns one (`odrl_core::PolicySnapshot::to_bytes`). Baselines
+    /// report `None`.
+    fn policy_bytes(&self) -> Option<Vec<u8>> {
+        None
+    }
 }

@@ -964,6 +964,10 @@ impl PowerController for OdRlController {
     fn learn_diag(&self) -> Option<&odrl_obs::LearnDiag> {
         self.tracer.as_deref().and_then(CtrlTracer::last_diag)
     }
+
+    fn policy_bytes(&self) -> Option<Vec<u8>> {
+        Some(self.export_policy().to_bytes())
+    }
 }
 
 /// An exported set of learned per-core policies (see

@@ -775,21 +775,38 @@ mod tests {
         );
     }
 
+    /// Folds bytes into an FNV-1a hash.
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
     /// FNV-1a over every compiled window, in schedule order.
     fn window_digest(engine: &FaultEngine) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
         for ev in &engine.schedule.events {
-            eat(format!("{:?}", ev.kind).as_bytes());
-            eat(&(ev.lo as u64).to_le_bytes());
-            eat(&(ev.hi as u64).to_le_bytes());
-            eat(&[u8::from(ev.chip)]);
-            eat(&ev.start.to_le_bytes());
-            eat(&ev.end.to_le_bytes());
+            fnv(&mut h, format!("{:?}", ev.kind).as_bytes());
+            fnv(&mut h, &(ev.lo as u64).to_le_bytes());
+            fnv(&mut h, &(ev.hi as u64).to_le_bytes());
+            fnv(&mut h, &[u8::from(ev.chip)]);
+            fnv(&mut h, &ev.start.to_le_bytes());
+            fnv(&mut h, &ev.end.to_le_bytes());
+        }
+        h
+    }
+
+    /// [`window_digest`] extended with both edge lists of the schedule
+    /// and their largest active sets.
+    fn schedule_digest(engine: &FaultEngine) -> u64 {
+        let mut h = window_digest(engine);
+        let s = &engine.schedule;
+        for edges in [&s.all, &s.budget] {
+            let (starts, ends, max_active) = edges.parts();
+            for &w in starts.iter().chain(ends) {
+                fnv(&mut h, &(w as u64).to_le_bytes());
+            }
+            fnv(&mut h, &(max_active as u64).to_le_bytes());
         }
         h
     }
@@ -825,6 +842,33 @@ mod tests {
         let engine = FaultEngine::compile(&plan, 256, 1 ^ 0xFA17_FA17_FA17_FA17).unwrap();
         assert_eq!(engine.num_events(), 24_109);
         assert_eq!(window_digest(&engine), 0xb730_d41f_4ff0_0053);
+    }
+
+    #[test]
+    fn fleet_link_plan_compiles_to_its_golden_schedule() {
+        // The fleet workloads' lossy links: budget-lost bursts at 20 per
+        // kilo-epoch, 5 epochs each, over 5,500 epochs on 64 cores, as two
+        // chips of a fleet compile them. Every window is budget-class, so
+        // the budget edge lists cover the whole schedule.
+        let plan = FaultPlan::new().with_burst(RandomBurst {
+            kind: FaultKind::Budget(BudgetFault::Lost),
+            start: 0,
+            end: 5_500,
+            rate_per_kepoch: 20.0,
+            duration: 5,
+            chip: ChipScope::All,
+        });
+        let golden = [
+            (0, 0x1111, 6_999, 0xf088_a0c0_4f33_a2e5),
+            (9, 0x2222, 7_150, 0xa966_494f_e84c_a833),
+        ];
+        for (chip, seed, events, digest) in golden {
+            let engine =
+                FaultEngine::compile_for_chip(&plan, chip, 64, seed ^ 0xFA17_FA17_FA17_FA17)
+                    .unwrap();
+            assert_eq!(engine.num_events(), events, "chip {chip}");
+            assert_eq!(schedule_digest(&engine), digest, "chip {chip}");
+        }
     }
 
     #[test]

@@ -57,6 +57,12 @@ impl Edges {
         (all, subset)
     }
 
+    /// The start order, the end order and the largest active set.
+    #[cfg(test)]
+    pub fn parts(&self) -> (&[usize], &[usize], usize) {
+        (&self.starts, &self.ends, self.max_active)
+    }
+
     /// Whether the lists hold no windows.
     pub fn is_empty(&self) -> bool {
         self.starts.is_empty()

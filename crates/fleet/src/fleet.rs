@@ -432,6 +432,13 @@ impl Fleet {
         self.chips[k].system.telemetry()
     }
 
+    /// Chip `k`'s learned policy as versioned snapshot bytes, when its
+    /// controller learns one (see
+    /// [`PowerController::policy_bytes`]).
+    pub fn chip_policy_bytes(&self, k: usize) -> Option<Vec<u8>> {
+        self.chips[k].controller.policy_bytes()
+    }
+
     /// The rack-scope metric aggregator, when [`FleetConfig::recorder`]
     /// is set: per-chip snapshots merged with the exact summary algebra plus
     /// the rack registry (share spread, link loss rate).

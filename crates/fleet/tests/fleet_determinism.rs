@@ -130,6 +130,55 @@ fn faulted_fleet_is_shard_count_invariant() {
     check_invariant(Some(&plan()));
 }
 
+/// Chips are built on the fleet's shard pool: a 6-chip fleet built on 2
+/// or 4 shards (uneven chunks) must hold the same chips as a serial
+/// build, policy bytes and all, at build time and after 200 epochs.
+#[test]
+fn sharded_fleet_build_matches_a_serial_build() {
+    let build = |par: Parallelism| {
+        RunBuilder::new(scenario())
+            .faults(plan())
+            .watchdog(true)
+            .arbiter_period(10)
+            .fleet_parallelism(par)
+            .build_fleet(6)
+            .expect("valid fleet configuration")
+    };
+    let policies = |fleet: &Fleet| -> Vec<Vec<u8>> {
+        (0..fleet.num_chips())
+            .map(|k| fleet.chip_policy_bytes(k).expect("OD-RL chips learn"))
+            .collect()
+    };
+    let mut serial = build(Parallelism::Serial);
+    let serial_built = policies(&serial);
+    serial.run(200).expect("fleet run completes");
+    let serial_summary = summary_hash(&serial);
+    let serial_trained = policies(&serial);
+    assert_ne!(
+        serial_built, serial_trained,
+        "200 epochs must train the tables"
+    );
+    for shards in [2, 4] {
+        let mut fleet = build(Parallelism::Threads(shards));
+        assert_eq!(
+            serial_built,
+            policies(&fleet),
+            "{shards}-shard build: chip policies differ from the serial build"
+        );
+        fleet.run(200).expect("fleet run completes");
+        assert_eq!(
+            serial_summary,
+            summary_hash(&fleet),
+            "{shards}-shard build: 200-epoch summary drifted"
+        );
+        assert_eq!(
+            serial_trained,
+            policies(&fleet),
+            "{shards}-shard build: trained chip policies drifted"
+        );
+    }
+}
+
 /// A 4-chip fleet booted from a Q-table snapshot on disk must be
 /// bit-identical across 1/2/4 cross-chip shards, and the warm start must
 /// actually change the run relative to a cold boot (the import is not a
