@@ -66,6 +66,30 @@ struct FleetChip {
 }
 
 impl FleetChip {
+    /// Wraps an assembled chip with the buffers its epoch step reuses.
+    fn new(run: ChipRun) -> Self {
+        let ChipRun {
+            system,
+            controller,
+            budget,
+        } = run;
+        let obs = system.observation(budget);
+        let cores = system.num_cores();
+        Self {
+            system,
+            controller,
+            budget,
+            obs,
+            actions: vec![LevelId(0); cores],
+            power: Watts::ZERO,
+            measured: Watts::ZERO,
+            instructions: 0.0,
+            energy: Joules::new(0.0),
+            dt: Seconds::new(0.0),
+            failed: None,
+        }
+    }
+
     /// One closed-loop epoch on this chip alone. Touches nothing outside
     /// `self`; allocation-free.
     fn step(&mut self) {
@@ -98,6 +122,32 @@ impl std::fmt::Debug for FleetChip {
             .field("budget", &self.budget)
             .finish_non_exhaustive()
     }
+}
+
+/// Runs `build(k, input)` for every input on `par`'s shards and returns
+/// the outputs in index order, or the error of the lowest-index input
+/// that failed, in whatever order the shards ran. Every input is built
+/// exactly once, so a serial build is the same code on one shard.
+fn build_in_order<I: Send, T: Send, E: Send>(
+    par: Parallelism,
+    inputs: Vec<I>,
+    build: impl Fn(usize, I) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let mut inputs: Vec<Option<I>> = inputs.into_iter().map(Some).collect();
+    let mut outputs: Vec<Option<Result<T, E>>> = inputs.iter().map(|_| None).collect();
+    shard_chunks(
+        par,
+        (&mut inputs[..], &mut outputs[..]),
+        |base, (inputs, outputs)| {
+            for (j, (input, out)) in inputs.iter_mut().zip(outputs).enumerate() {
+                *out = input.take().map(|i| build(base + j, i));
+            }
+        },
+    );
+    outputs
+        .into_iter()
+        .map(|out| out.expect("every shard builds its whole chunk"))
+        .collect()
 }
 
 /// Scalar fleet-wide telemetry, accumulated epoch by epoch with no
@@ -341,33 +391,18 @@ impl Fleet {
         // Warm start: load the snapshot once; every chip imports a copy of
         // the same learned tables (exploration stays decorrelated by seed).
         let warm = config.load_warm_start()?;
-        let mut chips = Vec::with_capacity(n);
-        for (k, sys_config) in sys_configs.into_iter().enumerate() {
+        // Chips are independent until the first epoch, so they are built
+        // on the same shards that step them.
+        let shares = arbiter.shares();
+        let chips = build_in_order(config.parallelism, sys_configs, |k, sys_config| {
             // Decorrelate exploration across chips (uniformly, so a
             // one-chip fleet is still a fleet, not a disguised chip run).
             let explore_salt = stream_seed(config.scenario.seed ^ ODRL_SEED_SALT, k as u64);
-            let budget = Watts::new(arbiter.shares()[k]);
-            let ChipRun {
-                system,
-                controller,
-                budget,
-            } = config.assemble_chip(k as u32, sys_config, explore_salt, budget, warm.as_ref())?;
-            let obs = system.observation(budget);
-            let cores = system.num_cores();
-            chips.push(FleetChip {
-                system,
-                controller,
-                budget,
-                obs,
-                actions: vec![LevelId(0); cores],
-                power: Watts::ZERO,
-                measured: Watts::ZERO,
-                instructions: 0.0,
-                energy: Joules::new(0.0),
-                dt: Seconds::new(0.0),
-                failed: None,
-            });
-        }
+            let budget = Watts::new(shares[k]);
+            config
+                .assemble_chip(k as u32, sys_config, explore_salt, budget, warm.as_ref())
+                .map(FleetChip::new)
+        })?;
         Ok(Self {
             chips,
             arbiter,
@@ -747,6 +782,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::{RunBuilder, Scenario};
+    use odrl_faults::{CoreFault, FaultKind, FaultPlan, Target};
 
     fn scenario() -> Scenario {
         let mut scenario = Scenario::default_eval();
@@ -812,5 +848,58 @@ mod tests {
         assert!(fleet.fleet_snapshot().is_some());
         assert!(fleet.flight_recorder().is_some());
         assert!(!fleet.merged_trace().is_empty(), "the recorder implies obs");
+    }
+
+    const SHARDINGS: [Parallelism; 5] = [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(3),
+        Parallelism::Threads(4),
+        Parallelism::Auto,
+    ];
+
+    #[test]
+    fn chip_builds_report_the_lowest_failing_index_at_every_shard_count() {
+        // Nine chips, of which chips 3 and 7 fail: chip 3's error wins
+        // whichever shard reaches which chip first.
+        let build = |k: usize, input: u32| match k {
+            3 | 7 => Err(format!("chip {k} failed")),
+            _ => Ok(input * 10),
+        };
+        for par in SHARDINGS {
+            let inputs: Vec<u32> = (0..9).collect();
+            assert_eq!(
+                build_in_order(par, inputs, build),
+                Err("chip 3 failed".to_string()),
+                "{par:?}"
+            );
+            let inputs: Vec<u32> = (0..9).collect();
+            let built = build_in_order::<_, _, ()>(par, inputs, |k, input| Ok((k, input)));
+            let want: Vec<(usize, u32)> = (0..9).zip(0..9).collect();
+            assert_eq!(built, Ok(want), "{par:?}");
+        }
+    }
+
+    #[test]
+    fn an_invalid_chip_config_fails_alike_at_every_shard_count() {
+        // Core 99 does not exist on an 8-core chip, so every chip's fault
+        // attach fails; the fleet reports that error, not a panic or a
+        // partial fleet, at every shard count.
+        let plan =
+            FaultPlan::new().with_event(FaultKind::Core(CoreFault::Unplug), Target::Core(99), 0, 1);
+        let errors: Vec<String> = SHARDINGS
+            .iter()
+            .map(|&par| {
+                let err = RunBuilder::new(scenario())
+                    .faults(plan.clone())
+                    .fleet_parallelism(par)
+                    .build_fleet(5)
+                    .unwrap_err();
+                assert!(matches!(err, FleetError::System(_)), "{par:?}: {err}");
+                err.to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("core 99"), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 }
