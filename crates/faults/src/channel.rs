@@ -56,7 +56,7 @@ impl FaultEngine {
         let n = self.num_cores();
         let schedule = Arc::clone(&self.schedule);
         BudgetChannel {
-            timeline: Timeline::new(&schedule.budget),
+            timeline: Timeline::new(schedule.budget_edges()),
             schedule,
             fault: vec![None; n],
             inbox: vec![0.0; n],
@@ -79,7 +79,7 @@ impl BudgetChannel {
 
     /// Whether the schedule contains no budget faults at all.
     pub fn is_healthy(&self) -> bool {
-        self.schedule.budget.is_empty()
+        self.schedule.budget_edges().is_empty()
     }
 
     /// Refreshes the per-link fault flags for `epoch`. Call before
@@ -90,7 +90,7 @@ impl BudgetChannel {
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         let s = &*self.schedule;
-        if self.timeline.seek(&s.events, &s.budget, epoch) {
+        if self.timeline.seek(&s.events, s.budget_edges(), epoch) {
             for &w in self.timeline.left() {
                 let ev = &s.events[w];
                 self.fault[ev.lo..ev.hi].fill(None);

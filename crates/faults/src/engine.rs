@@ -21,7 +21,7 @@
 use crate::error::FaultError;
 use crate::expand::{burst_threshold, Expander, Path};
 use crate::plan::{
-    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target,
+    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, RandomBurst, SensorFault, Target,
 };
 use crate::timeline::{Edges, Timeline};
 use odrl_power::{LevelId, Watts};
@@ -63,10 +63,20 @@ pub(crate) struct Schedule {
     pub events: Vec<CompiledEvent>,
     /// Edges of every window.
     pub all: Edges,
-    /// Edges of the budget-channel windows only.
-    pub budget: Edges,
+    /// Edges of the budget-channel windows, when they are not all of them
+    /// (see [`Schedule::budget_edges`]).
+    budget: Option<Edges>,
     /// Widest actuator delay in the schedule (sizes the command ring).
     pub max_delay: u64,
+}
+
+impl Schedule {
+    /// Edges of the budget-channel windows only. A schedule whose every
+    /// window is budget-class, as fleet link plans are, stores one set of
+    /// lists and the channel walks [`Schedule::all`].
+    pub fn budget_edges(&self) -> &Edges {
+        self.budget.as_ref().unwrap_or(&self.all)
+    }
 }
 
 impl FaultEngine {
@@ -105,7 +115,13 @@ impl FaultEngine {
                 reason: "cannot compile a plan for zero cores".into(),
             });
         }
-        let mut events = Vec::with_capacity(plan.events.len());
+        let expected: usize = plan
+            .bursts
+            .iter()
+            .filter(|b| b.chip.includes(chip))
+            .map(|b| expected_windows(b, cores))
+            .sum();
+        let mut events = Vec::with_capacity(plan.events.len() + expected);
         for ev in &plan.events {
             validate_kind(&ev.kind)?;
             let (lo, hi, chip_sensor) = resolve_target(ev.target, cores)?;
@@ -178,7 +194,8 @@ impl FaultEngine {
             })
             .max()
             .unwrap_or(0);
-        let (all, budget) = Edges::build(&events, |e| matches!(e.kind, FaultKind::Budget(_)));
+        let all = Edges::build(&events);
+        let budget = all.subset(&events, |e| matches!(e.kind, FaultKind::Budget(_)));
         Ok(Self {
             schedule: Arc::new(Schedule {
                 cores,
@@ -289,6 +306,19 @@ impl FaultEngine {
             _ => state.chip_drift = 1.0,
         }
     }
+}
+
+/// How many windows `burst` starts on `cores` cores, four standard
+/// deviations above the mean: each of its core-epochs starts one with
+/// probability `p`, so the count is binomial. Sized by this bound, the
+/// window buffer almost never grows (and copies itself) during expansion.
+/// Invalid bursts count 0; they fail validation later.
+fn expected_windows(burst: &RandomBurst, cores: usize) -> usize {
+    let p = (burst.rate_per_kepoch / 1000.0).clamp(0.0, 1.0);
+    let n = cores as f64 * burst.end.saturating_sub(burst.start) as f64;
+    let mean = n * p;
+    // Casts saturate, and a NaN rate casts to 0.
+    (mean + 4.0 * (mean * (1.0 - p)).sqrt()) as usize
 }
 
 fn validate_kind(kind: &FaultKind) -> Result<(), FaultError> {
@@ -801,7 +831,7 @@ mod tests {
     fn schedule_digest(engine: &FaultEngine) -> u64 {
         let mut h = window_digest(engine);
         let s = &engine.schedule;
-        for edges in [&s.all, &s.budget] {
+        for edges in [&s.all, s.budget_edges()] {
             let (starts, ends, max_active) = edges.parts();
             for &w in starts.iter().chain(ends) {
                 fnv(&mut h, &(w as u64).to_le_bytes());

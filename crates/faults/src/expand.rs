@@ -14,8 +14,9 @@
 //! compiled twice:
 //!
 //! * **AVX-512F** — each state word fills two 512-bit registers, rotates
-//!   are native and the hit test is an unsigned compare into a mask
-//!   register. Picked by runtime detection.
+//!   are native and the hit test is two unsigned compares into mask
+//!   registers, whose bits are the lane mask a hit records. Picked by
+//!   runtime detection.
 //! * **Portable** — the same loop for the target's baseline instruction
 //!   set. Sixteen independent streams still overlap where one `StdRng`
 //!   stream waits on its own previous draw.
@@ -175,7 +176,7 @@ impl Expander {
             // AVX-512F.
             #[cfg(target_arch = "x86_64")]
             Path::Avx512 => unsafe { lane_step_avx512(state, epochs, threshold, &mut self.steps) },
-            Path::Portable => lane_step(state, epochs, threshold, &mut self.steps),
+            Path::Portable => lane_step(state, epochs, threshold, &mut self.steps, hit_mask),
         }
     }
 }
@@ -198,17 +199,19 @@ fn lane_states(stream: u64, base: usize) -> Lanes {
 /// Steps every lane of `state` once per epoch of `epochs` (at most
 /// [`CHUNK`] of them), writes `(epoch, lane mask)` into `steps` for every
 /// epoch at which some lane's draw `x` has `(x >> 11) < threshold`, and
-/// returns how many it wrote.
+/// returns how many it wrote. `hits` turns one epoch's draws into that
+/// lane mask.
 ///
-/// The draws are tested for any hit first and the lane mask is built only
-/// for the rare epochs that have one; building it every epoch costs a
-/// horizontal reduction that made the AVX-512F step about a third slower.
+/// The step is written to `steps` whether or not it hit, and only a hit
+/// advances the count: at link-plan densities about a quarter of the
+/// steps hit, in no pattern a branch predictor could learn.
 #[inline(always)]
 fn lane_step(
     state: &mut Lanes,
     epochs: Range<u64>,
     threshold: u64,
     steps: &mut [(u64, u32); CHUNK],
+    hits: impl Fn(&[u64; LANES], u64) -> u32,
 ) -> usize {
     debug_assert!(epochs.end - epochs.start <= CHUNK as u64);
     let [mut s0, mut s1, mut s2, mut s3] = *state;
@@ -229,19 +232,52 @@ fn lane_step(
             s2[l] ^= shifted;
             s3[l] = s3[l].rotate_left(45);
         }
-        if x.iter()
-            .fold(false, |any, &x| any | ((x >> 11) < threshold))
-        {
-            let mut mask = 0u32;
-            for (l, &x) in x.iter().enumerate() {
-                mask |= u32::from((x >> 11) < threshold) << l;
-            }
-            steps[found] = (epoch, mask);
-            found += 1;
-        }
+        let mask = hits(&x, threshold);
+        steps[found] = (epoch, mask);
+        found += usize::from(mask != 0);
     }
     *state = [s0, s1, s2, s3];
     found
+}
+
+/// The portable lane mask. The draws are tested for any hit first and the
+/// mask is built only for the epochs that have one: the compiler turns
+/// the mask loop into a horizontal reduction, too dear for every epoch.
+#[inline(always)]
+fn hit_mask(x: &[u64; LANES], threshold: u64) -> u32 {
+    if !x.iter().any(|&x| (x >> 11) < threshold) {
+        return 0;
+    }
+    let mut mask = 0u32;
+    for (l, &x) in x.iter().enumerate() {
+        mask |= u32::from((x >> 11) < threshold) << l;
+    }
+    mask
+}
+
+/// [`hit_mask`] on AVX-512F: two unsigned compares straight into mask
+/// registers, which the compiler does not find on its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn hit_mask_avx512(x: &[u64; LANES], threshold: u64) -> u32 {
+    use std::arch::x86_64::{
+        _mm512_cmplt_epu64_mask, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_srli_epi64,
+    };
+    let t = _mm512_set1_epi64(threshold as i64);
+    let half = |h: &[u64]| {
+        let v = _mm512_setr_epi64(
+            h[0] as i64,
+            h[1] as i64,
+            h[2] as i64,
+            h[3] as i64,
+            h[4] as i64,
+            h[5] as i64,
+            h[6] as i64,
+            h[7] as i64,
+        );
+        _mm512_cmplt_epu64_mask(_mm512_srli_epi64::<11>(v), t)
+    };
+    u32::from(half(&x[..8])) | u32::from(half(&x[8..])) << 8
 }
 
 /// [`lane_step`] compiled with AVX-512F.
@@ -253,7 +289,9 @@ fn lane_step_avx512(
     threshold: u64,
     steps: &mut [(u64, u32); CHUNK],
 ) -> usize {
-    lane_step(state, epochs, threshold, steps)
+    lane_step(state, epochs, threshold, steps, |x, t| {
+        hit_mask_avx512(x, t)
+    })
 }
 
 #[cfg(test)]

@@ -26,35 +26,45 @@ pub(crate) struct Edges {
 }
 
 impl Edges {
-    /// Builds the edge lists of every window in `events`, and of the
-    /// subset `keep` selects. The subset's lists are filtered out of the
-    /// full ones, so each edge list is sorted once.
-    pub fn build(events: &[CompiledEvent], keep: impl Fn(&CompiledEvent) -> bool) -> (Self, Self) {
+    /// Builds the edge lists of every window in `events`.
+    pub fn build(events: &[CompiledEvent]) -> Self {
         let (starts, start_at) = radix_order(events.iter().map(|ev| ev.start));
-        let (ends, end_at) = radix_order(events.iter().map(|ev| ev.end));
-        let kept: Vec<bool> = events.iter().map(keep).collect();
-        let len = kept.iter().filter(|&&k| k).count();
-        let pick = |order: &[usize], at: &[u64]| {
-            let (mut sub, mut sub_at) = (Vec::with_capacity(len), Vec::with_capacity(len));
-            for (&i, &t) in order.iter().zip(at).filter(|(&i, _)| kept[i]) {
-                sub.push(i);
-                sub_at.push(t);
-            }
-            (sub, sub_at)
+        // Windows that all last `len` epochs end in the order they start,
+        // so the start order serves as the end order.
+        let (ends, end_at) = match common_length(events) {
+            Some(len) => (starts.clone(), start_at.iter().map(|&t| t + len).collect()),
+            None => radix_order(events.iter().map(|ev| ev.end)),
         };
-        let (sub_starts, sub_start_at) = pick(&starts, &start_at);
-        let (sub_ends, sub_end_at) = pick(&ends, &end_at);
-        let subset = Self {
-            max_active: max_active(&sub_start_at, &sub_end_at),
-            starts: sub_starts,
-            ends: sub_ends,
-        };
-        let all = Self {
+        Self {
             max_active: max_active(&start_at, &end_at),
             starts,
             ends,
+        }
+    }
+
+    /// The edge lists of the windows `keep` selects, filtered out of these
+    /// (so no list is sorted twice); `None` when `keep` selects every
+    /// window, and these lists serve the subset as they are.
+    pub fn subset(
+        &self,
+        events: &[CompiledEvent],
+        keep: impl Fn(&CompiledEvent) -> bool,
+    ) -> Option<Self> {
+        let kept: Vec<bool> = events.iter().map(keep).collect();
+        if kept.iter().all(|&k| k) {
+            return None;
+        }
+        let pick = |order: &[usize]| -> Vec<usize> {
+            order.iter().copied().filter(|&i| kept[i]).collect()
         };
-        (all, subset)
+        let (starts, ends) = (pick(&self.starts), pick(&self.ends));
+        let start_at: Vec<u64> = starts.iter().map(|&i| events[i].start).collect();
+        let end_at: Vec<u64> = ends.iter().map(|&i| events[i].end).collect();
+        Some(Self {
+            max_active: max_active(&start_at, &end_at),
+            starts,
+            ends,
+        })
     }
 
     /// The start order, the end order and the largest active set.
@@ -75,6 +85,17 @@ impl Edges {
         let ended = self.ends.partition_point(|&i| events[i].end <= epoch);
         started - ended
     }
+}
+
+/// The length every window in `events` has, if they share one and no
+/// window's end saturated. Then a window's end is its start plus that
+/// length, and `(end, index)` order is `(start, index)` order.
+fn common_length(events: &[CompiledEvent]) -> Option<u64> {
+    let len = events.first().map_or(0, |ev| ev.end.wrapping_sub(ev.start));
+    events
+        .iter()
+        .all(|ev| ev.start.checked_add(len) == Some(ev.end))
+        .then_some(len)
 }
 
 /// Sorts `keys` and returns the original positions and the keys, both in
@@ -237,6 +258,78 @@ mod tests {
         want.sort_by_key(|&i| keys[i]);
         assert_eq!(order, want);
         assert_eq!(at, want.iter().map(|&i| keys[i]).collect::<Vec<_>>());
+    }
+
+    /// Edge lists sorted the slow way: by `(key, index)`, with the largest
+    /// active set counted epoch by epoch over the windows' edges.
+    fn brute_force(events: &[CompiledEvent], keep: impl Fn(&CompiledEvent) -> bool) -> Edges {
+        let kept: Vec<usize> = (0..events.len()).filter(|&i| keep(&events[i])).collect();
+        let mut starts = kept.clone();
+        starts.sort_by_key(|&i| (events[i].start, i));
+        let mut ends = kept.clone();
+        ends.sort_by_key(|&i| (events[i].end, i));
+        let max_active = kept
+            .iter()
+            .map(|&w| {
+                let t = events[w].start;
+                kept.iter()
+                    .filter(|&&i| events[i].start <= t && t < events[i].end)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0);
+        Edges {
+            starts,
+            ends,
+            max_active,
+        }
+    }
+
+    #[test]
+    fn edges_match_a_brute_force_sort_with_and_without_a_common_length() {
+        use crate::plan::{BudgetFault, FaultKind, SensorFault};
+        let window = |budget: bool, start: u64, end: u64| CompiledEvent {
+            kind: if budget {
+                FaultKind::Budget(BudgetFault::Lost)
+            } else {
+                FaultKind::Sensor(SensorFault::StuckZero)
+            },
+            lo: 0,
+            hi: 1,
+            chip: false,
+            start,
+            end,
+        };
+        let is_budget = |e: &CompiledEvent| matches!(e.kind, FaultKind::Budget(_));
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % m
+        };
+        // Windows of one length (the start order is reused for the ends),
+        // of mixed lengths, and of one length where some end saturated.
+        for case in 0..3 {
+            let events: Vec<CompiledEvent> = (0..300)
+                .map(|i| {
+                    let start = match case {
+                        2 if i % 7 == 0 => u64::MAX - next(4),
+                        _ => next(400),
+                    };
+                    let len = if case == 1 { next(9) } else { 5 };
+                    window(next(3) > 0, start, start.saturating_add(len))
+                })
+                .collect();
+            let all = Edges::build(&events);
+            assert_eq!(all, brute_force(&events, |_| true), "case {case}");
+            let budget = all.subset(&events, is_budget).expect("a mixed schedule");
+            assert_eq!(budget, brute_force(&events, is_budget), "case {case}");
+            let only_budget: Vec<CompiledEvent> =
+                events.iter().copied().filter(is_budget).collect();
+            let all = Edges::build(&only_budget);
+            assert_eq!(all.subset(&only_budget, is_budget), None, "case {case}");
+        }
     }
 
     #[test]
