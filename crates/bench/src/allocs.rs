@@ -6,20 +6,28 @@
 //! the allocation-regression test install [`CountingAllocator`] as the
 //! global allocator and diff [`allocations`] around the hot loop.
 //!
-//! Counters are thread-local so concurrently running test threads cannot
-//! pollute each other's measurements; the counting fast path is two
-//! `Cell` increments and never allocates itself.
+//! The main counters are thread-local, so concurrently running test
+//! threads cannot pollute each other's measurements. Beside them, one
+//! process-wide count also sees the allocations of shard-pool workers;
+//! it is only meaningful while nothing else in the process runs (tests
+//! that read it serialise themselves). The counting fast path is two
+//! `Cell` increments and one relaxed atomic add, and never allocates
+//! itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A global allocator that counts every allocation on the calling thread
-/// and forwards to the system allocator.
+/// Allocations by every thread of the process.
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// A global allocator that counts every allocation, per thread and
+/// process-wide, and forwards to the system allocator.
 ///
 /// Install it in a binary or integration test with:
 ///
@@ -37,6 +45,7 @@ fn count(bytes: usize) {
     // rather than fatal.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -64,6 +73,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// includes reallocations). Zero unless [`CountingAllocator`] is installed.
 pub fn allocations() -> u64 {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Number of heap allocations made by every thread of the process so far
+/// (monotonic; includes reallocations). Zero unless [`CountingAllocator`]
+/// is installed.
+pub fn process_allocations() -> u64 {
+    PROCESS_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Number of heap bytes requested by this thread so far (monotonic).

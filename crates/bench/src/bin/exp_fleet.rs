@@ -290,10 +290,9 @@ fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
     trip_window(knobs);
 
     // (c) Interleaved best-of-5 over CPU-time windows: process CPU time
-    // is immune to scheduler steal on shared runners, and 5000-epoch
-    // windows span enough 10 ms clock ticks (~30+) that tick
-    // quantization stays a low-single-digit error. Same 15 % budget as
-    // the single-chip tracing gate.
+    // is immune to scheduler steal on shared runners, and it is read to
+    // the nanosecond, so a 5000-epoch window carries no clock-tick
+    // quantization. Same 15 % budget as the single-chip tracing gate.
     let mut best_off: f64 = 0.0;
     let mut best_on: f64 = 0.0;
     for _ in 0..5 {

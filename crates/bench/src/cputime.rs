@@ -4,31 +4,39 @@
 //! scheduler steal or frequency epoch landing on one side of an
 //! interleaved comparison fakes double-digit overhead on an unmodified
 //! checkout. Process CPU time only advances while the process is actually
-//! running, so host steal cancels out of on/off ratios. Granularity is
-//! one clock tick (typically 10 ms) — measure windows of at least a few
-//! hundred ticks.
+//! running, so host steal cancels out of on/off ratios. It is read from
+//! `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)` to the nanosecond, so even a
+//! window of a few hundred milliseconds is not quantised the way
+//! `/proc/self/stat`'s 10 ms clock ticks would quantise it.
 
 use std::time::Instant;
 
-/// Process CPU time (user + system, all threads) in seconds, read from
-/// `/proc/self/stat`. `None` off Linux or if the stat format is
-/// unreadable.
+/// Process CPU time (user + system, all threads) in seconds, from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`. `None` off 64-bit Linux or
+/// if the clock cannot be read.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub fn process_cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Field 2 (comm) may contain spaces; everything after the closing
-    // paren is whitespace-delimited, with utime/stime at relative
-    // positions 11/12.
-    let after = stat.rsplit(") ").next()?;
-    let mut fields = after.split_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) as f64 / ticks_per_second())
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: on 64-bit Linux `struct timespec` is two 64-bit integers, so
+    // `ts` is a valid, writable, exclusively borrowed timespec for the
+    // call, and the clock id is one every Linux kernel accepts.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    (rc == 0).then_some(ts.sec as f64 + ts.nsec as f64 * 1e-9)
 }
 
-/// `_SC_CLK_TCK` without libc: Linux has used 100 Hz for the proc-visible
-/// tick on every mainstream configuration for decades.
-fn ticks_per_second() -> f64 {
-    100.0
+/// Process CPU time is read on 64-bit Linux only.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+pub fn process_cpu_seconds() -> Option<f64> {
+    None
 }
 
 /// A stopwatch that reads process CPU time where available and falls back
@@ -48,8 +56,8 @@ impl CpuStopwatch {
         }
     }
 
-    /// Seconds elapsed: CPU seconds when `/proc` is readable, wall seconds
-    /// otherwise.
+    /// Seconds elapsed: CPU seconds where the process CPU clock is
+    /// readable, wall seconds otherwise.
     pub fn elapsed_secs(&self) -> f64 {
         match (self.cpu_start, process_cpu_seconds()) {
             (Some(t0), Some(t1)) => t1 - t0,
@@ -65,7 +73,6 @@ mod tests {
     #[test]
     fn cpu_clock_advances_under_load() {
         let sw = CpuStopwatch::start();
-        // Burn enough CPU to cross several 10 ms ticks.
         let mut acc = 0u64;
         while sw.elapsed_secs() < 0.05 {
             for i in 0..100_000u64 {
@@ -77,9 +84,15 @@ mod tests {
     }
 
     #[test]
-    fn proc_stat_parses_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(process_cpu_seconds().is_some());
+    fn cpu_clock_reads_below_a_clock_tick_on_linux() {
+        if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+            let t0 = process_cpu_seconds().expect("the process CPU clock is readable");
+            // Spin until the clock moves: the first step it shows must be
+            // far below the 10 ms tick of `/proc/self/stat`.
+            let step = std::iter::repeat_with(|| process_cpu_seconds().unwrap() - t0)
+                .find(|&dt| dt > 0.0)
+                .unwrap();
+            assert!(step < 1e-3, "the CPU clock moved in a {step} s step");
         }
     }
 }

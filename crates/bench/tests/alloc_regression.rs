@@ -11,6 +11,11 @@
 //! vector, pending double buffers) and several coarse-grain reallocations,
 //! so the measured window exercises both the every-epoch path and the
 //! every-`realloc_period` path.
+//!
+//! The tests run one at a time, through [`serial`], so that the
+//! process-wide count the sharded arms also assert sees no other test's
+//! allocations: it covers the chunks shard-pool workers run, which the
+//! calling thread's counters miss.
 
 use odrl_bench::{allocs, ChipRun, ControllerKind, RunBuilder, Scenario};
 use odrl_controllers::PowerController;
@@ -21,16 +26,69 @@ use odrl_faults::{
 use odrl_manycore::{Parallelism, System};
 use odrl_power::{LevelId, Watts};
 use odrl_workload::MixPolicy;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: allocs::CountingAllocator = allocs::CountingAllocator;
 
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Waits for the other tests of this file to finish. A test that failed
+/// while holding the lock does not fail the ones after it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations of three consecutive measured windows.
+struct Windows {
+    /// The calling thread's allocations over all three windows.
+    thread: u64,
+    /// The calling thread's allocated bytes over all three windows.
+    bytes: u64,
+    /// The fewest process-wide allocations of any one window.
+    process: u64,
+}
+
+impl std::fmt::Display for Windows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} times ({} bytes) on the calling thread over 3 x 50 epochs, \
+             {} times process-wide in the quietest 50",
+            self.thread, self.bytes, self.process
+        )
+    }
+}
+
+/// Runs `window` three times and counts its allocations. The
+/// process-wide count also sees the test harness's own threads, which
+/// report a finished test and start the next one (blocked on [`serial`])
+/// just as a test begins; taking the quietest window rules them out,
+/// while an epoch that allocates on any thread does so in every window.
+fn measure(mut window: impl FnMut()) -> Windows {
+    let (a0, b0) = (allocs::allocations(), allocs::allocated_bytes());
+    let mut process = u64::MAX;
+    for _ in 0..3 {
+        let p0 = allocs::process_allocations();
+        window();
+        process = process.min(allocs::process_allocations() - p0);
+    }
+    Windows {
+        thread: allocs::allocations() - a0,
+        bytes: allocs::allocated_bytes() - b0,
+        process,
+    }
+}
+
 #[test]
 fn steady_state_epoch_allocates_nothing() {
-    let (da, db) = chip_epoch_allocations(Parallelism::Serial);
+    let _serial = serial();
+    let w = chip_epoch_allocations(Parallelism::Serial);
     assert_eq!(
-        da, 0,
-        "steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
+        (w.thread, w.process),
+        (0, 0),
+        "steady-state epochs allocated {w}"
     );
 }
 
@@ -38,18 +96,20 @@ fn steady_state_epoch_allocates_nothing() {
 fn auto_sharded_epoch_allocates_nothing() {
     // `Auto` resolves its shard count once per process, so the per-epoch
     // `shard_chunks` calls in the step and the controller never re-query
-    // the OS (which allocates) after the first epoch. Counts the calling
-    // thread only; chunks a pool worker runs are not counted.
-    let (da, db) = chip_epoch_allocations(Parallelism::Auto);
+    // the OS (which allocates) after the first epoch. The process-wide
+    // count covers the chunks pool workers run.
+    let _serial = serial();
+    let w = chip_epoch_allocations(Parallelism::Auto);
     assert_eq!(
-        da, 0,
-        "auto-sharded steady-state epochs allocated {da} times ({db} bytes) over 50 epochs"
+        (w.thread, w.process),
+        (0, 0),
+        "auto-sharded steady-state epochs allocated {w}"
     );
 }
 
-/// Allocations and bytes of 50 steady-state chip epochs on the calling
-/// thread, after a 30-epoch warm-up.
-fn chip_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
+/// Allocations of three 50-epoch steady-state chip windows, after a
+/// 30-epoch warm-up.
+fn chip_epoch_allocations(parallelism: Parallelism) -> Windows {
     let scenario = Scenario {
         cores: 64,
         budget_frac: 0.6,
@@ -75,18 +135,18 @@ fn chip_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
         system.observation_into(budget, &mut obs);
     }
 
-    let a0 = allocs::allocations();
-    let b0 = allocs::allocated_bytes();
-    for _ in 0..50 {
-        controller.decide_into(&obs, &mut actions);
-        system.step_in_place(&actions).expect("valid actions");
-        system.observation_into(budget, &mut obs);
-    }
-    (allocs::allocations() - a0, allocs::allocated_bytes() - b0)
+    measure(|| {
+        for _ in 0..50 {
+            controller.decide_into(&obs, &mut actions);
+            system.step_in_place(&actions).expect("valid actions");
+            system.observation_into(budget, &mut obs);
+        }
+    })
 }
 
 #[test]
 fn fault_enabled_steady_state_allocates_nothing() {
+    let _serial = serial();
     // Same gate with the fault engine, sensor watchdog and unreliable
     // budget channel all engaged, and faults from every family firing
     // *inside* the measured window. The fault scratch (flag arrays,
@@ -197,6 +257,7 @@ fn fault_enabled_steady_state_allocates_nothing() {
 
 #[test]
 fn quantized_steady_state_allocates_nothing() {
+    let _serial = serial();
     // Same gate with the per-core agents on the banked fixed-point
     // Q-table layout: the i16 banks, row scales and visit counters are all
     // sized at construction, and requantization rewrites rows in place, so
@@ -247,6 +308,7 @@ fn quantized_steady_state_allocates_nothing() {
 
 #[test]
 fn quantized_fleet_steady_state_allocates_nothing() {
+    let _serial = serial();
     // Fleet-scope arm of the quantized gate: four chips on the banked
     // fixed-point layout under the rack arbiter. This is the arm that proves
     // the block-scanned decide path *and* the per-shard ε-draw refill (the
@@ -293,6 +355,7 @@ fn quantized_fleet_steady_state_allocates_nothing() {
 
 #[test]
 fn diagnosed_fleet_steady_state_allocates_nothing() {
+    let _serial = serial();
     // Observability-on arm of the fleet gate: learning-health diagnostics
     // on every chip (per-shard summary accumulators, the periodic
     // quantized-health scan), rack-scope metric aggregation, and the
@@ -350,6 +413,7 @@ fn diagnosed_fleet_steady_state_allocates_nothing() {
 
 #[test]
 fn recorder_trips_allocate_only_their_dump() {
+    let _serial = serial();
     // The flight recorder's trip path: a trip reads only the last
     // `window` epochs of every trace ring and renders the dump into
     // buffers the fleet reuses, so once one trip has grown them, each
@@ -433,6 +497,7 @@ fn recorder_trips_allocate_only_their_dump() {
 
 #[test]
 fn warm_start_boot_allocates_nothing_at_steady_state() {
+    let _serial = serial();
     // Boot a chip from a Q-table snapshot on disk: the import happens once
     // at build time (allocations there are fine), after which the warmed
     // controller must hit the same zero-alloc steady state as a cold one.
@@ -495,40 +560,46 @@ fn warm_start_boot_allocates_nothing_at_steady_state() {
 
 #[test]
 fn steady_state_fleet_stepping_allocates_nothing() {
-    let (da, db) = fleet_epoch_allocations(Parallelism::Serial);
+    let _serial = serial();
+    let w = fleet_epoch_allocations(Parallelism::Serial);
     assert_eq!(
-        da, 0,
-        "steady-state fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+        (w.thread, w.process),
+        (0, 0),
+        "steady-state fleet stepping allocated {w}"
     );
 }
 
 #[test]
 fn threaded_fleet_stepping_allocates_nothing() {
     // Chips sharded across the pool: `shard_chunks` hands out chunks from
-    // the caller's stack. The counters are thread-local, so this counts
-    // the calling thread only: `shard_chunks` itself and whichever chunks
-    // the caller takes. A chunk a pool worker runs is not counted. On a
-    // single-hardware-thread host the caller runs both shards itself.
-    let (da, db) = fleet_epoch_allocations(Parallelism::Threads(2));
+    // the caller's stack. The thread-local count covers `shard_chunks`
+    // itself and whichever chunks the caller takes; the process-wide one
+    // adds the chunks a pool worker runs. On a single-hardware-thread
+    // host the caller runs both shards itself.
+    let _serial = serial();
+    let w = fleet_epoch_allocations(Parallelism::Threads(2));
     assert_eq!(
-        da, 0,
-        "2-thread fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+        (w.thread, w.process),
+        (0, 0),
+        "2-thread fleet stepping allocated {w}"
     );
 }
 
 #[test]
 fn auto_fleet_stepping_allocates_nothing() {
-    // Calling thread only, as in `threaded_fleet_stepping_allocates_nothing`.
-    let (da, db) = fleet_epoch_allocations(Parallelism::Auto);
+    // Counted as in `threaded_fleet_stepping_allocates_nothing`.
+    let _serial = serial();
+    let w = fleet_epoch_allocations(Parallelism::Auto);
     assert_eq!(
-        da, 0,
-        "auto-sharded fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+        (w.thread, w.process),
+        (0, 0),
+        "auto-sharded fleet stepping allocated {w}"
     );
 }
 
-/// Allocations and bytes of 50 steady-state epochs of a faulted 4-chip
-/// fleet stepped with `parallelism` across chips, on the calling thread.
-fn fleet_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
+/// Allocations of three 50-epoch steady-state windows of a faulted 4-chip
+/// fleet stepped with `parallelism` across chips.
+fn fleet_epoch_allocations(parallelism: Parallelism) -> Windows {
     let scenario = Scenario {
         cores: 16,
         budget_frac: 0.6,
@@ -565,13 +636,12 @@ fn fleet_epoch_allocations(parallelism: Parallelism) -> (u64, u64) {
         fleet.step_epoch().expect("fleet epoch completes");
     }
 
-    let a0 = allocs::allocations();
-    let b0 = allocs::allocated_bytes();
-    // The measured window crosses arbiter rounds at epochs 50 and 75 and
+    // The first window crosses arbiter rounds at epochs 50 and 75 and
     // the fault-window close, so arbitration, channel traffic and fault
     // edges are all inside the zero-alloc envelope.
-    for _ in 0..50 {
-        fleet.step_epoch().expect("fleet epoch completes");
-    }
-    (allocs::allocations() - a0, allocs::allocated_bytes() - b0)
+    measure(|| {
+        for _ in 0..50 {
+            fleet.step_epoch().expect("fleet epoch completes");
+        }
+    })
 }

@@ -1,7 +1,7 @@
 //! Compiling a [`FaultPlan`] into a runnable schedule and driving it.
 //!
 //! [`FaultEngine::compile`] resolves targets against a concrete core count
-//! and expands every seeded [`RandomBurst`](crate::RandomBurst) into
+//! and expands every seeded [`RandomBurst`] into
 //! concrete events, so all randomness is spent before the first epoch.
 //! The result is one immutable, shared schedule: the windows in plan order
 //! plus start- and end-sorted edge lists over them (the crate's
@@ -174,15 +174,15 @@ impl FaultEngine {
                 cores,
                 burst.start..burst.end,
                 burst_threshold(p),
-                |core, epoch| {
-                    events.push(CompiledEvent {
+                |core, hits| {
+                    events.extend(hits.iter().map(|&epoch| CompiledEvent {
                         kind,
                         lo: core,
                         hi: core + 1,
                         chip: false,
                         start: epoch,
                         end: epoch.saturating_add(duration),
-                    });
+                    }));
                 },
             );
         }
@@ -252,6 +252,7 @@ impl FaultEngine {
             effective: vec![LevelId(0); n],
             any_dead: false,
             drifting: false,
+            sensors_faulted: false,
         }
     }
 
@@ -278,17 +279,20 @@ impl FaultEngine {
             for &w in state.timeline.left() {
                 state.flags.paint(&s.events[w], false);
             }
-            let (mut drifting, mut any_dead) = (false, false);
+            let (mut drifting, mut any_dead, mut core_sensor) = (false, false, false);
             // Index order: later plan entries override earlier ones.
             for &w in state.timeline.active() {
                 let ev = &s.events[w];
+                let sensor = !ev.chip && matches!(ev.kind, FaultKind::Sensor(_));
+                core_sensor |= sensor;
                 drifting |=
-                    !ev.chip && matches!(ev.kind, FaultKind::Sensor(SensorFault::Drift { .. }));
+                    sensor && matches!(ev.kind, FaultKind::Sensor(SensorFault::Drift { .. }));
                 any_dead |= matches!(ev.kind, FaultKind::Core(CoreFault::Unplug));
                 state.flags.paint(ev, true);
             }
             state.drifting = drifting;
             state.any_dead = any_dead;
+            state.sensors_faulted = core_sensor || any_dead;
             drift_pass |= drifting;
         }
         // Drift accumulates only across consecutive active epochs and
@@ -398,6 +402,8 @@ pub struct FaultState {
     any_dead: bool,
     /// Whether a per-core drift window is active.
     drifting: bool,
+    /// Whether a per-core sensor window is active or a core is unplugged.
+    sensors_faulted: bool,
 }
 
 /// The fault flags of one epoch, painted from the active windows.
@@ -539,6 +545,14 @@ impl FaultState {
         } else {
             0
         }
+    }
+
+    /// Whether this epoch's per-core sensor readings need
+    /// [`FaultState::sensor_view`]: a per-core sensor window is active or
+    /// a core is unplugged. While it is false, [`SensorView::apply`]
+    /// returns every fresh reading as it is.
+    pub fn sensors_faulted(&self) -> bool {
+        self.sensors_faulted
     }
 
     /// A read-only view for the (possibly sharded) sensor pass.
@@ -757,6 +771,42 @@ mod tests {
         engine.begin_epoch(2, &mut st);
         let v = st.sensor_view();
         assert_eq!(v.apply(2, Watts::new(4.0), Watts::new(1.5)).value(), 4.0);
+    }
+
+    #[test]
+    fn sensors_faulted_tracks_core_sensor_and_unplug_windows_only() {
+        let plan = FaultPlan::new()
+            .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 0, 40)
+            .with_event(
+                FaultKind::Sensor(SensorFault::StuckZero),
+                Target::Chip,
+                0,
+                40,
+            )
+            .with_event(
+                FaultKind::Sensor(SensorFault::Spike { gain: 2.0 }),
+                Target::Core(1),
+                10,
+                10,
+            )
+            .with_event(FaultKind::Core(CoreFault::Unplug), Target::Core(2), 25, 5);
+        let engine = FaultEngine::compile(&plan, 4, 1).unwrap();
+        let mut st = engine.state();
+        for (epoch, faulted) in [(0, false), (10, true), (19, true), (20, false), (25, true)]
+            .into_iter()
+            .chain([(30, false), (12, true), (2, false)])
+        {
+            engine.begin_epoch(epoch, &mut st);
+            assert_eq!(st.sensors_faulted(), faulted, "epoch {epoch}");
+            if !faulted {
+                // The view the clear flag lets the sensor pass skip would
+                // return every fresh reading as it is.
+                let v = st.sensor_view();
+                for i in 0..4 {
+                    assert_eq!(v.apply(i, Watts::new(3.0), Watts::new(1.0)).value(), 3.0);
+                }
+            }
+        }
     }
 
     #[test]

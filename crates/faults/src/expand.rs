@@ -131,17 +131,17 @@ impl Expander {
         }
     }
 
-    /// Calls `emit(core, epoch)` for every `core < cores` and every epoch
-    /// in `epochs` at which the core's stream, seeded with
-    /// `mix_seed(stream, core)`, draws a mantissa below `threshold`: core
-    /// by core, each core's epochs ascending.
+    /// Calls `emit(core, hits)` for every `core < cores`, in core order,
+    /// with the epochs of `epochs` at which the core's stream, seeded with
+    /// `mix_seed(stream, core)`, draws a mantissa below `threshold`,
+    /// ascending.
     pub(crate) fn expand(
         &mut self,
         stream: u64,
         cores: usize,
         epochs: Range<u64>,
         threshold: u64,
-        mut emit: impl FnMut(usize, u64),
+        mut emit: impl FnMut(usize, &[u64]),
     ) {
         for base in (0..cores).step_by(LANES) {
             let n = (cores - base).min(LANES);
@@ -161,9 +161,7 @@ impl Expander {
                 from = to;
             }
             for (lane, hits) in self.hits[..n].iter_mut().enumerate() {
-                for &epoch in hits.iter() {
-                    emit(base + lane, epoch);
-                }
+                emit(base + lane, hits);
                 hits.clear();
             }
         }
@@ -341,8 +339,8 @@ mod tests {
                         let stream = 0x5EED ^ (cores as u64) << 8 ^ i as u64;
                         let threshold = burst_threshold(p);
                         let mut got = Vec::new();
-                        expander.expand(stream, cores, epochs.clone(), threshold, |c, e| {
-                            got.push((c, e));
+                        expander.expand(stream, cores, epochs.clone(), threshold, |c, hits| {
+                            got.extend(hits.iter().map(|&e| (c, e)));
                         });
                         let want = reference(stream, cores, epochs.clone(), threshold);
                         assert_eq!(got, want, "{path:?}: {cores} cores, {epochs:?}, p = {p}");

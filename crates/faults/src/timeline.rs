@@ -18,8 +18,9 @@ use crate::engine::CompiledEvent;
 pub(crate) struct Edges {
     /// Window indices ordered by `(start, index)`.
     starts: Vec<usize>,
-    /// Window indices ordered by `(end, index)`.
-    ends: Vec<usize>,
+    /// Window indices ordered by `(end, index)`, when that is not the
+    /// start order (see [`Edges::ends`]).
+    ends: Option<Vec<usize>>,
     /// The largest active set at any epoch; sizes the cursor's lists so a
     /// seek never allocates.
     max_active: usize,
@@ -32,8 +33,11 @@ impl Edges {
         // Windows that all last `len` epochs end in the order they start,
         // so the start order serves as the end order.
         let (ends, end_at) = match common_length(events) {
-            Some(len) => (starts.clone(), start_at.iter().map(|&t| t + len).collect()),
-            None => radix_order(events.iter().map(|ev| ev.end)),
+            Some(len) => (None, start_at.iter().map(|&t| t + len).collect()),
+            None => {
+                let (ends, end_at) = radix_order(events.iter().map(|ev| ev.end));
+                (Some(ends), end_at)
+            }
         };
         Self {
             max_active: max_active(&start_at, &end_at),
@@ -57,9 +61,15 @@ impl Edges {
         let pick = |order: &[usize]| -> Vec<usize> {
             order.iter().copied().filter(|&i| kept[i]).collect()
         };
-        let (starts, ends) = (pick(&self.starts), pick(&self.ends));
+        let starts = pick(&self.starts);
+        let ends = self.ends.as_deref().map(pick);
         let start_at: Vec<u64> = starts.iter().map(|&i| events[i].start).collect();
-        let end_at: Vec<u64> = ends.iter().map(|&i| events[i].end).collect();
+        let end_at: Vec<u64> = ends
+            .as_deref()
+            .unwrap_or(&starts)
+            .iter()
+            .map(|&i| events[i].end)
+            .collect();
         Some(Self {
             max_active: max_active(&start_at, &end_at),
             starts,
@@ -67,10 +77,16 @@ impl Edges {
         })
     }
 
+    /// Window indices ordered by `(end, index)`. Windows that all last
+    /// equally long share one list for both orders.
+    fn ends(&self) -> &[usize] {
+        self.ends.as_deref().unwrap_or(&self.starts)
+    }
+
     /// The start order, the end order and the largest active set.
     #[cfg(test)]
     pub fn parts(&self) -> (&[usize], &[usize], usize) {
-        (&self.starts, &self.ends, self.max_active)
+        (&self.starts, self.ends(), self.max_active)
     }
 
     /// Whether the lists hold no windows.
@@ -82,7 +98,7 @@ impl Edges {
     /// `epoch` minus those that also ended by it.
     pub fn active_at(&self, events: &[CompiledEvent], epoch: u64) -> usize {
         let started = self.starts.partition_point(|&i| events[i].start <= epoch);
-        let ended = self.ends.partition_point(|&i| events[i].end <= epoch);
+        let ended = self.ends().partition_point(|&i| events[i].end <= epoch);
         started - ended
     }
 }
@@ -159,7 +175,7 @@ fn max_active(starts: &[u64], ends: &[u64]) -> usize {
 pub(crate) struct Timeline {
     /// Next unconsumed position in [`Edges::starts`].
     next_start: usize,
-    /// Next unconsumed position in [`Edges::ends`].
+    /// Next unconsumed position in the end order ([`Edges::ends`]).
     next_end: usize,
     /// The epoch of the last seek; `None` before the first.
     at: Option<u64>,
@@ -199,7 +215,7 @@ impl Timeline {
         // window ending in `(at, epoch]` is in the list only if it had
         // started by `at`; one that starts and ends inside the jump is
         // never added.
-        while let Some(&w) = edges.ends.get(self.next_end) {
+        while let Some(&w) = edges.ends().get(self.next_end) {
             let ev = &events[w];
             if ev.end > epoch {
                 break;
@@ -280,7 +296,7 @@ mod tests {
             .unwrap_or(0);
         Edges {
             starts,
-            ends,
+            ends: Some(ends),
             max_active,
         }
     }
@@ -322,9 +338,16 @@ mod tests {
                 })
                 .collect();
             let all = Edges::build(&events);
-            assert_eq!(all, brute_force(&events, |_| true), "case {case}");
+            assert_eq!(
+                all.ends.is_none(),
+                case == 0,
+                "case {case}: shared end order"
+            );
+            let want = brute_force(&events, |_| true);
+            assert_eq!(all.parts(), want.parts(), "case {case}");
             let budget = all.subset(&events, is_budget).expect("a mixed schedule");
-            assert_eq!(budget, brute_force(&events, is_budget), "case {case}");
+            let want = brute_force(&events, is_budget);
+            assert_eq!(budget.parts(), want.parts(), "case {case}");
             let only_budget: Vec<CompiledEvent> =
                 events.iter().copied().filter(is_budget).collect();
             let all = Edges::build(&only_budget);

@@ -604,10 +604,10 @@ impl System {
 
         // Pass 4 (sharded): per-core power sensors. Each core's sensor RNG
         // is private to its shard, so draws never depend on execution
-        // order. Fault-free dropout-free runs take the block-filled batch
-        // path (bit-identical per core — see
-        // [`SensorModel::measure_block`]); otherwise this is the
-        // sensor-read injection point: the healthy reading is always
+        // order. Dropout-free epochs with no per-core sensor fault or
+        // unplugged core take the block-filled batch path (bit-identical
+        // per core — see [`SensorModel::measure_block`]); otherwise this is
+        // the sensor-read injection point: the healthy reading is always
         // computed first (keeping every RNG stream aligned with the
         // fault-free run), then the active sensor fault — if any —
         // transforms it.
@@ -615,7 +615,9 @@ impl System {
         {
             let config = &self.config;
             let powers: &[Watts] = powers;
-            let fview = fstate.map(FaultState::sensor_view);
+            let fview = fstate
+                .filter(|fs| fs.sensors_faulted())
+                .map(FaultState::sensor_view);
             let use_block = fview.is_none() && config.sensors.dropout == 0.0;
             shard_chunks(
                 par,
