@@ -70,9 +70,7 @@ fn measure(mut window: impl FnMut()) -> Windows {
     let (a0, b0) = (allocs::allocations(), allocs::allocated_bytes());
     let mut process = u64::MAX;
     for _ in 0..3 {
-        let p0 = allocs::process_allocations();
-        window();
-        process = process.min(allocs::process_allocations() - p0);
+        process = process.min(allocs::process_counting(&mut window).0);
     }
     Windows {
         thread: allocs::allocations() - a0,

@@ -356,7 +356,9 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError`] for invalid fleet parameters, scenarios,
-    /// fault plans, or controller configurations.
+    /// fault plans, or controller configurations. The chips are built on
+    /// the fleet's shards ([`FleetConfig::parallelism`]); when several
+    /// fail, the error is the lowest-index chip's at every shard count.
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
         config.validate()?;
         let n = config.chips;
