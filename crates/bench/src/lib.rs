@@ -6,9 +6,7 @@
 //! | Binary | Experiment |
 //! |---|---|
 //! | `exp_power_trace` | E1 — power vs time under a budget (figure) |
-//! | `exp_overshoot` | E2 — budget-overshoot table (claim 1) |
-//! | `exp_tpoe` | E3 — throughput per over-budget energy (claim 2a) |
-//! | `exp_efficiency` | E4 — energy efficiency (claim 2b) |
+//! | `exp_claims` | E2–E4 — overshoot, TpOE and efficiency claims (claims 1, 2a, 2b) |
 //! | `exp_scaling` | E5 — controller decision latency vs core count |
 //! | `exp_adaptation` | E6 — learning dynamics and budget steps |
 //! | `exp_budget_sweep` | E7 — throughput vs budget fraction (incl. ondemand) |
@@ -338,6 +336,26 @@ pub struct PairedStat {
     pub ci95: (f64, f64),
 }
 
+impl PairedStat {
+    /// The mean and bootstrap CI of `per_seed`, for statistics derived
+    /// from [`paired_seeds`] output (a subset of seeds, a ratio of two
+    /// statistics, ...).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_seed` is empty.
+    pub fn new(per_seed: Vec<f64>) -> Self {
+        assert!(!per_seed.is_empty(), "a paired statistic needs a value");
+        let mean = per_seed.iter().sum::<f64>() / per_seed.len() as f64;
+        let ci95 = bootstrap_ci95(&per_seed);
+        Self {
+            per_seed,
+            mean,
+            ci95,
+        }
+    }
+}
+
 /// Runs `paired(cell, seed)` for every cell on seeds `1..=REPLICATES`,
 /// fanning the `cells × seeds` runs across `par` via
 /// [`run_cells_parallel`]. Each call runs both arms of a comparison on
@@ -369,16 +387,7 @@ where
                 "paired statistics differ in count across seeds"
             );
             (0..stats)
-                .map(|k| {
-                    let per_seed: Vec<f64> = per_cell.iter().map(|r| r[k]).collect();
-                    let mean = per_seed.iter().sum::<f64>() / per_seed.len() as f64;
-                    let ci95 = bootstrap_ci95(&per_seed);
-                    PairedStat {
-                        per_seed,
-                        mean,
-                        ci95,
-                    }
-                })
+                .map(|k| PairedStat::new(per_cell.iter().map(|r| r[k]).collect()))
                 .collect()
         })
         .collect()
@@ -405,7 +414,9 @@ fn bootstrap_ci95(values: &[f64]) -> (f64, f64) {
 
 /// Runs the headline benchmark × controller sweep behind tables E2–E4:
 /// every suite benchmark as a homogeneous workload on `cores` cores, each
-/// under every controller in `kinds`.
+/// under every controller in `kinds`, with the cells fanned across `par`
+/// worker threads via [`run_scenarios_parallel`]. Results are identical
+/// at every setting; only wall-clock time changes.
 ///
 /// Returns `(benchmark_name, summaries)` pairs with summaries in `kinds`
 /// order.
@@ -414,23 +425,6 @@ fn bootstrap_ci95(values: &[f64]) -> (f64, f64) {
 ///
 /// Panics on simulator errors (cannot happen with vetted scenarios).
 pub fn benchmark_sweep(
-    cores: usize,
-    budget_frac: f64,
-    epochs: u64,
-    seed: u64,
-    kinds: &[ControllerKind],
-) -> Vec<(String, Vec<RunSummary>)> {
-    benchmark_sweep_parallel(cores, budget_frac, epochs, seed, kinds, Parallelism::Serial)
-}
-
-/// As [`benchmark_sweep`], fanning the benchmark × controller cells across
-/// `par` worker threads via [`run_scenarios_parallel`]. Results are
-/// identical at every setting; only wall-clock time changes.
-///
-/// # Panics
-///
-/// As [`benchmark_sweep`].
-pub fn benchmark_sweep_parallel(
     cores: usize,
     budget_frac: f64,
     epochs: u64,
@@ -575,7 +569,7 @@ mod tests {
     #[test]
     fn sweep_covers_suite_and_kinds() {
         let kinds = [ControllerKind::Pid, ControllerKind::SteepestDrop];
-        let sweep = benchmark_sweep(4, 0.6, 5, 1, &kinds);
+        let sweep = benchmark_sweep(4, 0.6, 5, 1, &kinds, Parallelism::Serial);
         assert_eq!(sweep.len(), odrl_workload::names().len());
         for (bench, summaries) in &sweep {
             assert!(!bench.is_empty());
@@ -616,8 +610,8 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial_sweep() {
         let kinds = [ControllerKind::Pid, ControllerKind::StaticUniform];
-        let serial = benchmark_sweep(4, 0.6, 5, 1, &kinds);
-        let parallel = benchmark_sweep_parallel(4, 0.6, 5, 1, &kinds, Parallelism::Threads(4));
+        let serial = benchmark_sweep(4, 0.6, 5, 1, &kinds, Parallelism::Serial);
+        let parallel = benchmark_sweep(4, 0.6, 5, 1, &kinds, Parallelism::Threads(4));
         assert_eq!(serial.len(), parallel.len());
         for ((bench_s, row_s), (bench_p, row_p)) in serial.iter().zip(&parallel) {
             assert_eq!(bench_s, bench_p);

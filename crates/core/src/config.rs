@@ -80,7 +80,9 @@ pub struct OdRlConfig {
     /// one branch per recording site.
     #[serde(default)]
     pub obs: ObsConfig,
-    /// Seed for the exploration randomness.
+    /// Seed for the exploration randomness, for controllers built with
+    /// `OdRlController::new`. A run assembled by `odrl_fleet::RunBuilder`
+    /// replaces it with a seed derived from the scenario seed.
     pub seed: u64,
 }
 

@@ -19,6 +19,7 @@ use crate::config::OdRlConfig;
 use crate::controller::OdRlController;
 use crate::error::OdRlError;
 use odrl_controllers::PowerController;
+use odrl_manycore::parallel::stream_seed;
 use odrl_manycore::{CoreObservation, Observation, SystemSpec};
 use odrl_power::{Celsius, LevelId, Watts};
 use odrl_workload::PhaseParams;
@@ -90,8 +91,8 @@ impl HierarchicalOdRl {
                 ..spec.clone()
             };
             let cluster_config = OdRlConfig {
-                // Decorrelate exploration across clusters.
-                seed: config.seed.wrapping_add(k as u64).wrapping_mul(0x9E37_79B9),
+                // Each cluster explores on its own stream.
+                seed: stream_seed(config.seed, k as u64),
                 ..config.clone()
             };
             clusters.push(OdRlController::new(cluster_config, &cluster_spec, share)?);

@@ -9,10 +9,10 @@
 //!
 //! The builder is a thin front over [`FleetConfig`], the one run
 //! description, and both builds assemble their chips through the same
-//! path (`FleetConfig::assemble_chip`), so a chip run and chip 0 of a
-//! one-chip fleet get the same tracing, diagnostics, watchdog and fault
-//! wiring. They differ only in seeding: a chip run uses the scenario seed
-//! as is, while fleet chips decorrelate theirs (see [`Fleet::new`]).
+//! path (`FleetConfig::assemble_chip`): a chip run *is* chip 0 of a
+//! one-chip fleet, with the same seeds, tracing, diagnostics, watchdog
+//! and fault wiring. Every seed derives from the scenario seed (see
+//! `FleetConfig::chip_seeds`).
 
 use crate::config::FleetConfig;
 use crate::error::FleetError;
@@ -21,6 +21,7 @@ use crate::scenario::{build_controller, ControllerKind, Scenario};
 use odrl_controllers::PowerController;
 use odrl_core::{OdRlConfig, PolicySnapshot, WatchdogConfig};
 use odrl_faults::FaultPlan;
+use odrl_manycore::parallel::stream_seed;
 use odrl_manycore::{Parallelism, System, SystemConfig};
 use odrl_obs::{ObsConfig, RecorderConfig};
 use odrl_power::Watts;
@@ -47,13 +48,29 @@ impl std::fmt::Debug for ChipRun {
     }
 }
 
+/// Salt separating the exploration seed tree from the system seed tree.
+const ODRL_SEED_SALT: u64 = 0x0D81_5EED_0D81_5EED;
+
 // Chip assembly, shared by `RunBuilder::build_chip` and `Fleet::new`.
 impl FleetConfig {
-    /// The system configuration of one chip seeded with `seed`, with
-    /// structured tracing on when the run traces.
-    pub(crate) fn chip_system_config(&self, seed: u64) -> Result<SystemConfig, FleetError> {
+    /// Chip `chip`'s `(system, exploration)` seeds. The scenario seed is
+    /// the run's one root: the system seed is `stream_seed(seed, chip)`
+    /// and the OD-RL exploration seed `stream_seed(seed ^ salt, chip)`,
+    /// so every chip, and every scenario seed, draws its own streams.
+    pub(crate) fn chip_seeds(&self, chip: u32) -> (u64, u64) {
+        let seed = self.scenario.seed;
+        (
+            stream_seed(seed, u64::from(chip)),
+            stream_seed(seed ^ ODRL_SEED_SALT, u64::from(chip)),
+        )
+    }
+
+    /// The system configuration of chip `chip` (seeded per
+    /// [`FleetConfig::chip_seeds`]), with structured tracing on when the
+    /// run traces.
+    pub(crate) fn chip_system_config(&self, chip: u32) -> Result<SystemConfig, FleetError> {
         let scenario = Scenario {
-            seed,
+            seed: self.chip_seeds(chip).0,
             ..self.scenario.clone()
         };
         let mut config = scenario.try_system_config()?;
@@ -79,14 +96,12 @@ impl FleetConfig {
     /// Assembles chip `chip` of the run under `budget`: builds the system
     /// from `system` (see [`FleetConfig::chip_system_config`]), attaches
     /// the fault plan as that fleet index, and builds the controller with
-    /// the run's intra-chip parallelism, watchdog, tracing and
-    /// diagnostics. `explore_salt` is XORed into the OD-RL exploration
-    /// seed (0 keeps the configured seed).
+    /// the chip's exploration seed (which replaces `odrl.seed`) and the
+    /// run's intra-chip parallelism, watchdog, tracing and diagnostics.
     pub(crate) fn assemble_chip(
         &self,
         chip: u32,
         system: SystemConfig,
-        explore_salt: u64,
         budget: Watts,
         warm: Option<&PolicySnapshot>,
     ) -> Result<ChipRun, FleetError> {
@@ -96,7 +111,7 @@ impl FleetConfig {
         }
         let mut odrl = self.odrl.clone();
         odrl.parallelism = self.scenario.parallelism;
-        odrl.seed ^= explore_salt;
+        odrl.seed = self.chip_seeds(chip).1;
         if self.watchdog {
             odrl.watchdog = WatchdogConfig::enabled();
         }
@@ -140,10 +155,11 @@ impl RunBuilder {
         self
     }
 
-    /// Explicit OD-RL configuration (ignored by baselines). The scenario's
-    /// parallelism still overrides `odrl.parallelism`, and
-    /// [`RunBuilder::watchdog`] / [`RunBuilder::obs`] still override the
-    /// watchdog and tracing fields.
+    /// Explicit OD-RL configuration (ignored by baselines). Each chip's
+    /// exploration seed, derived from the scenario seed, replaces
+    /// `odrl.seed`; the scenario's parallelism overrides
+    /// `odrl.parallelism`; and [`RunBuilder::watchdog`] /
+    /// [`RunBuilder::obs`] still override the watchdog and tracing fields.
     #[must_use]
     pub fn odrl(mut self, odrl: OdRlConfig) -> Self {
         self.config.odrl = odrl;
@@ -225,11 +241,11 @@ impl RunBuilder {
         self
     }
 
-    /// Builds one chip: the scenario's system as chip 0 (faults attached
-    /// for that index, tracing per [`RunBuilder::obs`]), its controller
-    /// (watchdog wiring per [`RunBuilder::watchdog`]), and the budget the
-    /// scenario's fraction resolves to. The fleet-only settings are
-    /// ignored and not validated.
+    /// Builds one chip: chip 0 of a one-chip fleet (seeds, faults and
+    /// tracing per that index), its controller (watchdog wiring per
+    /// [`RunBuilder::watchdog`]), and the budget the scenario's fraction
+    /// resolves to. The fleet-only settings are ignored and not
+    /// validated.
     ///
     /// # Errors
     ///
@@ -237,10 +253,10 @@ impl RunBuilder {
     /// controller configurations.
     pub fn build_chip(self) -> Result<ChipRun, FleetError> {
         let config = &self.config;
-        let system = config.chip_system_config(config.scenario.seed)?;
+        let system = config.chip_system_config(0)?;
         let budget = Watts::new(config.scenario.budget_frac * system.max_power().value());
         let warm = config.load_warm_start()?;
-        config.assemble_chip(0, system, 0, budget, warm.as_ref())
+        config.assemble_chip(0, system, budget, warm.as_ref())
     }
 
     /// Builds a fleet of `chips` replicas of the scenario under the rack
@@ -252,5 +268,44 @@ impl RunBuilder {
     pub fn build_fleet(mut self, chips: usize) -> Result<Fleet, FleetError> {
         self.config.chips = chips;
         Fleet::new(self.config)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Chips of one run and replicates of one cell (seeds `1..=10`, as in
+    /// `odrl_bench::paired_seeds`) never share a system or an exploration
+    /// stream.
+    #[test]
+    fn chip_seeds_are_distinct_across_chips_and_scenario_seeds() {
+        let mut system = HashSet::new();
+        let mut explore = HashSet::new();
+        for seed in 1..=10 {
+            let config = FleetConfig::new(
+                4,
+                Scenario {
+                    seed,
+                    ..Scenario::default_eval()
+                },
+            );
+            for chip in 0..4 {
+                let (s, e) = config.chip_seeds(chip);
+                assert_ne!(
+                    s, e,
+                    "seed {seed}, chip {chip}: system and exploration collide"
+                );
+                assert!(
+                    system.insert(s),
+                    "seed {seed}, chip {chip}: system seed repeats"
+                );
+                assert!(
+                    explore.insert(e),
+                    "seed {seed}, chip {chip}: exploration seed repeats"
+                );
+            }
+        }
     }
 }

@@ -31,8 +31,9 @@ pub struct FleetConfig {
     /// The controller driving every chip.
     pub controller: ControllerKind,
     /// OD-RL configuration for the per-chip controllers (ignored by
-    /// baselines). Seeds are decorrelated per chip; `parallelism` is
-    /// overridden with `scenario.parallelism`.
+    /// baselines). `seed` is replaced by each chip's exploration seed,
+    /// derived from `scenario.seed`; `parallelism` is overridden with
+    /// `scenario.parallelism`.
     pub odrl: OdRlConfig,
     /// Optional fault plan, attached to every chip with that chip's fleet
     /// index (chip-scoped entries apply only on their chip) and projected

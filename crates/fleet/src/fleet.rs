@@ -43,9 +43,6 @@ use serde::Serialize;
 /// the per-chip schedules derived from the same master seed.
 const FLEET_CHANNEL_SALT: u64 = 0xF1EE_7000_F1EE_7000;
 
-/// Salt decorrelating per-chip OD-RL exploration streams.
-const ODRL_SEED_SALT: u64 = 0x0D81_5EED_0D81_5EED;
-
 /// One chip of the fleet: a `System` + controller pair with its current
 /// budget share and the preallocated buffers its epoch step reuses.
 struct FleetChip {
@@ -348,8 +345,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds the fleet: `config.chips` replicas of the scenario with
-    /// decorrelated system and exploration seeds, each with the fault plan
+    /// Builds the fleet: `config.chips` replicas of the scenario, chip `k`
+    /// with its own system and exploration seeds (see
+    /// `FleetConfig::chip_seeds`), each with the fault plan
     /// attached under its own fleet index, under one arbiter whose budget
     /// messages run through the plan's fleet-scope budget faults.
     ///
@@ -367,8 +365,7 @@ impl Fleet {
         let mut sys_configs = Vec::with_capacity(n);
         let mut fleet_max = 0.0;
         for k in 0..n {
-            let sys_config =
-                config.chip_system_config(stream_seed(config.scenario.seed, k as u64))?;
+            let sys_config = config.chip_system_config(k as u32)?;
             fleet_max += sys_config.max_power().value();
             sys_configs.push(sys_config);
         }
@@ -397,12 +394,9 @@ impl Fleet {
         // on the same shards that step them.
         let shares = arbiter.shares();
         let chips = build_in_order(config.parallelism, sys_configs, |k, sys_config| {
-            // Decorrelate exploration across chips (uniformly, so a
-            // one-chip fleet is still a fleet, not a disguised chip run).
-            let explore_salt = stream_seed(config.scenario.seed ^ ODRL_SEED_SALT, k as u64);
             let budget = Watts::new(shares[k]);
             config
-                .assemble_chip(k as u32, sys_config, explore_salt, budget, warm.as_ref())
+                .assemble_chip(k as u32, sys_config, budget, warm.as_ref())
                 .map(FleetChip::new)
         })?;
         Ok(Self {

@@ -28,7 +28,8 @@ pub struct Scenario {
     pub epochs: u64,
     /// Workload assignment.
     pub mix: MixPolicy,
-    /// Master seed.
+    /// Master seed: the one root of the run's randomness. Chip `k` derives
+    /// its system and OD-RL exploration seeds from it.
     pub seed: u64,
     /// How the per-core work *inside* each epoch executes (forwarded to
     /// [`SystemConfig`] and [`OdRlConfig`]). Bit-identical at every setting;

@@ -254,3 +254,44 @@ fn large_fleet_conserves_the_budget_every_epoch() {
     }
     assert!(fleet.arbiter().rounds() >= 2);
 }
+
+/// A chip run is chip 0 of a one-chip fleet: the same seeds, budget and
+/// wiring, so after 200 epochs the learned policy and the instructions
+/// retired match to the bit.
+#[test]
+fn chip_run_is_chip_zero_of_a_one_chip_fleet() {
+    for seed in [1, 9] {
+        let builder = RunBuilder::new(Scenario {
+            cores: 32,
+            budget_frac: 0.6,
+            epochs: 200,
+            mix: MixPolicy::RoundRobin,
+            seed,
+            parallelism: Parallelism::Serial,
+        });
+        let mut fleet = builder.clone().build_fleet(1).expect("valid fleet");
+        fleet.run(200).expect("fleet run completes");
+        let mut chip = builder.build_chip().expect("valid chip");
+        let mut actions = vec![LevelId(0); chip.system.num_cores()];
+        let mut obs = chip.system.observation(chip.budget);
+        for _ in 0..200 {
+            chip.controller.decide_into(&obs, &mut actions);
+            chip.system.step_in_place(&actions).expect("valid actions");
+            chip.system.observation_into(chip.budget, &mut obs);
+        }
+        assert_eq!(
+            chip.budget.value().to_bits(),
+            fleet.chip_budget(0).value().to_bits(),
+            "seed {seed}: budgets differ"
+        );
+        assert!(
+            chip.controller.policy_bytes() == fleet.chip_policy_bytes(0),
+            "seed {seed}: learned policies differ"
+        );
+        assert_eq!(
+            chip.system.telemetry().total_instructions().to_bits(),
+            fleet.chip_telemetry(0).total_instructions().to_bits(),
+            "seed {seed}: instructions retired differ"
+        );
+    }
+}

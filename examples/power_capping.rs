@@ -66,6 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     println!("{table}");
-    println!("see `cargo run --release -p odrl-bench --bin exp_overshoot` for the full sweep");
+    println!("see `cargo run --release -p odrl-bench --bin exp_claims` for the full sweep");
     Ok(())
 }

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
-BINS="exp_power_trace exp_overshoot exp_tpoe exp_efficiency exp_scaling \
+BINS="exp_power_trace exp_claims exp_scaling \
       exp_adaptation exp_budget_sweep exp_granularity exp_multithreaded \
       exp_variation exp_noc exp_extended_range exp_resilience exp_fleet \
       abl_reallocation abl_discretization abl_schedules abl_thermal \
