@@ -10,7 +10,9 @@
 //!                         | priority-greedy
 //!                                                      [default: od-rl]
 //!   --epochs N            control epochs               [default: 2000]
-//!   --seed N              master seed                  [default: 1]
+//!   --seed N              master seed: seeds the system and OD-RL
+//!                         exploration as chip 0 of a RunBuilder run
+//!                                                      [default: 1]
 //!   --mix POLICY          roundrobin | random | <benchmark name>
 //!                                                      [default: roundrobin]
 //!   --islands SIZE        cores per VF island          [default: 1]
@@ -22,7 +24,8 @@
 //!                         near 10k samples            [default: auto]
 //!   --csv PATH            write the per-epoch telemetry series as CSV
 //!   --config PATH         load the full SystemConfig from a JSON file
-//!                         (overrides --cores/--seed/--mix)
+//!                         (overrides --cores/--seed/--mix; its seed
+//!                         seeds the system as is and roots exploration)
 //!   --dump-config         print the effective SystemConfig as JSON and exit
 //!   --help                print this help
 //! ```
@@ -35,9 +38,10 @@
 //! ```
 
 use odrl_bench::cli::{parse_sim_args, SimArgs};
-use odrl_bench::Scenario;
+use odrl_bench::{FleetConfig, Scenario};
 use odrl_controllers::{IslandController, IslandMap, PowerController};
-use odrl_manycore::System;
+use odrl_core::OdRlConfig;
+use odrl_manycore::{System, SystemConfig, SystemSpec};
 use odrl_metrics::{fmt_num, fmt_percent, RunRecorder};
 use odrl_power::Watts;
 use std::process::ExitCode;
@@ -64,41 +68,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let config = if let Some(path) = &args.config_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let config: odrl_manycore::SystemConfig = match serde_json::from_str(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error parsing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = config.validate() {
-            eprintln!("error: invalid config in {path}: {e}");
+    let (config, odrl) = match configure(&args) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
-        }
-        config
-    } else {
-        let scenario = Scenario {
-            cores: args.cores,
-            budget_frac: args.budget_frac,
-            epochs: args.epochs,
-            mix: args.mix.clone(),
-            seed: args.seed,
-            parallelism: args.parallelism(),
-        };
-        match scenario.try_system_config() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     };
     if args.dump_config {
@@ -125,25 +99,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let spec = system.spec();
-    let mut controller: Box<dyn PowerController> = if args.islands > 1 {
-        let map = match IslandMap::uniform(cores, args.islands) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let inner = args.controller.build(&map.island_spec(&spec), budget);
-        match IslandController::new(BoxedController(inner), map) {
-            Ok(c) => Box::new(c),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    let mut controller = match build_controller(&args, &system.spec(), budget, odrl) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        args.controller.build(&spec, budget)
     };
 
     println!(
@@ -205,9 +166,69 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Adapts `Box<dyn PowerController>` to the `PowerController` bound the
+/// The system configuration and the OD-RL configuration of the run. Both
+/// seeds are chip 0's of a one-chip fleet (`FleetConfig::chip_seeds`), so
+/// `--seed N` builds what `RunBuilder::build_chip` builds for the same
+/// scenario. A `--config` file's seed seeds the system as it is and roots
+/// the exploration seed.
+fn configure(args: &SimArgs) -> Result<(SystemConfig, OdRlConfig), String> {
+    let chip_seeds = |seed| {
+        let scenario = Scenario {
+            seed,
+            ..args.scenario()
+        };
+        FleetConfig::new(1, scenario).chip_seeds(0)
+    };
+    let (config, explore) = if let Some(path) = &args.config_path {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let config: SystemConfig =
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        config
+            .validate()
+            .map_err(|e| format!("invalid config in {path}: {e}"))?;
+        let (_, explore) = chip_seeds(config.seed);
+        (config, explore)
+    } else {
+        let (system, explore) = chip_seeds(args.seed);
+        let scenario = Scenario {
+            seed: system,
+            ..args.scenario()
+        };
+        let config = scenario.try_system_config().map_err(|e| e.to_string())?;
+        (config, explore)
+    };
+    let odrl = OdRlConfig {
+        seed: explore,
+        parallelism: args.parallelism(),
+        ..OdRlConfig::default()
+    };
+    Ok((config, odrl))
+}
+
+/// The controller `--controller` names, per VF island when `--islands` is
+/// above 1.
+fn build_controller(
+    args: &SimArgs,
+    spec: &SystemSpec,
+    budget: Watts,
+    odrl: OdRlConfig,
+) -> Result<Box<dyn PowerController + Send>, String> {
+    if args.islands <= 1 {
+        let controller = args.controller.try_instantiate(spec, budget, odrl);
+        return controller.map_err(|e| e.to_string());
+    }
+    let map = IslandMap::uniform(spec.cores, args.islands).map_err(|e| e.to_string())?;
+    let inner = args
+        .controller
+        .try_instantiate(&map.island_spec(spec), budget, odrl)
+        .map_err(|e| e.to_string())?;
+    let islands = IslandController::new(BoxedController(inner), map).map_err(|e| e.to_string())?;
+    Ok(Box::new(islands))
+}
+
+/// Adapts a boxed controller to the `PowerController` bound the
 /// island adapter's generic parameter needs.
-struct BoxedController(Box<dyn PowerController>);
+struct BoxedController(Box<dyn PowerController + Send>);
 
 impl PowerController for BoxedController {
     fn name(&self) -> &str {
@@ -222,5 +243,34 @@ impl PowerController for BoxedController {
 impl std::fmt::Debug for BoxedController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "BoxedController({})", self.0.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odrl_bench::{run_loop, RunBuilder};
+
+    #[test]
+    fn seed_builds_chip_zero_of_a_run_builder_run() {
+        let argv = ["--seed", "9", "--cores", "16", "--epochs", "100"];
+        let args = parse_sim_args(argv).unwrap();
+        let (config, odrl) = configure(&args).unwrap();
+        let budget = Watts::new(args.budget_frac * config.max_power().value());
+        let mut system = System::new(config).unwrap();
+        let mut controller = build_controller(&args, &system.spec(), budget, odrl).unwrap();
+        let cli = run_loop(&mut system, controller.as_mut(), budget, args.epochs);
+
+        let mut chip = RunBuilder::new(args.scenario()).build_chip().unwrap();
+        assert_eq!(chip.budget, budget);
+        let built = run_loop(
+            &mut chip.system,
+            chip.controller.as_mut(),
+            budget,
+            args.epochs,
+        );
+        let policy = controller.policy_bytes().expect("OD-RL learns a policy");
+        assert_eq!(Some(policy), chip.controller.policy_bytes());
+        assert_eq!(cli.power_trace, built.power_trace);
     }
 }

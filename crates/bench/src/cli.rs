@@ -1,7 +1,7 @@
 //! Argument parsing for the `odrl_sim` command-line driver (kept out of
 //! the binary so it is unit-testable).
 
-use crate::ControllerKind;
+use crate::{ControllerKind, Scenario};
 use odrl_manycore::Parallelism;
 use odrl_workload::MixPolicy;
 
@@ -16,7 +16,8 @@ pub struct SimArgs {
     pub controller: ControllerKind,
     /// Number of control epochs.
     pub epochs: u64,
-    /// Master seed (ignored when `config_path` is set).
+    /// Master seed: chip 0's system and exploration seeds derive from it
+    /// as in a `RunBuilder` chip run (ignored when `config_path` is set).
     pub seed: u64,
     /// Workload mix (ignored when `config_path` is set).
     pub mix: MixPolicy,
@@ -60,6 +61,18 @@ impl Default for SimArgs {
 const AUTO_SERIES_POINTS: u64 = 10_000;
 
 impl SimArgs {
+    /// The scenario the flags describe (`--config` aside).
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            cores: self.cores,
+            budget_frac: self.budget_frac,
+            epochs: self.epochs,
+            mix: self.mix.clone(),
+            seed: self.seed,
+            parallelism: self.parallelism(),
+        }
+    }
+
     /// The intra-epoch parallelism the `--threads` flag asks for.
     pub fn parallelism(&self) -> Parallelism {
         if self.threads <= 1 {

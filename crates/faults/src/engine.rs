@@ -19,7 +19,7 @@
 //! bit-identical at every shard count.
 
 use crate::error::FaultError;
-use crate::expand::{burst_threshold, Expander, Path};
+use crate::expand::onsets;
 use crate::plan::{
     ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, RandomBurst, SensorFault, Target,
 };
@@ -143,7 +143,6 @@ impl FaultEngine {
                 end: ev.start.saturating_add(ev.duration),
             });
         }
-        let mut expander = Expander::new(Path::detect());
         for (bi, burst) in plan.bursts.iter().enumerate() {
             validate_kind(&burst.kind)?;
             if !(burst.rate_per_kepoch.is_finite() && burst.rate_per_kepoch >= 0.0) {
@@ -167,24 +166,19 @@ impl FaultEngine {
             }
             // Each (burst, core) pair draws from its own stream, so the
             // expansion never depends on iteration order elsewhere.
-            let kind = burst.kind;
-            let duration = burst.duration;
-            expander.expand(
-                seed ^ (bi as u64),
-                cores,
-                burst.start..burst.end,
-                burst_threshold(p),
-                |core, hits| {
-                    events.extend(hits.iter().map(|&epoch| CompiledEvent {
-                        kind,
+            let stream = seed ^ (bi as u64);
+            for core in 0..cores {
+                onsets(stream, core, burst.start..burst.end, p, |start| {
+                    events.push(CompiledEvent {
+                        kind: burst.kind,
                         lo: core,
                         hi: core + 1,
                         chip: false,
-                        start: epoch,
-                        end: epoch.saturating_add(duration),
-                    }));
-                },
-            );
+                        start,
+                        end: start.saturating_add(burst.duration),
+                    });
+                });
+            }
         }
         let max_delay = events
             .iter()
@@ -608,8 +602,6 @@ impl SensorView<'_> {
 mod tests {
     use super::*;
     use crate::plan::{ChipScope, FaultEvent, RandomBurst};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn plan_one(kind: FaultKind, target: Target, start: u64, duration: u64) -> FaultPlan {
         FaultPlan::new().with_event(kind, target, start, duration)
@@ -894,9 +886,9 @@ mod tests {
     #[test]
     fn benchmark_shaped_plan_compiles_to_its_golden_windows() {
         // The chip fault workload's plan: five bursts of every family over
-        // 20,500 epochs on 256 cores. Pinned before burst expansion went
-        // lane-parallel; any change to the streams or the window order
-        // moves the digest.
+        // 20,500 epochs on 256 cores. Pinned when burst expansion moved to
+        // geometric gaps; any change to the streams, the gap rule or the
+        // window order moves the digest.
         let burst = |kind, rate_per_kepoch, duration| RandomBurst {
             kind,
             start: 0,
@@ -920,8 +912,8 @@ mod tests {
             .with_burst(burst(FaultKind::Budget(BudgetFault::Lost), 2.0, 10))
             .with_burst(burst(FaultKind::Core(CoreFault::Unplug), 0.1, 100));
         let engine = FaultEngine::compile(&plan, 256, 1 ^ 0xFA17_FA17_FA17_FA17).unwrap();
-        assert_eq!(engine.num_events(), 24_109);
-        assert_eq!(window_digest(&engine), 0xb730_d41f_4ff0_0053);
+        assert_eq!(engine.num_events(), 23_892);
+        assert_eq!(window_digest(&engine), 0xaf0c_a34c_3234_65fe);
     }
 
     #[test]
@@ -939,8 +931,8 @@ mod tests {
             chip: ChipScope::All,
         });
         let golden = [
-            (0, 0x1111, 6_999, 0xf088_a0c0_4f33_a2e5),
-            (9, 0x2222, 7_150, 0xa966_494f_e84c_a833),
+            (0, 0x1111, 6_989, 0x01a5_2a75_956c_b955),
+            (9, 0x2222, 6_865, 0x3d7b_9598_534c_5f92),
         ];
         for (chip, seed, events, digest) in golden {
             let engine =
@@ -948,43 +940,6 @@ mod tests {
                     .unwrap();
             assert_eq!(engine.num_events(), events, "chip {chip}");
             assert_eq!(schedule_digest(&engine), digest, "chip {chip}");
-        }
-    }
-
-    #[test]
-    fn burst_threshold_matches_the_float_draw() {
-        /// Hands out fixed raw bits, to hit the decision boundary exactly.
-        struct Bits(u64);
-        impl Rng for Bits {
-            fn next_u64(&mut self) -> u64 {
-                self.0
-            }
-        }
-        let dyadic = 0.25f64;
-        let ps = [
-            1e-4,
-            0.002,
-            0.5,
-            1.0,
-            f64::from_bits(dyadic.to_bits() - 1),
-            f64::from_bits(dyadic.to_bits() + 1),
-        ];
-        for p in ps {
-            let t = burst_threshold(p);
-            let mut float = StdRng::seed_from_u64(17);
-            let mut int = float.clone();
-            for _ in 0..1_000_000 {
-                assert_eq!(
-                    float.gen::<f64>() < p,
-                    (int.next_u64() >> 11) < t,
-                    "p = {p}"
-                );
-            }
-            // A random draw lands on the boundary with odds of 2^-53, so
-            // check the mantissas around it directly.
-            for m in t.saturating_sub(2)..(t + 2).min(1 << 53) {
-                assert_eq!(Bits(m << 11).gen::<f64>() < p, m < t, "p = {p}, m = {m}");
-            }
         }
     }
 

@@ -40,10 +40,9 @@
 //! keeps a cursor into it, so `begin_epoch` costs O(edges crossed + active
 //! windows) rather than O(compiled windows): it moves forward by any jump,
 //! re-seeks from scratch when the epoch goes backwards, and repaints the
-//! flags only when the active set changes. Compiling expands seeded bursts 16
-//! cores per step, vectorised with AVX-512F where the CPU has it (picked at
-//! run time), with the same schedule as a scalar `StdRng` loop on every
-//! path.
+//! flags only when the active set changes. Compiling draws each seeded
+//! burst's onsets as geometric gaps, one draw per window rather than one
+//! per core-epoch.
 //!
 //! # Example
 //!

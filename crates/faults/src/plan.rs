@@ -162,11 +162,15 @@ pub struct FaultEvent {
     pub chip: ChipScope,
 }
 
-/// A seeded generator of fault events: within `start..end`, each core
-/// independently starts a `kind` fault with the given per-kilo-epoch rate;
-/// each generated event lasts `duration` epochs. Expansion into concrete
+/// A seeded generator of fault events: within `start..end`, each epoch
+/// independently starts a `kind` fault on each core with probability
+/// `rate_per_kepoch / 1000` (every epoch at 1000 and above); each
+/// generated event lasts `duration` epochs. Expansion into concrete
 /// [`FaultEvent`]s happens once, inside [`crate::FaultEngine::compile`],
-/// from the compile seed — runs need no randomness.
+/// from the compile seed — runs need no randomness. It draws the
+/// geometric gaps between a core's onsets, one draw and one `ln` per
+/// event, so the onsets depend on the platform's `ln` as sensor noise
+/// does on its float functions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RandomBurst {
     /// What goes wrong.

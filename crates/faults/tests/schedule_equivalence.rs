@@ -2,12 +2,12 @@
 //!
 //! Random plans (overlapping `All`/`Range`/`Core`/`Chip` targets of every
 //! fault kind, zero-duration and saturating windows, chip-scoped entries
-//! and seeded bursts, on core counts that do and do not fill whole 16-lane
-//! expansion groups, with burst rates up to every epoch) are stepped through random epoch walks — single
-//! steps, repeats, forward jumps and one backwards seek. After every
-//! `begin_epoch`, every `FaultState` accessor, the budget channel's links
-//! and `active_at` must equal what the oracle gets by rescanning every
-//! window in plan order, as the schedule's contract defines it.
+//! and seeded bursts, with burst rates up to every epoch) are stepped
+//! through random epoch walks — single steps, repeats, forward jumps and
+//! one backwards seek. After every `begin_epoch`, every `FaultState`
+//! accessor, the budget channel's links and `active_at` must equal what
+//! the oracle gets by rescanning every window in plan order, as the
+//! schedule's contract defines it.
 
 use odrl_faults::{
     ActuatorFault, BudgetFault, ChipScope, CoreFault, FaultEngine, FaultEvent, FaultKind,
@@ -38,8 +38,11 @@ fn mix_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Plan events in order, then each burst core by core and epoch by epoch,
-/// drawing `rng.gen::<f64>() < p` per epoch.
+/// Plan events in order, then each burst core by core: from the burst's
+/// start, draw `u` and skip `⌊ln(1 − u) / ln(1 − p)⌋` epochs (geometric
+/// gaps between the onsets of a per-epoch Bernoulli trial), start a window
+/// there, and go on from the epoch after it. A burst with `p = 1` starts a
+/// window every epoch without drawing.
 fn expand(plan: &FaultPlan, chip: u32, cores: usize, seed: u64) -> Vec<Window> {
     let mut out = Vec::new();
     for ev in plan.events.iter().filter(|e| e.chip.includes(chip)) {
@@ -63,19 +66,28 @@ fn expand(plan: &FaultPlan, chip: u32, cores: usize, seed: u64) -> Vec<Window> {
         if p <= 0.0 || b.duration == 0 || !b.chip.includes(chip) {
             continue;
         }
+        let inv_ln_miss = 1.0 / (-p).ln_1p();
         for core in 0..cores {
             let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ (bi as u64), core as u64));
-            for epoch in b.start..b.end {
-                if rng.gen::<f64>() < p {
-                    out.push(Window {
-                        kind: b.kind,
-                        lo: core,
-                        hi: core + 1,
-                        chip: false,
-                        start: epoch,
-                        end: epoch.saturating_add(b.duration),
-                    });
+            let mut epoch = b.start;
+            loop {
+                if p < 1.0 {
+                    let u: f64 = rng.gen();
+                    let skip = ((1.0 - u).ln() * inv_ln_miss).floor();
+                    epoch = epoch.saturating_add(skip as u64);
                 }
+                if epoch >= b.end {
+                    break;
+                }
+                out.push(Window {
+                    kind: b.kind,
+                    lo: core,
+                    hi: core + 1,
+                    chip: false,
+                    start: epoch,
+                    end: epoch.saturating_add(b.duration),
+                });
+                epoch += 1;
             }
         }
     }
@@ -377,8 +389,6 @@ proptest! {
 
     #[test]
     fn timeline_matches_a_full_rescan(
-        // Partial and whole 16-core groups of the lane-parallel burst
-        // expansion: 1..=15, 16, 17..=31, 32, 33..=40.
         cores in 1usize..41,
         chip in 0u32..3,
         seed in 0u64..1_000_000,

@@ -57,7 +57,7 @@ impl FleetConfig {
     /// the run's one root: the system seed is `stream_seed(seed, chip)`
     /// and the OD-RL exploration seed `stream_seed(seed ^ salt, chip)`,
     /// so every chip, and every scenario seed, draws its own streams.
-    pub(crate) fn chip_seeds(&self, chip: u32) -> (u64, u64) {
+    pub fn chip_seeds(&self, chip: u32) -> (u64, u64) {
         let seed = self.scenario.seed;
         (
             stream_seed(seed, u64::from(chip)),
