@@ -227,10 +227,11 @@ fn time_fleet_window(diag: bool, epochs: u64, knobs: &Knobs) -> f64 {
 /// (a) allocate nothing per steady-state epoch once the bounded dump
 /// budget is spent, (b) trip the recorder on a lossy-budget fault plan,
 /// (c) stay within the 15 % tracing-overhead budget on interleaved
-/// best-of-5 windows, and (d) allocate at most once per recorder trip in
-/// a window that trips repeatedly (see [`trip_window`]). `--export-dump
-/// <path>` writes the first dump for downstream inspection
-/// (`trace_inspect metrics <path>`).
+/// best-of-5 windows, (d) allocate at most once per recorder trip in
+/// a window that trips repeatedly (see [`trip_window`]), and (e) keep at
+/// most two dump windows of trace, the recorder being its only reader.
+/// `--export-dump <path>` writes the first dump for downstream
+/// inspection (`trace_inspect metrics <path>`).
 fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
     // (a) + (b): a faulted, diagnosed fleet. The budget-Lost window
     // makes the rack links lossy, so the loss-spike rule has real
@@ -287,6 +288,22 @@ fn smoke_diag(knobs: &Knobs, export_dump: Option<&str>) {
         "diagnosed fleet steady-state epochs allocated {da} times over 50 epochs"
     );
     println!("smoke diag       : 0 allocs/epoch at steady state (50-epoch window)");
+    // (e) The recorder is this fleet's only trace reader, so its rings
+    // keep one to two dump windows, not the whole run.
+    let window = demo_recorder().window;
+    let trace = fleet.merged_trace();
+    let span = trace
+        .last()
+        .map_or(0, |last| last.record.epoch - trace[0].record.epoch + 1);
+    assert!(
+        span <= 2 * window,
+        "the recorder-only trace spans {span} epochs, over 2 x {window}"
+    );
+    println!(
+        "smoke diag       : recorder-only trace holds {} records over {span} epochs \
+         (<= 2 x {window}-epoch window)",
+        trace.len()
+    );
     trip_window(knobs);
 
     // (c) Interleaved best-of-5 over CPU-time windows: process CPU time

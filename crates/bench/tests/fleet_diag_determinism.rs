@@ -204,3 +204,98 @@ fn dump_body_sections_parse_back() {
         odrl_obs::read_fleet_jsonl(trace_part.as_bytes()).expect("dump trace section parses");
     assert!(!records.is_empty(), "dump trace window must carry events");
 }
+
+/// The dump window of the cross-retention fleets.
+const WINDOW: u64 = 8;
+
+/// A fleet whose recorder trips late as well as early: the TD watermark
+/// at the first learns, then the loss-spike rule on lossy rack links
+/// opened long after the windowed rings have started recycling.
+fn retention_fleet(par: Parallelism, obs: bool) -> Fleet {
+    let plan = FaultPlan::new()
+        .with_chip_event(
+            1,
+            FaultKind::Sensor(SensorFault::StuckLast),
+            Target::Range { lo: 0, hi: 8 },
+            20,
+            60,
+        )
+        .with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 100, 140);
+    let recorder = RecorderConfig {
+        window: WINDOW,
+        cooldown: 10,
+        max_dumps: 16,
+        ..recorder()
+    };
+    RunBuilder::new(scenario(par))
+        .controller(ControllerKind::OdRl)
+        .faults(plan)
+        .watchdog(true)
+        .recorder(recorder)
+        .obs(obs)
+        .arbiter_period(10)
+        .build_fleet(CHIPS)
+        .expect("valid diagnosed fleet configuration")
+}
+
+/// A recorder-only fleet keeps only the dump window in its rings (every
+/// ring turns over once per `WINDOW` epochs), an observed one keeps the
+/// whole run; both must dump the same bytes at every shard count, and the
+/// windowed fleet's trace must be exactly the observed one's over the
+/// epochs it still holds.
+#[test]
+fn windowed_and_whole_run_rings_dump_identical_bytes() {
+    const EPOCHS: u64 = 160;
+    let mut reference: Option<Vec<(u64, Vec<u8>)>> = None;
+    for par in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+    ] {
+        let mut windowed = retention_fleet(par, false);
+        let mut whole = retention_fleet(par, true);
+        windowed.run(EPOCHS).expect("windowed run completes");
+        whole.run(EPOCHS).expect("observed run completes");
+        let dumps: Vec<(u64, Vec<u8>)> = windowed
+            .anomaly_dumps()
+            .iter()
+            .map(|d| (d.epoch, d.bytes.clone()))
+            .collect();
+        let whole_dumps: Vec<(u64, Vec<u8>)> = whole
+            .anomaly_dumps()
+            .iter()
+            .map(|d| (d.epoch, d.bytes.clone()))
+            .collect();
+        assert!(
+            dumps.iter().any(|(e, _)| *e >= 11 * WINDOW),
+            "a trip must come after ten ring turnovers, saw trips at {:?}",
+            dumps.iter().map(|d| d.0).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            dumps, whole_dumps,
+            "dump bytes differ by retention at {par:?}"
+        );
+        let reference = reference.get_or_insert_with(|| dumps.clone());
+        assert_eq!(&dumps, reference, "dump bytes drifted at {par:?}");
+
+        let trace = windowed.merged_trace();
+        let (first, last) = (trace[0].record.epoch, trace[trace.len() - 1].record.epoch);
+        assert_eq!(last, EPOCHS - 1);
+        assert!(
+            last - first < 2 * WINDOW,
+            "the windowed trace spans epochs {first}..={last}, over {} epochs",
+            2 * WINDOW
+        );
+        let mut held = Vec::new();
+        whole.extend_trace_into(first, &mut held);
+        odrl_obs::merge_fleet_records(&mut held);
+        assert_eq!(
+            trace, held,
+            "windowed trace differs from the whole-run trace at {par:?}"
+        );
+        assert!(
+            whole.merged_trace()[0].record.epoch == 0,
+            "an observed fleet keeps the whole run"
+        );
+    }
+}

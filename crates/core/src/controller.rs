@@ -542,8 +542,8 @@ impl OdRlController {
             wd: self.watchdog.as_ref(),
             // Exploration events are recorded inside the sharded loop, so
             // each shard writes a private ring (`base / chunk` — the same
-            // chunking `shard_chunks` applies). Locking is uncontended and
-            // only happens on the rare exploration epochs.
+            // chunking `shard_chunks` applies), locked once per pass and
+            // never contended.
             trace_rings: tracer.map(CtrlTracer::shard_rings),
             // Learning-health taps mirror the ring layout: each shard folds
             // its TD-error / Q-span / visit-spread samples into a private
@@ -711,6 +711,13 @@ impl RlPass<'_> {
         // once at the end so the hot loops never touch the mutex.
         let diag_on = self.diag_shards.is_some();
         let mut diag = LearnDiag::new();
+        // The shard's own trace ring, locked once for the whole pass (no
+        // other shard touches it).
+        let mut trace = self.trace_rings.map(|rings| {
+            rings[base / self.chunk]
+                .lock()
+                .expect("shard ring poisoned")
+        });
         let (mut decide_ns, mut learn_ns) = (0u64, 0u64);
         self.prefetch_updates(agents, base, 0, BLOCK.min(len));
         let mut blk = 0usize;
@@ -787,18 +794,15 @@ impl RlPass<'_> {
                     }
                 }
                 if explored {
-                    if let Some(rings) = self.trace_rings {
-                        rings[base / self.chunk]
-                            .lock()
-                            .expect("shard ring poisoned")
-                            .record(
-                                self.epoch,
-                                i as u32,
-                                Event::RlChoice {
-                                    action: a_next as u8,
-                                    explored: true,
-                                },
-                            );
+                    if let Some(ring) = trace.as_mut() {
+                        ring.record(
+                            self.epoch,
+                            i as u32,
+                            Event::RlChoice {
+                                action: a_next as u8,
+                                explored: true,
+                            },
+                        );
                     }
                 }
                 dec[j] = (s_next, a_next);
@@ -1130,10 +1134,7 @@ mod tests {
                 OdRlConfig {
                     seed: 11,
                     parallelism: par,
-                    obs: ObsConfig {
-                        enabled: true,
-                        ..ObsConfig::default()
-                    },
+                    obs: ObsConfig::enabled(),
                     ..OdRlConfig::default()
                 },
                 &system.spec(),

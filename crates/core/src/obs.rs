@@ -18,7 +18,7 @@
 use crate::watchdog::SensorWatchdog;
 use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, GaugeId, HistogramId, LearnDiag, MetricsRegistry,
-    MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP, RING_CAPACITY,
+    MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -82,7 +82,12 @@ pub struct CtrlTracer {
 
 impl CtrlTracer {
     /// Preallocates a tracer for `cores` cores split over at most
-    /// `max_shards` RL shards.
+    /// `max_shards` RL shards, its rings sized by `config` (see
+    /// [`ObsConfig::ring`]) for their writers' per-epoch bounds: the
+    /// serial ring takes at most `2·cores + 4` records (a stale and a dead
+    /// flip per core, the dark flip, one overshoot edge, a reallocation
+    /// and a redistribution), a shard ring one exploration per core of
+    /// its chunk.
     pub fn new(config: &ObsConfig, cores: usize, max_shards: usize) -> Self {
         let mut metrics = MetricsRegistry::new();
         let h_decide_ns = metrics
@@ -123,9 +128,9 @@ impl CtrlTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(RING_CAPACITY),
+            ring: config.ring(2 * cores + 4),
             shard_rings: (0..max_shards.max(1))
-                .map(|_| Mutex::new(TraceRing::with_capacity(RING_CAPACITY)))
+                .map(|_| Mutex::new(config.ring(cores.div_ceil(max_shards.max(1)))))
                 .collect(),
             metrics,
             h_decide_ns,

@@ -23,7 +23,7 @@ use odrl_core::{OdRlConfig, PolicySnapshot, WatchdogConfig};
 use odrl_faults::FaultPlan;
 use odrl_manycore::parallel::stream_seed;
 use odrl_manycore::{Parallelism, System, SystemConfig};
-use odrl_obs::{ObsConfig, RecorderConfig};
+use odrl_obs::RecorderConfig;
 use odrl_power::Watts;
 use std::path::PathBuf;
 
@@ -66,16 +66,16 @@ impl FleetConfig {
     }
 
     /// The system configuration of chip `chip` (seeded per
-    /// [`FleetConfig::chip_seeds`]), with structured tracing on when the
-    /// run traces.
+    /// [`FleetConfig::chip_seeds`]), with the run's tracing (see
+    /// `FleetConfig::chip_obs`).
     pub(crate) fn chip_system_config(&self, chip: u32) -> Result<SystemConfig, FleetError> {
         let scenario = Scenario {
             seed: self.chip_seeds(chip).0,
             ..self.scenario.clone()
         };
         let mut config = scenario.try_system_config()?;
-        if self.traces() {
-            config.obs = ObsConfig::enabled();
+        if let Some(obs) = self.chip_obs() {
+            config.obs = obs;
         }
         Ok(config)
     }
@@ -115,11 +115,8 @@ impl FleetConfig {
         if self.watchdog {
             odrl.watchdog = WatchdogConfig::enabled();
         }
-        // Diagnostics exist for the recorder, which reads them.
-        if self.recorder.is_some() {
-            odrl.obs = ObsConfig::with_diagnostics();
-        } else if self.traces() {
-            odrl.obs = ObsConfig::enabled();
+        if let Some(obs) = self.chip_obs() {
+            odrl.obs = obs;
         }
         let controller =
             build_controller(self.controller, &system, budget, odrl, self.watchdog, warm)?;
@@ -182,7 +179,8 @@ impl RunBuilder {
         self
     }
 
-    /// Enable structured tracing on the system(s) and controller(s).
+    /// Enable structured tracing on the system(s) and controller(s), each
+    /// ring holding at least its last `odrl_obs::RING_CAPACITY` records.
     #[must_use]
     pub fn obs(mut self, obs: bool) -> Self {
         self.config.obs = obs;
@@ -192,8 +190,11 @@ impl RunBuilder {
     /// Attach the anomaly-triggered flight recorder at rack scope (see
     /// [`FleetConfig::recorder`]). Implies tracing and learning-health
     /// diagnostics on every chip, chip builds included; only fleet builds
-    /// aggregate and record. Pass `RecorderConfig::default()` for the
-    /// stock watermark rules.
+    /// aggregate and record. Without [`RunBuilder::obs`] the recorder is
+    /// the only trace reader, so every trace ring keeps just the last one
+    /// to two dump windows of epochs; add `.obs(true)` for a whole-run
+    /// trace. Pass `RecorderConfig::default()` for the stock watermark
+    /// rules.
     #[must_use]
     pub fn recorder(mut self, config: RecorderConfig) -> Self {
         self.config.recorder = Some(config);

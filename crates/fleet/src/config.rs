@@ -5,7 +5,7 @@ use crate::scenario::{ControllerKind, Scenario};
 use odrl_core::OdRlConfig;
 use odrl_faults::FaultPlan;
 use odrl_manycore::Parallelism;
-use odrl_obs::RecorderConfig;
+use odrl_obs::{ObsConfig, RecorderConfig};
 use std::path::PathBuf;
 
 /// Everything a [`Fleet`](crate::Fleet) needs: how many chips, what each
@@ -55,7 +55,11 @@ pub struct FleetConfig {
     /// aggregated metrics is checked against the configured watermark
     /// rules, and a trip dumps the last-window merged trace plus the
     /// combined metrics snapshot. Off by default; the recorder only reads
-    /// simulation state, so the run's bits match a plain `obs` run.
+    /// simulation state, so the run's bits match a plain `obs` run. With
+    /// `obs` off the recorder is the only trace reader: every ring keeps
+    /// just the last one to two windows of epochs, and so do
+    /// [`Fleet::merged_trace`](crate::Fleet::merged_trace) and
+    /// [`Fleet::extend_trace_into`](crate::Fleet::extend_trace_into).
     pub recorder: Option<RecorderConfig>,
     /// Epochs between fleet budget reallocation rounds. Deliberately
     /// coarser than the intra-chip reallocation period by default: the
@@ -180,10 +184,18 @@ impl FleetConfig {
         Ok(())
     }
 
-    /// Whether every chip traces: [`FleetConfig::obs`], or implied by the
-    /// recorder.
-    pub(crate) fn traces(&self) -> bool {
-        self.obs || self.recorder.is_some()
+    /// Every chip's tracing, `None` when the run does not trace. An
+    /// observed run ([`FleetConfig::obs`]) keeps whole-run rings; when the
+    /// flight recorder is the only trace reader, the rings keep just its
+    /// dump window (see [`ObsConfig::for_recorder`]). The recorder also
+    /// turns on learning-health diagnostics, which it reads.
+    pub(crate) fn chip_obs(&self) -> Option<ObsConfig> {
+        match (&self.recorder, self.obs) {
+            (Some(rec), false) => Some(ObsConfig::for_recorder(rec.window)),
+            (Some(_), true) => Some(ObsConfig::with_diagnostics()),
+            (None, true) => Some(ObsConfig::enabled()),
+            (None, false) => None,
+        }
     }
 }
 
@@ -226,7 +238,10 @@ mod tests {
         let mut c = FleetConfig::new(2, Scenario::default_eval());
         c.recorder = Some(RecorderConfig::default());
         assert!(c.validate().is_ok());
-        assert!(c.traces());
+        assert_eq!(c.chip_obs(), Some(ObsConfig::for_recorder(32)));
+        c.obs = true;
+        assert_eq!(c.chip_obs(), Some(ObsConfig::with_diagnostics()));
+        c.obs = false;
         c.recorder = Some(RecorderConfig {
             window: 0,
             ..RecorderConfig::default()

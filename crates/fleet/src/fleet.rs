@@ -32,8 +32,8 @@ use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed};
 use odrl_manycore::{Observation, Parallelism, System, SystemError, Telemetry};
 use odrl_obs::{
-    merge_fleet_records, write_fleet_jsonl, AnomalyDump, AnomalyKind, CounterId, Event,
-    EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId, HealthSample,
+    merge_fleet_records, window_start, write_fleet_jsonl, AnomalyDump, AnomalyKind, CounterId,
+    Event, EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId, HealthSample,
     MetricsSnapshot, RecorderConfig, TraceRing, RACK,
 };
 use odrl_power::{Joules, LevelId, Seconds, Watts};
@@ -300,7 +300,9 @@ struct FleetObs {
 }
 
 impl FleetObs {
-    fn new(recorder: RecorderConfig) -> Self {
+    /// Rack observability for `recorder`; `window` is the trace window of
+    /// a recorder-only fleet (the field `Fleet::trace_window`).
+    fn new(recorder: RecorderConfig, window: Option<u64>) -> Self {
         let mut metrics = FleetMetrics::new();
         let reg = metrics.rack_mut();
         let ids = RackIds {
@@ -311,7 +313,11 @@ impl FleetObs {
         Self {
             metrics,
             recorder: FlightRecorder::new(recorder),
-            ring: TraceRing::with_capacity(256),
+            // At most one anomaly an epoch, and only on a trip.
+            ring: window.map_or_else(
+                || TraceRing::with_capacity(256),
+                |w| TraceRing::windowed(w, 1),
+            ),
             snapshot: MetricsSnapshot::default(),
             ids,
             prev_sent: 0,
@@ -342,6 +348,9 @@ pub struct Fleet {
     /// Rack-scope metric aggregation + flight recorder, when
     /// [`FleetConfig::recorder`] is set.
     obs: Option<FleetObs>,
+    /// The recorder window every trace ring is sized for when the
+    /// recorder is the only trace reader (see `FleetConfig::chip_obs`).
+    trace_window: Option<u64>,
 }
 
 impl Fleet {
@@ -390,6 +399,7 @@ impl Fleet {
         // Warm start: load the snapshot once; every chip imports a copy of
         // the same learned tables (exploration stays decorrelated by seed).
         let warm = config.load_warm_start()?;
+        let trace_window = config.chip_obs().and_then(|obs| obs.window());
         // Chips are independent until the first epoch, so they are built
         // on the same shards that step them.
         let shares = arbiter.shares();
@@ -407,7 +417,8 @@ impl Fleet {
             parallelism: config.parallelism,
             epoch: 0,
             telemetry: FleetTelemetry::default(),
-            obs: config.recorder.map(FleetObs::new),
+            obs: config.recorder.map(|r| FleetObs::new(r, trace_window)),
+            trace_window,
         })
     }
 
@@ -723,8 +734,11 @@ impl Fleet {
     /// Appends every chip's structured-event records with
     /// `epoch >= since` (controller and system sides), tagged with the
     /// chip's fleet index, **unmerged**; `since = 0` for the whole trace.
-    /// Each ring is binary-searched for the window start, so the cost is
-    /// O(records copied). Export path — may allocate.
+    /// On a recorder-only fleet the trace starts no earlier than the
+    /// oldest epoch every ring still holds in full, one to two recorder
+    /// windows back (see [`FleetConfig::recorder`]). Each ring is
+    /// binary-searched for the window start, so the cost is O(records
+    /// copied). Export path — may allocate.
     pub fn extend_trace_into(&self, since: u64, out: &mut Vec<FleetEventRecord>) {
         let rack = self.obs.as_ref().map(|fo| &fo.ring);
         self.collect_trace(rack, since, &mut Vec::new(), out);
@@ -740,6 +754,13 @@ impl Fleet {
         scratch: &mut Vec<EventRecord>,
         out: &mut Vec<FleetEventRecord>,
     ) {
+        // Windowed rings cut their segments at the same epochs, but a
+        // sparse one may still hold a block the others have cleared: read
+        // from the oldest block they all keep whole.
+        let since = match self.trace_window {
+            Some(window) if self.epoch > 0 => since.max(window_start(self.epoch - 1, window)),
+            _ => since,
+        };
         for (k, chip) in self.chips.iter().enumerate() {
             scratch.clear();
             chip.controller.extend_trace_into(since, scratch);

@@ -10,7 +10,7 @@
 use odrl_faults::FaultState;
 use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, FaultClass, MetricsRegistry, MetricsSnapshot,
-    TraceRing, CHIP, RING_CAPACITY,
+    ObsConfig, TraceRing, CHIP,
 };
 
 /// Flight recorder for the simulator's events, plus per-kind counters.
@@ -31,8 +31,11 @@ pub struct SysTracer {
 }
 
 impl SysTracer {
-    /// Preallocates a tracer for `cores` cores.
-    pub fn new(cores: usize) -> Self {
+    /// Preallocates a tracer for `cores` cores, its ring sized by
+    /// `config` (see [`ObsConfig::ring`]) for at most `7·(cores + 1)`
+    /// records an epoch: one VF switch and six fault-class edges per core,
+    /// six chip fault-class edges and the epoch marker.
+    pub fn new(config: &ObsConfig, cores: usize) -> Self {
         let mut metrics = MetricsRegistry::new();
         let c_class_injected = [
             metrics.counter("faults_sensor_injected"),
@@ -48,7 +51,7 @@ impl SysTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(RING_CAPACITY),
+            ring: config.ring(7 * (cores + 1)),
             prev_mask: vec![0; cores],
             prev_chip_mask: 0,
             metrics,

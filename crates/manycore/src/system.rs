@@ -147,7 +147,10 @@ impl System {
         };
         let scratch = EpochScratch::new(&config, &streams);
         let coeffs = config.power.coefficients(&config.vf_table);
-        let tracer = config.obs.enabled.then(|| Box::new(SysTracer::new(n)));
+        let tracer = config
+            .obs
+            .enabled
+            .then(|| Box::new(SysTracer::new(&config.obs, n)));
         Ok(Self {
             config,
             spec,

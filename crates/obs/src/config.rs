@@ -1,9 +1,11 @@
 //! Observability configuration and the aggregate event-count summary.
 
-use serde::{Deserialize, Serialize};
+use crate::ring::TraceRing;
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Per-ring record capacity. Rings never grow: once full they overwrite
-/// their oldest records.
+/// Records a whole-run ring holds at least, and the most records one
+/// segment of a recorder-sized ring reserves. Rings never grow: once full
+/// they clear their oldest segment.
 pub const RING_CAPACITY: usize = 65_536;
 
 /// How often (epochs) the quantized-storage health scan and the
@@ -17,16 +19,18 @@ pub const DIAG_PERIOD: u64 = 16;
 /// all and every recording site is a single `Option` check on the no-op
 /// path, so disabled tracing costs nothing measurable and allocates
 /// nothing.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Whether structured tracing + metrics are recorded.
-    #[serde(default)]
     pub enabled: bool,
     /// Whether learning-health diagnostics (TD-error / greedy-Q-span /
     /// exploration summaries and quantized-storage health) are recorded.
     /// Requires `enabled`; off by default like all obs features.
-    #[serde(default)]
     pub diag: bool,
+    /// The flight-recorder window the trace rings are sized for (see
+    /// [`ObsConfig::for_recorder`]); `None` keeps whole-run rings. Set by
+    /// the run that owns the recorder, never serialized.
+    window: Option<u64>,
 }
 
 impl ObsConfig {
@@ -34,7 +38,7 @@ impl ObsConfig {
     pub fn enabled() -> Self {
         Self {
             enabled: true,
-            diag: false,
+            ..Self::default()
         }
     }
 
@@ -46,10 +50,68 @@ impl ObsConfig {
         }
     }
 
+    /// Tracing and diagnostics for a run whose only trace reader is a
+    /// flight recorder dumping the last `window` epochs (min 1): every
+    /// ring keeps that window and at most twice it (see
+    /// [`TraceRing::windowed`]), instead of the last
+    /// [`RING_CAPACITY`] records.
+    pub fn for_recorder(window: u64) -> Self {
+        Self {
+            window: Some(window.max(1)),
+            ..Self::with_diagnostics()
+        }
+    }
+
     /// Whether learning-health diagnostics are actually on (requires the
     /// tracer itself to be enabled).
     pub fn diagnostics(&self) -> bool {
         self.enabled && self.diag
+    }
+
+    /// The recorder window the rings are sized for, `None` for whole-run
+    /// rings.
+    pub fn window(&self) -> Option<u64> {
+        self.window
+    }
+
+    /// A trace ring for a writer of at most `per_epoch` records an epoch:
+    /// [`TraceRing::windowed`] over the recorder window, or a whole-run
+    /// ring of [`RING_CAPACITY`] records.
+    pub fn ring(&self, per_epoch: usize) -> TraceRing {
+        match self.window {
+            Some(window) => TraceRing::windowed(window, per_epoch),
+            None => TraceRing::with_capacity(RING_CAPACITY),
+        }
+    }
+}
+
+/// The serialized form of [`ObsConfig`]: its two switches.
+#[derive(Serialize, Deserialize)]
+struct Switches {
+    #[serde(default)]
+    enabled: bool,
+    #[serde(default)]
+    diag: bool,
+}
+
+impl Serialize for ObsConfig {
+    fn to_value(&self) -> Value {
+        Switches {
+            enabled: self.enabled,
+            diag: self.diag,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for ObsConfig {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let s = Switches::from_value(v)?;
+        Ok(Self {
+            enabled: s.enabled,
+            diag: s.diag,
+            window: None,
+        })
     }
 }
 
@@ -160,6 +222,15 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&ObsConfig::with_diagnostics()).unwrap())
                 .unwrap();
         assert_eq!(back, ObsConfig::with_diagnostics());
+        // The recorder window sizes rings for one run; it is not a setting
+        // and does not serialize.
+        let rec = ObsConfig::for_recorder(32);
+        assert_eq!(rec.window(), Some(32));
+        assert!(rec.diagnostics());
+        assert_eq!(
+            serde_json::to_string(&rec).unwrap(),
+            serde_json::to_string(&ObsConfig::with_diagnostics()).unwrap()
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   actions, budget reallocations and redistributions, watchdog flag
 //!   transitions, fault injection/clear edges, overshoot onset/end, and
 //!   RL exploration choices.
-//! - **Rings** ([`TraceRing`]): fixed-capacity per-shard ring buffers
-//!   allocated at construction; steady-state recording never touches the
-//!   heap. [`merge_records`] merges rings into one canonical stream that
+//! - **Rings** ([`TraceRing`]): per-shard rings of fixed segments
+//!   reserved at construction and sized by their reader (the last
+//!   [`RING_CAPACITY`] records, or a flight recorder's window);
+//!   steady-state recording never touches the heap. [`merge_records`] merges rings into one canonical stream that
 //!   is bit-identical whether the run used 1, 2, 4 or 8 shards.
 //! - **Metrics** ([`MetricsRegistry`]): named counters, gauges and
 //!   `odrl_metrics::Histogram`s registered once at construction and
@@ -56,7 +57,7 @@ pub use event::{
 };
 pub use recorder::{AnomalyDump, FlightRecorder, HealthSample, RecorderConfig, WatermarkRule};
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, SummaryId};
-pub use ring::TraceRing;
+pub use ring::{window_start, TraceRing};
 pub use sink::{
     read_fleet_jsonl, read_jsonl, write_fleet_jsonl, CsvSink, JsonlSink, MemorySink, TraceSink,
 };
