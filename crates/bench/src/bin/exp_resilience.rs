@@ -35,7 +35,7 @@ use odrl_faults::{
 };
 use odrl_manycore::Parallelism;
 use odrl_metrics::{fmt_num, Table};
-use odrl_obs::{JsonlSink, TraceSink};
+use odrl_obs::JsonlSink;
 use odrl_workload::MixPolicy;
 use std::io::Write;
 

@@ -457,22 +457,6 @@ pub fn benchmark_sweep(
         .collect()
 }
 
-/// Geometric mean of positive values (the paper-style cross-benchmark
-/// aggregate). Returns 0 for an empty or non-positive input.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    let logs: Vec<f64> = values
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .map(f64::ln)
-        .collect();
-    if logs.is_empty() {
-        0.0
-    } else {
-        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,16 +538,6 @@ mod tests {
         let b = tiny(ControllerKind::OdRl);
         assert_eq!(a.total_instructions, b.total_instructions);
         assert_eq!(a.total_energy, b.total_energy);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert_eq!(geometric_mean(&[0.0, -1.0]), 0.0);
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[3.0]) - 3.0).abs() < 1e-12);
-        // Non-finite values are skipped, not propagated.
-        assert!((geometric_mean(&[2.0, f64::INFINITY, 8.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

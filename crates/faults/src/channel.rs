@@ -77,11 +77,6 @@ impl BudgetChannel {
         self.fault.len()
     }
 
-    /// Whether the schedule contains no budget faults at all.
-    pub fn is_healthy(&self) -> bool {
-        self.schedule.budget_edges().is_empty()
-    }
-
     /// Refreshes the per-link fault flags for `epoch`. Call before
     /// [`BudgetChannel::send`] / [`BudgetChannel::poll`] in each epoch the
     /// channel carries traffic. Epochs may be skipped (the flags are exact
@@ -189,7 +184,6 @@ mod tests {
     #[test]
     fn healthy_link_delivers_same_epoch() {
         let mut ch = channel(FaultPlan::new(), 2);
-        assert!(ch.is_healthy());
         ch.begin_epoch(0);
         ch.send(0, 3.5);
         assert_eq!(ch.poll(0), Some(3.5));

@@ -89,11 +89,6 @@ impl Edges {
         (&self.starts, self.ends(), self.max_active)
     }
 
-    /// Whether the lists hold no windows.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
-
     /// Number of windows active at `epoch`: every window that started by
     /// `epoch` minus those that also ended by it.
     pub fn active_at(&self, events: &[CompiledEvent], epoch: u64) -> usize {

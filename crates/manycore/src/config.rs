@@ -96,14 +96,6 @@ impl SystemConfig {
         per_core * self.cores as f64
     }
 
-    /// The minimum sustainable chip power: every core at the bottom level,
-    /// idle activity floor (0.1), at ambient-ish temperature (50 °C).
-    pub fn min_power(&self) -> Watts {
-        let bottom = self.vf_table.level(odrl_power::LevelId(0));
-        let per_core = self.power.total_power(bottom, 0.1, Celsius::new(50.0));
-        per_core * self.cores as f64
-    }
-
     /// The immutable part controllers need: core count, VF table, models
     /// and epoch length.
     pub fn spec(&self) -> SystemSpec {
@@ -351,13 +343,6 @@ mod tests {
         let large = SystemConfig::builder().cores(64).build().unwrap();
         let ratio = large.max_power() / small.max_power();
         assert!((ratio - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_power_below_max_power() {
-        let c = SystemConfig::builder().cores(32).build().unwrap();
-        assert!(c.min_power() < c.max_power());
-        assert!(c.min_power().value() > 0.0);
     }
 
     #[test]

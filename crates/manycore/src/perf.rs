@@ -1,7 +1,7 @@
 //! The analytical per-core performance model.
 
 use crate::error::SystemError;
-use odrl_power::{GigaHertz, Seconds};
+use odrl_power::GigaHertz;
 use odrl_workload::PhaseParams;
 use serde::{Deserialize, Serialize};
 
@@ -91,16 +91,6 @@ impl PerfModel {
         f.to_hertz() / self.effective_cpi(params, f)
     }
 
-    /// Instructions per second with an explicit memory latency.
-    pub fn ips_with_latency(&self, params: &PhaseParams, f: GigaHertz, mem_latency_ns: f64) -> f64 {
-        f.to_hertz() / self.effective_cpi_with_latency(params, f, mem_latency_ns)
-    }
-
-    /// Instructions retired in `dt` at frequency `f`.
-    pub fn instructions_in(&self, params: &PhaseParams, f: GigaHertz, dt: Seconds) -> f64 {
-        self.ips(params, f) * dt.value()
-    }
-
     /// The asymptotic IPS as `f → ∞` (the memory-bandwidth ceiling), or
     /// infinity for a phase with zero misses.
     pub fn saturation_ips(&self, params: &PhaseParams) -> f64 {
@@ -174,16 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn instructions_scale_with_time() {
-        let m = PerfModel::default();
-        let p = phase(1.0, 2.0);
-        let f = GigaHertz::new(2.0);
-        let one = m.instructions_in(&p, f, Seconds::new(1e-3));
-        let two = m.instructions_in(&p, f, Seconds::new(2e-3));
-        assert!((two / one - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn one_ghz_one_cpi_is_one_gips() {
         let m = PerfModel::default();
         let p = phase(1.0, 0.0);
@@ -195,9 +175,10 @@ mod tests {
         let m = PerfModel::default();
         let p = phase(1.0, 8.0);
         let f = GigaHertz::new(2.0);
-        assert_eq!(m.ips(&p, f), m.ips_with_latency(&p, f, m.mem_latency_ns));
-        // Longer memory latency lowers throughput.
-        assert!(m.ips_with_latency(&p, f, 160.0) < m.ips(&p, f));
+        let cpi = m.effective_cpi(&p, f);
+        assert_eq!(cpi, m.effective_cpi_with_latency(&p, f, m.mem_latency_ns));
+        // Longer memory latency raises the CPI.
+        assert!(m.effective_cpi_with_latency(&p, f, 160.0) > cpi);
     }
 
     #[test]

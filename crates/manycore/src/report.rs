@@ -107,16 +107,6 @@ impl Observation {
     pub fn num_cores(&self) -> usize {
         self.cores.len()
     }
-
-    /// Measured chip power as a fraction of the budget (1.0 = exactly at
-    /// budget). Returns 0 for a non-positive budget.
-    pub fn budget_utilisation(&self) -> f64 {
-        if self.budget.value() <= 0.0 {
-            0.0
-        } else {
-            self.total_power / self.budget
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,23 +140,6 @@ mod tests {
         assert_eq!(r.total_instructions(), 3e6);
         assert_eq!(r.throughput_ips(), 3e9);
         assert_eq!(r.max_temperature().value(), 75.0);
-    }
-
-    #[test]
-    fn budget_utilisation() {
-        let obs = Observation {
-            epoch: 1,
-            dt: Seconds::new(1e-3),
-            budget: Watts::new(10.0),
-            cores: vec![],
-            total_power: Watts::new(12.0),
-        };
-        assert!((obs.budget_utilisation() - 1.2).abs() < 1e-12);
-        let zero = Observation {
-            budget: Watts::ZERO,
-            ..obs
-        };
-        assert_eq!(zero.budget_utilisation(), 0.0);
     }
 
     #[test]

@@ -73,14 +73,6 @@ impl SyncModel {
         }
     }
 
-    /// The barrier group of core `c`, or `None` when independent.
-    pub fn group_of(&self, c: usize) -> Option<usize> {
-        match *self {
-            Self::Independent => None,
-            Self::Barrier { group_size, .. } => Some(c / group_size),
-        }
-    }
-
     /// Given each core's standalone instruction count for the epoch,
     /// returns `(actual_instructions, idle_fraction)` per core after
     /// barrier gating.
@@ -149,7 +141,6 @@ mod tests {
         let m = SyncModel::Independent;
         let gated = m.gate(&[1.0, 5.0, 3.0]);
         assert_eq!(gated, vec![(1.0, 0.0), (5.0, 0.0), (3.0, 0.0)]);
-        assert_eq!(m.group_of(2), None);
     }
 
     #[test]
@@ -169,14 +160,6 @@ mod tests {
         let m = SyncModel::barrier(2);
         let gated = m.gate(&[4.0, 2.0, 9.0]);
         assert_eq!(gated[2], (9.0, 0.0)); // singleton group ungated
-    }
-
-    #[test]
-    fn group_assignment() {
-        let m = SyncModel::barrier(4);
-        assert_eq!(m.group_of(0), Some(0));
-        assert_eq!(m.group_of(3), Some(0));
-        assert_eq!(m.group_of(4), Some(1));
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl System {
         Self::with_telemetry(config, Telemetry::new())
     }
 
-    /// Builds a system that records the full per-epoch telemetry series.
-    ///
-    /// # Errors
-    ///
-    /// As [`System::new`].
-    pub fn new_recording(config: SystemConfig) -> Result<Self, SystemError> {
-        Self::with_telemetry(config, Telemetry::with_series())
-    }
-
     /// Builds a system that records every `every_n`-th epoch into the
     /// telemetry series (aggregates stay exact — see
     /// [`Telemetry::with_series_decimated`]), bounding series memory for
@@ -226,13 +217,6 @@ impl System {
     /// The attached fault schedule, if any.
     pub fn fault_engine(&self) -> Option<&FaultEngine> {
         self.faults.as_ref()
-    }
-
-    /// The per-epoch fault flags of the last executed epoch (liveness
-    /// mask, active sensor/actuator faults, effective levels), if a plan
-    /// is attached.
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.scratch.faults.as_ref()
     }
 
     /// The static system description (core count, VF table, models, epoch).
@@ -1100,7 +1084,7 @@ mod tests {
     #[test]
     fn recording_system_captures_series() {
         let config = SystemConfig::builder().cores(4).seed(1).build().unwrap();
-        let mut sys = System::new_recording(config).unwrap();
+        let mut sys = System::new_recording_decimated(config, 1).unwrap();
         sys.run_fixed(&[LevelId(2); 4], 10).unwrap();
         assert_eq!(sys.telemetry().series().len(), 10);
     }

@@ -46,15 +46,6 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Creates telemetry that additionally records the full per-epoch
-    /// series (costs memory proportional to epochs).
-    pub fn with_series() -> Self {
-        Self {
-            record_series: true,
-            ..Self::default()
-        }
-    }
-
     /// Creates telemetry that records every `every_n`-th epoch into the
     /// series (`0` and `1` both mean every epoch), bounding series memory
     /// for long-horizon runs to `epochs / every_n` samples. Aggregates
@@ -136,7 +127,7 @@ impl Telemetry {
     }
 
     /// The recorded per-epoch series (empty unless built
-    /// [`Telemetry::with_series`]).
+    /// [`Telemetry::with_series_decimated`]).
     pub fn series(&self) -> &[TelemetrySample] {
         &self.series
     }
@@ -216,7 +207,7 @@ mod tests {
 
     #[test]
     fn decimation_thins_series_but_not_aggregates() {
-        let mut full = Telemetry::with_series();
+        let mut full = Telemetry::with_series_decimated(1);
         let mut thin = Telemetry::with_series_decimated(4);
         for epoch in 0..10 {
             let r = report(epoch, 10.0 + epoch as f64, 1e6);
@@ -252,7 +243,7 @@ mod tests {
         plain.record(&report(0, 1.0, 1e6));
         assert!(plain.series().is_empty());
 
-        let mut rich = Telemetry::with_series();
+        let mut rich = Telemetry::with_series_decimated(1);
         rich.record(&report(0, 1.0, 1e6));
         rich.record(&report(1, 2.0, 1e6));
         assert_eq!(rich.series().len(), 2);

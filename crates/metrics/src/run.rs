@@ -133,16 +133,6 @@ impl RunSummary {
         self.total_energy.value() * self.elapsed.value() / (gi * gi)
     }
 
-    /// Energy-delay-squared product (`E · t²`, per GI³) — weighs
-    /// performance more heavily, as high-performance designs do.
-    pub fn energy_delay_squared(&self) -> f64 {
-        let gi = self.total_instructions / 1e9;
-        if gi <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.total_energy.value() * self.elapsed.value() * self.elapsed.value() / (gi * gi * gi)
-    }
-
     /// Overshoot energy as a fraction of total energy.
     pub fn overshoot_energy_fraction(&self) -> f64 {
         if self.total_energy.value() <= 0.0 {
@@ -333,14 +323,10 @@ mod tests {
         let b = summary(1e9, 5.0, 0.0, 1.0);
         assert!((a.energy_delay_product() / b.energy_delay_product() - 2.0).abs() < 1e-9);
         // Same energy, double the throughput (half the time for the same
-        // work): EDP and ED2P both improve, ED2P more.
+        // work): EDP improves.
         let slow = summary(1e9, 10.0, 0.0, 2.0);
         let fast = summary(1e9, 10.0, 0.0, 1.0);
         assert!(fast.energy_delay_product() < slow.energy_delay_product());
-        assert!(
-            fast.energy_delay_squared() / slow.energy_delay_squared()
-                < fast.energy_delay_product() / slow.energy_delay_product()
-        );
         // Degenerate run: infinite (worst possible).
         let zero = summary(0.0, 1.0, 0.0, 1.0);
         assert!(zero.energy_delay_product().is_infinite());

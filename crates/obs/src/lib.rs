@@ -17,9 +17,10 @@
 //!   `odrl_metrics::Histogram`s registered once at construction and
 //!   updated by index; [`MetricsRegistry::snapshot_into`] captures them
 //!   per epoch into a reusable [`MetricsSnapshot`] without allocating.
-//! - **Sinks** ([`JsonlSink`], [`CsvSink`], [`MemorySink`]): export-time
-//!   consumers of merged traces, plus [`read_jsonl`] for loading a trace
-//!   back (the `trace_inspect` tool's input path).
+//! - **Export** ([`JsonlSink`], [`write_fleet_jsonl`]): export-time JSONL
+//!   writers of merged traces, plus [`read_jsonl`] and
+//!   [`read_fleet_jsonl`] for loading a trace back (the `trace_inspect`
+//!   tool's input path).
 //! - **Summaries** ([`StreamSummary`], [`LearnDiag`]): exact-integer
 //!   streaming moments + log2-magnitude histograms whose merge is
 //!   associative and commutative, so per-shard learning-health
@@ -58,7 +59,5 @@ pub use event::{
 pub use recorder::{AnomalyDump, FlightRecorder, HealthSample, RecorderConfig, WatermarkRule};
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, SummaryId};
 pub use ring::{window_start, TraceRing};
-pub use sink::{
-    read_fleet_jsonl, read_jsonl, write_fleet_jsonl, CsvSink, JsonlSink, MemorySink, TraceSink,
-};
+pub use sink::{read_fleet_jsonl, read_jsonl, write_fleet_jsonl, JsonlSink};
 pub use summary::{LearnDiag, StreamSummary, SUMMARY_BUCKETS};

@@ -128,21 +128,6 @@ impl MetricsRegistry {
         self.counters[id.0].1
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// The histogram behind a handle.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
-    }
-
-    /// The streaming summary behind a handle.
-    pub fn summary_ref(&self, id: SummaryId) -> &StreamSummary {
-        &self.summaries[id.0].1
-    }
-
     /// Iterates `(name, value)` over all counters.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(n, v)| (n.as_str(), *v))
@@ -416,7 +401,7 @@ mod tests {
         reg.add(c, 4);
         reg.set(g, 1.25);
         assert_eq!(reg.counter_value(c), 5);
-        assert_eq!(reg.gauge_value(g), 1.25);
+        assert_eq!(reg.gauges().next(), Some(("scale", 1.25)));
         assert_eq!(reg.counter_by_name("flips"), Some(5));
         assert_eq!(reg.counter_by_name("missing"), None);
     }
@@ -428,7 +413,7 @@ mod tests {
         for v in [5.0, 15.0, 15.0, 95.0] {
             reg.observe(h, v);
         }
-        assert_eq!(reg.histogram_ref(h).count(), 4);
+        assert_eq!(reg.histograms().next().unwrap().1.count(), 4);
         let csv = reg.to_csv();
         assert!(csv.contains("latency_count,4"));
         assert!(reg.histogram("bad", 10.0, 0.0, 4).is_err());
@@ -469,7 +454,7 @@ mod tests {
         let mut pre = StreamSummary::new();
         pre.record(2.0);
         reg.merge_summary(s, &pre);
-        assert_eq!(reg.summary_ref(s).count(), 3);
+        assert_eq!(reg.summaries().next().unwrap().1.count(), 3);
         let mut snap = MetricsSnapshot::new();
         reg.snapshot_into(7, &mut snap);
         assert_eq!(snap.summary_names, vec!["td_error".to_string()]);

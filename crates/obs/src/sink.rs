@@ -1,8 +1,8 @@
-//! Trace sinks: JSONL and CSV exporters plus an in-memory sink for tests.
+//! Trace export: the JSONL writers and readers.
 //!
-//! Sinks consume *merged* records (see [`crate::merge_records`]) at
+//! Writers consume *merged* records (see [`crate::merge_records`]) at
 //! export time — the hot loop only ever touches the preallocated rings,
-//! so sinks are free to allocate and do I/O.
+//! so export is free to allocate and do I/O.
 //!
 //! JSONL is written by a direct per-record writer that emits exactly the
 //! bytes `serde_json::to_string` produces for [`EventRecord`] and
@@ -88,28 +88,6 @@ fn write_record<W: Write>(w: &mut W, r: &EventRecord) -> io::Result<()> {
     w.write_all(b"}")
 }
 
-/// A consumer of merged trace records.
-pub trait TraceSink {
-    /// Emits one record.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error, if any.
-    fn emit(&mut self, record: &EventRecord) -> io::Result<()>;
-
-    /// Emits every record in order.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceSink::emit`].
-    fn emit_all(&mut self, records: &[EventRecord]) -> io::Result<()> {
-        for r in records {
-            self.emit(r)?;
-        }
-        Ok(())
-    }
-}
-
 /// Writes one JSON object per line (the `trace_inspect` input format).
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
@@ -126,78 +104,24 @@ impl<W: Write> JsonlSink<W> {
     pub fn into_inner(self) -> W {
         self.writer
     }
-}
 
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, record: &EventRecord) -> io::Result<()> {
+    /// Emits one record.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error, if any.
+    pub fn emit(&mut self, record: &EventRecord) -> io::Result<()> {
         write_record(&mut self.writer, record)?;
         self.writer.write_all(b"\n")
     }
-}
 
-/// Writes `epoch,core,seq,kind,detail` CSV rows (header emitted first).
-#[derive(Debug)]
-pub struct CsvSink<W: Write> {
-    writer: W,
-    wrote_header: bool,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            wrote_header: false,
-        }
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for CsvSink<W> {
-    fn emit(&mut self, record: &EventRecord) -> io::Result<()> {
-        if !self.wrote_header {
-            self.writer.write_all(b"epoch,core,seq,kind,detail\n")?;
-            self.wrote_header = true;
-        }
-        let core = if record.core == crate::event::CHIP {
-            "chip".to_string()
-        } else {
-            record.core.to_string()
-        };
-        writeln!(
-            self.writer,
-            "{},{},{},{},{}",
-            record.epoch,
-            core,
-            record.seq,
-            record.event.kind_name(),
-            record.event.detail()
-        )
-    }
-}
-
-/// Collects records in memory (tests and programmatic consumers).
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    /// The records received, in emit order.
-    pub records: Vec<EventRecord>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn emit(&mut self, record: &EventRecord) -> io::Result<()> {
-        self.records.push(*record);
-        Ok(())
+    /// Emits every record in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`JsonlSink::emit`].
+    pub fn emit_all(&mut self, records: &[EventRecord]) -> io::Result<()> {
+        records.iter().try_for_each(|r| self.emit(r))
     }
 }
 
@@ -318,17 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_chip_label() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.emit_all(&sample()).unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "epoch,core,seq,kind,detail");
-        assert!(lines[1].contains("watchdog"));
-        assert!(lines[3].starts_with("1,chip,"));
-    }
-
-    #[test]
     fn fleet_jsonl_round_trips_and_skips_comments() {
         let records: Vec<FleetEventRecord> = sample()
             .into_iter()
@@ -344,13 +257,5 @@ mod tests {
         let parsed = read_fleet_jsonl(&bytes[..]).unwrap();
         assert_eq!(parsed, records);
         assert!(read_fleet_jsonl("not json\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
-        sink.emit_all(&sample()).unwrap();
-        assert_eq!(sink.records.len(), 3);
-        assert_eq!(sink.records[1].core, 3);
     }
 }

@@ -14,7 +14,7 @@
 use odrl_obs::{
     merge_fleet_records, merge_records, write_fleet_jsonl, AnomalyKind, Event, EventRecord,
     FaultClass, FleetEventRecord, JsonlSink, MetricsRegistry, MetricsSnapshot, TraceRing,
-    TraceSink, WatchdogFlag, CHIP, RACK,
+    WatchdogFlag, CHIP, RACK,
 };
 use proptest::prelude::*;
 

@@ -237,12 +237,6 @@ impl GigaHertz {
     pub fn to_hertz(self) -> f64 {
         self.0 * 1e9
     }
-
-    /// Cycle time in nanoseconds.
-    #[inline]
-    pub fn cycle_time_ns(self) -> f64 {
-        1.0 / self.0
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +293,6 @@ mod tests {
     fn frequency_conversions() {
         let f = GigaHertz::new(2.0);
         assert_eq!(f.to_hertz(), 2e9);
-        assert_eq!(f.cycle_time_ns(), 0.5);
     }
 
     #[test]

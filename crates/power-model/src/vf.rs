@@ -27,12 +27,6 @@ impl LevelId {
         self.0
     }
 
-    /// One level up, saturating at `max`.
-    #[inline]
-    pub fn step_up(self, max: LevelId) -> LevelId {
-        LevelId((self.0 + 1).min(max.0))
-    }
-
     /// One level down, saturating at zero.
     #[inline]
     pub fn step_down(self) -> LevelId {
@@ -273,11 +267,6 @@ impl VfTable {
             .map(|(i, &l)| (LevelId(i), l))
     }
 
-    /// All level ids, slowest to fastest.
-    pub fn level_ids(&self) -> impl Iterator<Item = LevelId> {
-        (0..self.levels.len()).map(LevelId)
-    }
-
     /// The lowest frequency in the table.
     pub fn min_frequency(&self) -> GigaHertz {
         self.levels[0].frequency
@@ -404,9 +393,6 @@ mod tests {
 
     #[test]
     fn level_id_stepping_saturates() {
-        let max = LevelId(3);
-        assert_eq!(LevelId(3).step_up(max), LevelId(3));
-        assert_eq!(LevelId(2).step_up(max), LevelId(3));
         assert_eq!(LevelId(0).step_down(), LevelId(0));
         assert_eq!(LevelId(2).step_down(), LevelId(1));
     }

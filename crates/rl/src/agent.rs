@@ -114,35 +114,27 @@ impl Agent {
     }
 
     /// Selects an action in state `s` (advances the decision counter, which
-    /// drives the exploration schedule).
+    /// drives the exploration schedule). The greedy action is the first
+    /// maximum of `value_at` over the row — summed over both tables for
+    /// double Q-learning — then the policy decides whether to explore.
+    /// This plain scan is the reference the block kernel and the fused
+    /// [`Agent::decide`] are checked against.
     ///
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
     pub fn select<R: Rng + ?Sized>(&mut self, s: usize, rng: &mut R) -> Result<usize, RlError> {
-        let a = self.choose(s, rng)?;
+        self.check_state(s)?;
+        let (a, _) = self.policy.select(
+            self.q.actions(),
+            self.first_max(s),
+            self.step,
+            None,
+            rng,
+            &mut EpsCache::new(),
+        );
         self.step += 1;
         Ok(a)
-    }
-
-    /// The full policy selection in `s` at the current step, without
-    /// counting it. Two tables select on their sum, summed on the fly so
-    /// selection stays allocation-free; UCB1 then degrades to greedy (see
-    /// [`Policy::select_with`]).
-    fn choose<R: Rng + ?Sized>(&self, s: usize, rng: &mut R) -> Result<usize, RlError> {
-        match &self.qb {
-            None => self.policy.select_storage(&self.q, s, self.step, rng),
-            Some(qb) => {
-                self.check_state(s)?;
-                let qa = &self.q;
-                Ok(self.policy.select_with(
-                    qa.actions(),
-                    |i| qa.value_at(s, i) + qb.value_at(s, i),
-                    self.step,
-                    rng,
-                ))
-            }
-        }
     }
 
     /// The greedy action in state `s` (on the summed tables for double
@@ -152,20 +144,30 @@ impl Agent {
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
     pub fn exploit(&self, s: usize) -> Result<usize, RlError> {
-        let Some(qb) = &self.qb else {
+        if self.qb.is_none() {
             return self.q.best_action(s);
-        };
+        }
         self.check_state(s)?;
+        Ok(self.first_max(s))
+    }
+
+    /// The first action of maximal value in (checked) state `s`, by a plain
+    /// scan over `value_at` — on `QA + QB` for double Q-learning.
+    fn first_max(&self, s: usize) -> usize {
+        let value = |i| match &self.qb {
+            None => self.q.value_at(s, i),
+            Some(qb) => self.q.value_at(s, i) + qb.value_at(s, i),
+        };
         let mut best = 0;
-        let mut best_v = f64::NEG_INFINITY;
-        for i in 0..self.q.actions() {
-            let v = self.q.value_at(s, i) + qb.value_at(s, i);
+        let mut best_v = value(0);
+        for i in 1..self.q.actions() {
+            let v = value(i);
             if v > best_v {
                 best_v = v;
                 best = i;
             }
         }
-        Ok(best)
+        best
     }
 
     /// Applies one TD update for transition `(s, a, r, s')`, returning the
@@ -245,17 +247,9 @@ impl Agent {
                 (best_c, bootstrap)
             }
         };
-        let (a_next, explored) = match self.policy.select_from_argmax(
-            self.q.actions(),
-            greedy,
-            self.step,
-            draw,
-            rng,
-            cache,
-        ) {
-            Some(pair) => pair,
-            None => (self.choose(s_next, rng)?, false),
-        };
+        let (a_next, explored) =
+            self.policy
+                .select(self.q.actions(), greedy, self.step, draw, rng, cache);
         self.step += 1;
         Ok((a_next, explored, bootstrap))
     }
@@ -323,22 +317,6 @@ impl Agent {
         // Per-(s,a) learning rate driven by visit count gives the
         // Robbins-Monro convergence conditions when using InverseTime.
         table.td_step(s, a, &self.alpha, target)
-    }
-
-    /// The action values of state `s` (summed over both tables for double
-    /// Q-learning — what selection acts on), materialised as `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
-    pub fn row_values(&self, s: usize) -> Result<Vec<f64>, RlError> {
-        let Some(qb) = &self.qb else {
-            return self.q.row_values(s);
-        };
-        self.check_state(s)?;
-        Ok((0..self.q.actions())
-            .map(|i| self.q.value_at(s, i) + qb.value_at(s, i))
-            .collect())
     }
 
     /// Min/max action value and visit count of state `s` — the
@@ -738,6 +716,23 @@ mod tests {
         Agent::builder(states, actions).algorithm(Algorithm::DoubleQLearning)
     }
 
+    /// Greedy selection takes the first maximum (of the sum, for two
+    /// tables) and rejects an out-of-range state without counting it.
+    #[test]
+    fn greedy_select_picks_first_max_and_rejects_bad_state() {
+        let mut rng = StdRng::seed_from_u64(0);
+        for builder in [Agent::builder(2, 3), double(2, 3)] {
+            let mut agent = builder.policy(Policy::Greedy).build().unwrap();
+            agent.q.set(0, 1, 10.0).unwrap();
+            agent.q.set(0, 2, 10.0).unwrap();
+            agent.q.set(1, 2, 10.0).unwrap();
+            assert_eq!(agent.select(0, &mut rng).unwrap(), 1);
+            assert_eq!(agent.select(1, &mut rng).unwrap(), 2);
+            assert!(agent.select(9, &mut rng).is_err());
+            assert_eq!(agent.step_count(), 2);
+        }
+    }
+
     #[test]
     fn double_q_converges_on_deterministic_chain() {
         // Same fixed point as plain Q-learning: Q*(0,0) = 1/(1-gamma).
@@ -752,7 +747,7 @@ mod tests {
             let a = agent.select(0, &mut rng).unwrap();
             agent.update(0, a, 1.0, 0).unwrap();
         }
-        let q = agent.row_values(0).unwrap()[0] / 2.0;
+        let q = agent.tables().map(|t| t.get(0, 0).unwrap()).sum::<f64>() / 2.0;
         assert!((q - 2.0).abs() < 0.05, "combined mean {q}");
     }
 
@@ -842,6 +837,7 @@ mod tests {
         let agent = double(2, 2).optimistic(6.0).build().unwrap();
         assert_eq!(agent.q().get(0, 0).unwrap(), 3.0);
         assert_eq!(agent.coverage(), 0.0);
-        assert_eq!(agent.row_values(0).unwrap(), vec![6.0, 6.0]);
+        let summed = |a| agent.tables().map(|t| t.get(0, a).unwrap()).sum::<f64>();
+        assert_eq!([summed(0), summed(1)], [6.0, 6.0]);
     }
 }

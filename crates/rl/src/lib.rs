@@ -7,7 +7,7 @@
 //! * [`Agent`] — Q-learning TD updates with per-`(s,a)` learning rates,
 //!   or, built with [`Algorithm::DoubleQLearning`], double Q-learning (two
 //!   tables, decoupled selection and evaluation);
-//! * [`Policy`] — greedy, ε-greedy and softmax action selection;
+//! * [`Policy`] — greedy and ε-greedy action selection;
 //! * [`Schedule`] — constant / exponential / inverse-time / linear decay
 //!   for learning and exploration rates (always floored: an on-line
 //!   controller must never stop adapting);

@@ -25,8 +25,9 @@
 //! ```
 //!
 //! A **schedule** is `tag u8 · pad[7] · p0 f64 · p1 f64 · p2 f64 · p3 u64`
-//! (40 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`
-//! followed by a schedule (ε-greedy, softmax) or one `f64` (UCB1). A
+//! (40 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`:
+//! tag 0 (greedy) ends there, tag 1 (ε-greedy) is followed by its
+//! schedule. Tags 2 (softmax) and 3 (UCB1) are retired and rejected. A
 //! **storage block** is `layout u8 · pad[7] · states u64 · actions u64`
 //! followed by the raw banks: `f64` values then `u64` visits for the
 //! scalar layout; `stride u64`, `f32` row scales, `i16` lanes and `u32`
@@ -34,7 +35,9 @@
 //!
 //! Decoders validate magic, version, every tag, dimension consistency and
 //! exact buffer length, rejecting corrupt, truncated or version-mismatched
-//! snapshots with [`RlError::Snapshot`]. Table dimensions are checked
+//! snapshots with [`RlError::Snapshot`]. Padding, reserved bytes and the
+//! schedule parameters a tag leaves unused must be zero, so every buffer
+//! that decodes re-encodes to the same bytes. Table dimensions are checked
 //! against the bytes actually left before anything is reserved, so a
 //! tampered header cannot trigger a huge (or overflowing) allocation.
 
@@ -189,12 +192,19 @@ impl<'a> SnapCursor<'a> {
         }
     }
 
-    fn skip_pad(&mut self, payload: usize) -> Result<(), RlError> {
-        let pad = payload.next_multiple_of(8) - payload;
-        if pad > 0 {
-            self.take(pad)?;
+    /// Skips `n` bytes that must all be zero (padding and reserved
+    /// fields), so every accepted buffer is the one the writer produces.
+    fn take_zeros(&mut self, n: usize) -> Result<(), RlError> {
+        if self.take(n)?.iter().any(|&b| b != 0) {
+            return Err(RlError::Snapshot {
+                reason: "nonzero padding",
+            });
         }
         Ok(())
+    }
+
+    fn skip_pad(&mut self, payload: usize) -> Result<(), RlError> {
+        self.take_zeros(payload.next_multiple_of(8) - payload)
     }
 
     /// Asserts the buffer is fully consumed (no trailing garbage).
@@ -260,7 +270,7 @@ pub fn read_header(bytes: &[u8]) -> Result<(u8, SnapCursor<'_>), RlError> {
         });
     }
     let kind = cur.take_u8()?;
-    cur.take(3)?; // reserved
+    cur.take_zeros(3)?; // reserved
     Ok((kind, cur))
 }
 
@@ -284,8 +294,9 @@ fn pad_to_8(out: &mut Vec<u8>, payload: usize) {
     out.extend(std::iter::repeat_n(0u8, pad));
 }
 
-fn write_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
-    let (tag, p0, p1, p2, p3) = match *schedule {
+/// A schedule's `(tag, p0, p1, p2, p3)` fields, unused parameters zero.
+fn schedule_fields(schedule: &Schedule) -> (u8, f64, f64, f64, u64) {
+    match *schedule {
         Schedule::Constant { value } => (0u8, value, 0.0, 0.0, 0u64),
         Schedule::Exponential {
             initial,
@@ -298,7 +309,11 @@ fn write_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
             floor,
             steps,
         } => (3, initial, floor, 0.0, steps),
-    };
+    }
+}
+
+fn write_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
+    let (tag, p0, p1, p2, p3) = schedule_fields(schedule);
     put_tag(out, tag);
     put_f64(out, p0);
     put_f64(out, p1);
@@ -308,25 +323,36 @@ fn write_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
 
 fn read_schedule(cur: &mut SnapCursor<'_>) -> Result<Schedule, RlError> {
     let tag = cur.take_u8()?;
-    cur.take(7)?;
+    cur.take_zeros(7)?;
     let p0 = cur.take_f64()?;
     let p1 = cur.take_f64()?;
     let p2 = cur.take_f64()?;
     let p3 = cur.take_u64()?;
     // Reconstruct through the validating constructors so a tampered
     // snapshot cannot smuggle NaN or negative rates into a schedule.
-    match tag {
+    let schedule = match tag {
         0 => Schedule::constant(p0),
         1 => Schedule::exponential(p0, p1, p2),
         2 => Schedule::inverse_time(p0, p1),
         3 => Schedule::linear(p0, p1, p3),
-        _ => Err(RlError::Snapshot {
-            reason: "unknown schedule tag",
-        }),
+        _ => {
+            return Err(RlError::Snapshot {
+                reason: "unknown schedule tag",
+            })
+        }
     }
     .map_err(|_| RlError::Snapshot {
         reason: "schedule parameters out of range",
-    })
+    })?;
+    // The parameters the tag leaves unused must be zero.
+    let (_, q0, q1, q2, q3) = schedule_fields(&schedule);
+    let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    if !(bits(p0, q0) && bits(p1, q1) && bits(p2, q2) && p3 == q3) {
+        return Err(RlError::Snapshot {
+            reason: "schedule parameters not canonical",
+        });
+    }
+    Ok(schedule)
 }
 
 fn write_policy(out: &mut Vec<u8>, policy: &Policy) {
@@ -336,37 +362,17 @@ fn write_policy(out: &mut Vec<u8>, policy: &Policy) {
             put_tag(out, 1);
             write_schedule(out, &epsilon);
         }
-        Policy::Softmax { temperature } => {
-            put_tag(out, 2);
-            write_schedule(out, &temperature);
-        }
-        Policy::Ucb1 { c } => {
-            put_tag(out, 3);
-            put_f64(out, c);
-        }
     }
 }
 
 fn read_policy(cur: &mut SnapCursor<'_>) -> Result<Policy, RlError> {
     let tag = cur.take_u8()?;
-    cur.take(7)?;
+    cur.take_zeros(7)?;
     match tag {
         0 => Ok(Policy::Greedy),
         1 => Ok(Policy::EpsilonGreedy {
             epsilon: read_schedule(cur)?,
         }),
-        2 => Ok(Policy::Softmax {
-            temperature: read_schedule(cur)?,
-        }),
-        3 => {
-            let c = cur.take_f64()?;
-            if !c.is_finite() {
-                return Err(RlError::Snapshot {
-                    reason: "UCB1 constant not finite",
-                });
-            }
-            Ok(Policy::Ucb1 { c })
-        }
         _ => Err(RlError::Snapshot {
             reason: "unknown policy tag",
         }),
@@ -443,7 +449,7 @@ pub(crate) fn write_storage(out: &mut Vec<u8>, storage: &QTableStorage) {
 /// Reads one storage block written by [`write_storage`].
 pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, RlError> {
     let tag = cur.take_u8()?;
-    cur.take(7)?;
+    cur.take_zeros(7)?;
     let states = cur.take_len()?;
     let actions = cur.take_len()?;
     let cells = states.checked_mul(actions).ok_or(RlError::Snapshot {
@@ -558,14 +564,7 @@ mod tests {
             assert_eq!(read_schedule(&mut cur).unwrap(), s);
             cur.finish().unwrap();
         }
-        let policies = [
-            Policy::Greedy,
-            Policy::default_epsilon_greedy(),
-            Policy::Softmax {
-                temperature: Schedule::constant(0.3).unwrap(),
-            },
-            Policy::Ucb1 { c: 1.5 },
-        ];
+        let policies = [Policy::Greedy, Policy::default_epsilon_greedy()];
         for p in policies {
             let mut buf = Vec::new();
             write_policy(&mut buf, &p);

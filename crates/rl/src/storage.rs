@@ -764,22 +764,6 @@ impl QTableStorage {
         }
     }
 
-    /// The action values of state `s`, materialised as `f64` (allocates —
-    /// inspection path, not the decide loop).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
-    pub fn row_values(&self, s: usize) -> Result<Vec<f64>, RlError> {
-        match self {
-            Self::Scalar(t) => t.row(s).map(<[f64]>::to_vec),
-            Self::Quantized(t) => {
-                t.check_state(s)?;
-                Ok((0..t.actions()).map(|a| t.value_at(s, a)).collect())
-            }
-        }
-    }
-
     /// Total number of `(s, a)` visits recorded.
     pub fn total_visits(&self) -> u64 {
         match self {
@@ -970,9 +954,6 @@ mod tests {
             assert_eq!(st.visit(1, 0).unwrap(), 1);
             assert_eq!(st.visits(1, 0).unwrap(), 1);
             assert!((st.coverage() - 1.0 / 6.0).abs() < 1e-12);
-            let row = st.row_values(1).unwrap();
-            assert_eq!(row.len(), 3);
-            assert!((row[0] - 2.0).abs() < 1e-3);
             st.prefetch_row(0);
             st.prefetch_row(99); // out of range: a silent no-op
             assert!(st.get(5, 0).is_err());

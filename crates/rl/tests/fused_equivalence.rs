@@ -23,12 +23,6 @@ fn policies() -> Vec<Policy> {
         Policy::EpsilonGreedy {
             epsilon: Schedule::constant(1.0).unwrap(),
         },
-        // These two cannot be completed from the argmax alone and must take
-        // the full-selection path inside `decide`.
-        Policy::Softmax {
-            temperature: Schedule::constant(0.7).unwrap(),
-        },
-        Policy::Ucb1 { c: 1.2 },
     ]
 }
 

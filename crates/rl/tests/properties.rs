@@ -1,6 +1,6 @@
 //! Property-based tests for the tabular RL machinery.
 
-use odrl_rl::{Agent, Policy, QTable, Schedule, StateSpace, UniformBins};
+use odrl_rl::{Agent, EpsCache, Policy, Schedule, StateSpace, UniformBins};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,34 +33,27 @@ proptest! {
         }
     }
 
-    /// Every policy always returns a valid action index.
+    /// Every policy always returns a valid action index, and one it did
+    /// not explore to is the greedy action it was handed.
     #[test]
     fn policies_return_valid_actions(
-        states in 1usize..8,
         actions in 1usize..8,
+        greedy_frac in 0.0f64..1.0,
         seed in 0u64..100,
         eps in 0.0f64..1.0,
-        tau in 0.01f64..10.0,
     ) {
-        let mut q = QTable::new(states, actions).unwrap();
-        // Arbitrary values.
-        for s in 0..states {
-            for a in 0..actions {
-                q.set(s, a, ((s * 7 + a * 13) % 5) as f64 - 2.0).unwrap();
-            }
-        }
+        let greedy = ((greedy_frac * actions as f64) as usize).min(actions - 1);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = EpsCache::new();
         let policies = [
             Policy::Greedy,
             Policy::EpsilonGreedy { epsilon: Schedule::constant(eps).unwrap() },
-            Policy::Softmax { temperature: Schedule::constant(tau).unwrap() },
         ];
         for p in policies {
-            for s in 0..states {
-                for t in [0u64, 10, 1000] {
-                    let a = p.select(&q, s, t, &mut rng).unwrap();
-                    prop_assert!(a < actions);
-                }
+            for t in [0u64, 10, 1000] {
+                let (a, explored) = p.select(actions, greedy, t, None, &mut rng, &mut cache);
+                prop_assert!(a < actions);
+                prop_assert!(explored || a == greedy);
             }
         }
     }

@@ -69,11 +69,6 @@ impl ThermalParams {
     pub fn g_vertical(&self) -> f64 {
         1.0 / self.r_vertical
     }
-
-    /// The per-tile thermal time constant `R·C` in seconds.
-    pub fn time_constant(&self) -> f64 {
-        self.r_vertical * self.c_tile
-    }
 }
 
 impl Default for ThermalParams {
@@ -99,7 +94,8 @@ mod tests {
 
     #[test]
     fn default_time_constant_is_milliseconds() {
-        let tau = ThermalParams::default().time_constant();
+        let p = ThermalParams::default();
+        let tau = p.r_vertical * p.c_tile;
         assert!((1e-3..1e-1).contains(&tau), "tau = {tau}");
     }
 

@@ -110,15 +110,6 @@ impl TransitionMatrix {
         self.rows.is_empty()
     }
 
-    /// Transition probability from `i` to `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn prob(&self, i: usize, j: usize) -> f64 {
-        self.rows[i][j]
-    }
-
     /// Samples the successor of state `i` using `rng`.
     ///
     /// # Panics
@@ -205,6 +196,5 @@ mod tests {
         let m = TransitionMatrix::uniform(2).unwrap();
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-        assert!((m.prob(0, 1) - 0.5).abs() < 1e-12);
     }
 }

@@ -79,16 +79,6 @@ impl PhaseParams {
         let mem_cycles = self.mpki / 1000.0 * MEM_LATENCY_NS * REF_FREQ_GHZ;
         mem_cycles / (self.cpi_base + mem_cycles)
     }
-
-    /// Linear interpolation between two phases (used by smooth generators).
-    pub fn lerp(&self, other: &PhaseParams, t: f64) -> PhaseParams {
-        let t = t.clamp(0.0, 1.0);
-        PhaseParams {
-            cpi_base: self.cpi_base + (other.cpi_base - self.cpi_base) * t,
-            mpki: self.mpki + (other.mpki - self.mpki) * t,
-            activity: self.activity + (other.activity - self.activity) * t,
-        }
-    }
 }
 
 impl fmt::Display for PhaseParams {
@@ -194,18 +184,6 @@ mod tests {
     fn zero_mpki_means_zero_memory_boundedness() {
         let p = PhaseParams::new(1.0, 0.0, 1.0).unwrap();
         assert_eq!(p.memory_boundedness(), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_clamping() {
-        let a = PhaseParams::new(1.0, 0.0, 0.2).unwrap();
-        let b = PhaseParams::new(2.0, 10.0, 1.0).unwrap();
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        assert_eq!(a.lerp(&b, -5.0), a);
-        let mid = a.lerp(&b, 0.5);
-        assert!((mid.cpi_base - 1.5).abs() < 1e-12);
-        assert!((mid.mpki - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -77,28 +77,6 @@ impl Trace {
         Self { segments }
     }
 
-    /// Builds a trace directly from segments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::NoPhases`] if `segments` is empty or any
-    /// segment has non-positive instructions.
-    pub fn from_segments(segments: Vec<TraceSegment>) -> Result<Self, WorkloadError> {
-        if segments.is_empty() {
-            return Err(WorkloadError::NoPhases);
-        }
-        for (i, s) in segments.iter().enumerate() {
-            if !(s.instructions.is_finite() && s.instructions > 0.0) {
-                return Err(WorkloadError::InvalidPhase {
-                    index: i,
-                    name: "instructions",
-                    value: s.instructions,
-                });
-            }
-        }
-        Ok(Self { segments })
-    }
-
     /// The recorded segments.
     pub fn segments(&self) -> &[TraceSegment] {
         &self.segments
@@ -183,23 +161,6 @@ mod tests {
             b.advance(7e5);
             assert_eq!(a.params(), b.params());
         }
-    }
-
-    #[test]
-    fn from_segments_validates() {
-        assert!(Trace::from_segments(vec![]).is_err());
-        let p = PhaseParams::new(1.0, 1.0, 0.5).unwrap();
-        assert!(Trace::from_segments(vec![TraceSegment {
-            params: p,
-            instructions: 0.0,
-        }])
-        .is_err());
-        let t = Trace::from_segments(vec![TraceSegment {
-            params: p,
-            instructions: 1e6,
-        }])
-        .unwrap();
-        assert_eq!(t.total_instructions(), 1e6);
     }
 
     #[test]
