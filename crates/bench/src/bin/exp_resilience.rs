@@ -82,8 +82,8 @@ fn incident(epochs: u64) -> (u64, u64) {
 }
 
 /// Builds the fault plan for one intensity on an `n`-core, `epochs`-epoch
-/// run. Entirely declarative; all randomness is spent when the system
-/// compiles the plan, so every cell is seeded-deterministic.
+/// run. Entirely declarative; its bursts draw only from the fault
+/// schedule's own seeded streams, so every cell is seeded-deterministic.
 fn plan_for(intensity: Intensity, n: usize, epochs: u64) -> FaultPlan {
     if intensity == Intensity::None {
         return FaultPlan::new();

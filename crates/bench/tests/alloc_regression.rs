@@ -21,7 +21,8 @@ use odrl_bench::{allocs, ChipRun, ControllerKind, RunBuilder, Scenario};
 use odrl_controllers::PowerController;
 use odrl_core::{OdRlConfig, OdRlController, QTableLayout};
 use odrl_faults::{
-    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target,
+    ActuatorFault, BudgetFault, ChipScope, CoreFault, FaultKind, FaultPlan, RandomBurst,
+    SensorFault, Target,
 };
 use odrl_manycore::{Parallelism, System};
 use odrl_power::{LevelId, Watts};
@@ -148,8 +149,11 @@ fn fault_enabled_steady_state_allocates_nothing() {
     // Same gate with the fault engine, sensor watchdog and unreliable
     // budget channel all engaged, and faults from every family firing
     // *inside* the measured window. The fault scratch (flag arrays,
-    // actuator command ring, channel inboxes) is sized when the plan is
-    // attached; refreshing it each epoch must never touch the allocator.
+    // actuator command ring, channel inboxes, the cursors' onset heaps)
+    // is sized when the plan is attached; refreshing it each epoch must
+    // never touch the allocator. The burst opens and closes windows on
+    // about three cores every epoch, so both cursors pop onsets and draw
+    // the next ones throughout the measured window.
     // Run for both Q-table layouts, with structured tracing off and on:
     // the preallocated trace rings and metrics must not allocate either.
     let scenario = Scenario {
@@ -202,7 +206,8 @@ fn fault_enabled_steady_state_allocates_nothing() {
             Target::Range { lo: 44, hi: 48 },
             0,
             100,
-        );
+        )
+        .with_burst(link_burst());
     for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
         for traced in [false, true] {
             let ChipRun {
@@ -595,6 +600,20 @@ fn auto_fleet_stepping_allocates_nothing() {
     );
 }
 
+/// Budget messages lost in 5-epoch windows at 50 per kilo-epoch on every
+/// link, for the whole run: each 50-epoch measured window sees windows
+/// open and close on most links.
+fn link_burst() -> RandomBurst {
+    RandomBurst {
+        kind: FaultKind::Budget(BudgetFault::Lost),
+        start: 0,
+        end: u64::MAX,
+        rate_per_kepoch: 50.0,
+        duration: 5,
+        chip: ChipScope::All,
+    }
+}
+
 /// Allocations of three 50-epoch steady-state windows of a faulted 4-chip
 /// fleet stepped with `parallelism` across chips.
 fn fleet_epoch_allocations(parallelism: Parallelism) -> Windows {
@@ -618,7 +637,8 @@ fn fleet_epoch_allocations(parallelism: Parallelism) -> Windows {
             Target::Range { lo: 4, hi: 8 },
             40,
             20,
-        );
+        )
+        .with_burst(link_burst());
     let mut fleet = RunBuilder::new(scenario)
         .controller(ControllerKind::OdRl)
         .faults(plan)
@@ -635,8 +655,10 @@ fn fleet_epoch_allocations(parallelism: Parallelism) -> Windows {
     }
 
     // The first window crosses arbiter rounds at epochs 50 and 75 and
-    // the fault-window close, so arbitration, channel traffic and fault
-    // edges are all inside the zero-alloc envelope.
+    // the fault-window close, and the burst opens and closes windows on
+    // every chip's links and on the arbiter's throughout, so arbitration,
+    // channel traffic and fault edges are all inside the zero-alloc
+    // envelope.
     measure(|| {
         for _ in 0..50 {
             fleet.step_epoch().expect("fleet epoch completes");

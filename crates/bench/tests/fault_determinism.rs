@@ -1,7 +1,8 @@
 //! Cross-shard determinism of the *faulted* closed loop.
 //!
 //! Fault injection must not break the bit-identity guarantee of the epoch
-//! kernel: all fault randomness is spent when the plan compiles, the
+//! kernel: fault randomness comes only from the schedule's own per-(burst,
+//! core) streams, drawn in order as the run reaches each window, so the
 //! per-epoch schedule is a pure function of `(plan, cores, seed, epoch)`,
 //! and every injection point transforms sharded pass *outputs* without
 //! consuming from the per-core RNG streams. These tests run a closed loop

@@ -178,8 +178,11 @@ impl OdRlController {
         let policy = Policy::EpsilonGreedy {
             epsilon: config.epsilon,
         };
-        let agents = (0..spec.cores)
-            .map(|_| {
+        // Sized up front: collecting through `Result` would grow the
+        // vector by doubling, its size hint having no lower bound.
+        let mut agents = Vec::with_capacity(spec.cores);
+        for _ in 0..spec.cores {
+            agents.push(
                 Agent::builder(encoder.num_states(), encoder.num_actions())
                     .algorithm(config.algorithm)
                     .gamma(config.gamma)
@@ -187,9 +190,9 @@ impl OdRlController {
                     .policy(policy)
                     .layout(config.layout)
                     .optimistic(optimistic)
-                    .build()
-            })
-            .collect::<Result<Vec<_>, RlError>>()?;
+                    .build()?,
+            );
+        }
         let allocator = reallocate
             .then(|| BudgetAllocator::new(spec.cores, config.realloc_gain, config.min_share));
         let watchdog = config

@@ -15,7 +15,9 @@
 //!
 //! All per-core buffers are sized at construction; steady-state epochs are
 //! allocation-free, and behaviour is a deterministic function of the
-//! compiled schedule, which the channel shares with its engine.
+//! compiled schedule, which the channel shares with its engine. The
+//! channel walks the schedule's budget sources with a cursor of its own,
+//! drawing their onsets from its own copies of their streams.
 
 use crate::engine::{FaultEngine, Schedule};
 use crate::plan::{BudgetFault, FaultKind};
@@ -27,7 +29,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetChannel {
     schedule: Arc<Schedule>,
-    /// The cursor over the schedule's budget windows.
+    /// The cursor over the schedule's budget sources.
     timeline: Timeline,
     /// The budget fault active on each core's link this epoch.
     fault: Vec<Option<BudgetFault>>,
@@ -50,13 +52,13 @@ pub struct BudgetChannel {
 impl FaultEngine {
     /// Builds the budget-message channel for this schedule. The channel
     /// shares the engine's compiled schedule (nothing is copied) and walks
-    /// only its budget-fault windows; a schedule without budget faults
+    /// only its budget-fault sources; a schedule without budget faults
     /// yields an always-healthy (but still functional) channel.
     pub fn budget_channel(&self) -> BudgetChannel {
         let n = self.num_cores();
         let schedule = Arc::clone(&self.schedule);
         BudgetChannel {
-            timeline: Timeline::new(schedule.budget_edges()),
+            timeline: Timeline::new(&schedule.sources, true),
             schedule,
             fault: vec![None; n],
             inbox: vec![0.0; n],
@@ -80,21 +82,21 @@ impl BudgetChannel {
     /// Refreshes the per-link fault flags for `epoch`. Call before
     /// [`BudgetChannel::send`] / [`BudgetChannel::poll`] in each epoch the
     /// channel carries traffic. Epochs may be skipped (the flags are exact
-    /// after any forward jump) and an earlier epoch re-seeks; messages in
-    /// flight keep their due epoch either way.
+    /// after any forward jump) and an earlier epoch replays the sources
+    /// from the start; messages in flight keep their due epoch either way.
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         let s = &*self.schedule;
-        if self.timeline.seek(&s.events, s.budget_edges(), epoch) {
-            for &w in self.timeline.left() {
-                let ev = &s.events[w];
-                self.fault[ev.lo..ev.hi].fill(None);
+        if self.timeline.seek(&s.sources, epoch) {
+            for &src in self.timeline.left() {
+                let source = &s.sources[src];
+                self.fault[source.lo..source.hi].fill(None);
             }
             // Index order: later plan entries override earlier ones.
-            for &w in self.timeline.active() {
-                let ev = &s.events[w];
-                if let FaultKind::Budget(f) = ev.kind {
-                    self.fault[ev.lo..ev.hi].fill(Some(f));
+            for src in self.timeline.active() {
+                let source = &s.sources[src];
+                if let FaultKind::Budget(f) = source.kind {
+                    self.fault[source.lo..source.hi].fill(Some(f));
                 }
             }
         }

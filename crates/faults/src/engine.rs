@@ -1,29 +1,20 @@
 //! Compiling a [`FaultPlan`] into a runnable schedule and driving it.
 //!
-//! [`FaultEngine::compile`] resolves targets against a concrete core count
-//! and expands every seeded [`RandomBurst`] into
-//! concrete events, so all randomness is spent before the first epoch.
-//! The result is one immutable, shared schedule: the windows in plan order
-//! plus start- and end-sorted edge lists over them (the crate's
-//! `timeline` module). Clones of the engine and every
-//! [`BudgetChannel`](crate::BudgetChannel) built from it share that
-//! schedule instead of copying it.
-//!
-//! At run time, [`FaultEngine::begin_epoch`] moves the [`FaultState`]'s
-//! timeline cursor to the epoch (forward by the edges it crosses, or by a
-//! re-seek when the epoch goes backwards) and, only when the active set
-//! changed, repaints the flat per-core flag arrays (allocated once, by
-//! [`FaultEngine::state`]) — no allocation, no RNG. The simulator's
-//! injection points read those flags. The flags are therefore a pure
-//! function of `(plan, cores, seed, epoch)`, which makes faulted runs
-//! bit-identical at every shard count.
+//! [`FaultEngine::compile`] validates the plan against a concrete core
+//! count and resolves it into the sources of its windows (see the
+//! [crate docs](crate)), shared by every clone of the engine and every
+//! [`BudgetChannel`](crate::BudgetChannel) built from it. At run time,
+//! [`FaultEngine::begin_epoch`] moves the [`FaultState`]'s cursor (the
+//! crate's `timeline` module) to the epoch and, only when the active set
+//! changed, repaints the flat per-core flag arrays [`FaultEngine::state`]
+//! allocated once; the simulator's injection points read those flags.
 
 use crate::error::FaultError;
-use crate::expand::onsets;
+use crate::expand::Onsets;
 use crate::plan::{
-    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, RandomBurst, SensorFault, Target,
+    ActuatorFault, BudgetFault, CoreFault, FaultKind, FaultPlan, SensorFault, Target,
 };
-use crate::timeline::{Edges, Timeline};
+use crate::timeline::Timeline;
 use odrl_power::{LevelId, Watts};
 use std::sync::Arc;
 
@@ -31,19 +22,35 @@ use std::sync::Arc;
 /// the command-history ring buffer.
 pub const MAX_DELAY_EPOCHS: u64 = 4096;
 
-/// One resolved fault window over a contiguous core range (or the chip
-/// sensor).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct CompiledEvent {
+/// One source of fault windows over a contiguous core range (or the chip
+/// sensor): an explicit event, or one core's share of a seeded burst. Its
+/// windows differ only in their start.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Source {
     pub kind: FaultKind,
     /// First affected core (ignored when `chip`).
     pub lo: usize,
     /// One past the last affected core (ignored when `chip`).
     pub hi: usize,
-    /// Whether this event hits the chip-level sensor instead of cores.
+    /// Whether this source hits the chip-level sensor instead of cores.
     pub chip: bool,
-    pub start: u64,
-    pub end: u64,
+    /// How many epochs each window lasts.
+    pub duration: u64,
+    /// The window starts, from the first; every reader clones it.
+    pub onsets: Onsets,
+}
+
+impl Source {
+    /// One past the last epoch of the window that starts at `start`
+    /// (saturating at `u64::MAX`).
+    pub fn end(&self, start: u64) -> u64 {
+        start.saturating_add(self.duration)
+    }
+
+    /// Whether this source drifts per-core sensor readings.
+    fn drifts(&self) -> bool {
+        !self.chip && matches!(self.kind, FaultKind::Sensor(SensorFault::Drift { .. }))
+    }
 }
 
 /// A compiled, immutable fault schedule for one run (see the
@@ -54,33 +61,30 @@ pub struct FaultEngine {
 }
 
 /// What [`FaultEngine`] and its [`BudgetChannel`](crate::BudgetChannel)s
-/// share: the windows and their edge lists.
+/// share: the resolved sources.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Schedule {
     pub cores: usize,
-    /// The windows in plan order, which is also the override order: later
-    /// entries win on overlap.
-    pub events: Vec<CompiledEvent>,
-    /// Edges of every window.
-    pub all: Edges,
-    /// Edges of the budget-channel windows, when they are not all of them
-    /// (see [`Schedule::budget_edges`]).
-    budget: Option<Edges>,
+    /// The sources in override order — explicit events in plan order,
+    /// then bursts by `(burst, core)`: later sources win on overlap.
+    pub sources: Vec<Source>,
     /// Widest actuator delay in the schedule (sizes the command ring).
     pub max_delay: u64,
 }
 
 impl Schedule {
-    /// Edges of the budget-channel windows only. A schedule whose every
-    /// window is budget-class, as fleet link plans are, stores one set of
-    /// lists and the channel walks [`Schedule::all`].
-    pub fn budget_edges(&self) -> &Edges {
-        self.budget.as_ref().unwrap_or(&self.all)
+    /// Every window as `(source, start)`, in override order, by replaying
+    /// every source from its first onset: O(windows) draws.
+    pub fn windows(&self) -> impl Iterator<Item = (&Source, u64)> {
+        self.sources
+            .iter()
+            .flat_map(|s| s.onsets.clone().map(move |start| (s, start)))
     }
 }
 
 impl FaultEngine {
-    /// Validates `plan` against `cores` and expands its bursts with `seed`.
+    /// Validates `plan` against `cores` and resolves it into sources,
+    /// with each burst's streams seeded from `seed`.
     ///
     /// Compiles as fleet chip 0: plan entries scoped to any other chip
     /// (see [`ChipScope`](crate::plan::ChipScope)) are validated but not scheduled. Fleet runs use
@@ -102,7 +106,8 @@ impl FaultEngine {
     /// is invalid for all of them), and burst RNG streams are keyed by the
     /// burst's position in the *unfiltered* plan, so an unscoped plan
     /// compiles to the same schedule on every chip index and scoping one
-    /// burst never reshuffles another's stream.
+    /// burst never reshuffles another's stream. Costs O(events + cores ×
+    /// bursts): no window is drawn here.
     pub fn compile_for_chip(
         plan: &FaultPlan,
         chip: u32,
@@ -115,13 +120,8 @@ impl FaultEngine {
                 reason: "cannot compile a plan for zero cores".into(),
             });
         }
-        let expected: usize = plan
-            .bursts
-            .iter()
-            .filter(|b| b.chip.includes(chip))
-            .map(|b| expected_windows(b, cores))
-            .sum();
-        let mut events = Vec::with_capacity(plan.events.len() + expected);
+        let bursts = plan.bursts.iter().filter(|b| b.chip.includes(chip));
+        let mut sources = Vec::with_capacity(plan.events.len() + bursts.count() * cores);
         for ev in &plan.events {
             validate_kind(&ev.kind)?;
             let (lo, hi, chip_sensor) = resolve_target(ev.target, cores)?;
@@ -134,13 +134,13 @@ impl FaultEngine {
             if !ev.chip.includes(chip) {
                 continue;
             }
-            events.push(CompiledEvent {
+            sources.push(Source {
                 kind: ev.kind,
                 lo,
                 hi,
                 chip: chip_sensor,
-                start: ev.start,
-                end: ev.start.saturating_add(ev.duration),
+                duration: ev.duration,
+                onsets: Onsets::once(ev.start),
             });
         }
         for (bi, burst) in plan.bursts.iter().enumerate() {
@@ -164,38 +164,30 @@ impl FaultEngine {
             if p <= 0.0 || burst.duration == 0 || !burst.chip.includes(chip) {
                 continue;
             }
-            // Each (burst, core) pair draws from its own stream, so the
-            // expansion never depends on iteration order elsewhere.
+            // Each (burst, core) pair draws from its own stream, so a
+            // source's windows never depend on who else reads the schedule.
             let stream = seed ^ (bi as u64);
-            for core in 0..cores {
-                onsets(stream, core, burst.start..burst.end, p, |start| {
-                    events.push(CompiledEvent {
-                        kind: burst.kind,
-                        lo: core,
-                        hi: core + 1,
-                        chip: false,
-                        start,
-                        end: start.saturating_add(burst.duration),
-                    });
-                });
-            }
+            sources.extend((0..cores).map(|core| Source {
+                kind: burst.kind,
+                lo: core,
+                hi: core + 1,
+                chip: false,
+                duration: burst.duration,
+                onsets: Onsets::burst(stream, core, burst.start..burst.end, p),
+            }));
         }
-        let max_delay = events
+        let max_delay = sources
             .iter()
-            .filter_map(|e| match e.kind {
+            .filter_map(|s| match s.kind {
                 FaultKind::Actuator(ActuatorFault::Delayed { epochs }) => Some(epochs),
                 _ => None,
             })
             .max()
             .unwrap_or(0);
-        let all = Edges::build(&events);
-        let budget = all.subset(&events, |e| matches!(e.kind, FaultKind::Budget(_)));
         Ok(Self {
             schedule: Arc::new(Schedule {
                 cores,
-                events,
-                all,
-                budget,
+                sources,
                 max_delay,
             }),
         })
@@ -206,20 +198,38 @@ impl FaultEngine {
         self.schedule.cores
     }
 
-    /// Number of resolved fault windows (after burst expansion).
+    /// Number of fault windows (after burst expansion). A diagnostic: it
+    /// replays every source to its end, O(windows) draws, so no per-epoch
+    /// path calls it; on a burst that runs to `u64::MAX` it does not
+    /// finish in any useful time.
     pub fn num_events(&self) -> usize {
-        self.schedule.events.len()
+        self.schedule.windows().count()
     }
 
-    /// Whether the schedule injects nothing at all.
+    /// Whether the schedule injects nothing at all: no source opens a
+    /// window. Draws each source's first onset, O(sources).
     pub fn is_empty(&self) -> bool {
-        self.schedule.events.is_empty()
+        self.schedule
+            .sources
+            .iter()
+            .all(|s| s.onsets.clone().next().is_none())
     }
 
-    /// Number of fault windows active at `epoch` (diagnostics). Two binary
-    /// searches over the edge lists; no scan.
+    /// Number of fault windows active at `epoch`. A diagnostic: it replays
+    /// every source up to `epoch`, O(windows started by `epoch`) draws,
+    /// so no per-epoch path calls it.
     pub fn active_at(&self, epoch: u64) -> usize {
-        self.schedule.all.active_at(&self.schedule.events, epoch)
+        self.schedule
+            .sources
+            .iter()
+            .map(|s| {
+                s.onsets
+                    .clone()
+                    .take_while(|&start| start <= epoch)
+                    .filter(|&start| s.end(start) > epoch)
+                    .count()
+            })
+            .sum()
     }
 
     /// Allocates the per-run scratch all injection points read. Call once;
@@ -229,7 +239,7 @@ impl FaultEngine {
         let ring_len = self.schedule.max_delay + 1;
         FaultState {
             epoch: 0,
-            timeline: Timeline::new(&self.schedule.all),
+            timeline: Timeline::new(&self.schedule.sources, false),
             flags: Flags {
                 sensor: vec![None; n],
                 chip_sensor: None,
@@ -245,7 +255,10 @@ impl FaultEngine {
             applied: vec![LevelId(0); n],
             effective: vec![LevelId(0); n],
             any_dead: false,
-            drifting: false,
+            // Room for the spans before and after one repaint.
+            drift_spans: Vec::with_capacity(
+                2 * self.schedule.sources.iter().filter(|s| s.drifts()).count(),
+            ),
             sensors_faulted: false,
         }
     }
@@ -253,46 +266,68 @@ impl FaultEngine {
     /// Refreshes `state`'s per-core fault flags for `epoch`.
     ///
     /// The flags are a pure function of the epoch, whatever epochs came
-    /// before: a forward call consumes only the window edges it crosses
-    /// (any jump is exact), and a call with an earlier epoch than the last
-    /// one re-seeks from scratch. The flag arrays are repainted only when
-    /// the active set changes. Two things do depend on the call sequence,
-    /// as they model state that builds up over time: a drift accumulator
-    /// compounds once per call while its core's drift window stays active,
-    /// and the actuator command history assumes one
+    /// before: a forward call pops only the window onsets it crosses (any
+    /// jump is exact), and a call with an earlier epoch than the last one
+    /// restarts the sources and replays them. The flag arrays are
+    /// repainted only when the active set changes. Two things do depend on
+    /// the call sequence, as they model state that builds up over time: a
+    /// drift accumulator compounds once per call while its core's drift
+    /// window stays active, and the actuator command history assumes one
     /// [`FaultState::apply_actions`] per epoch. Performs no heap
     /// allocation.
     pub fn begin_epoch(&self, epoch: u64, state: &mut FaultState) {
         let s = &*self.schedule;
         debug_assert_eq!(state.flags.alive.len(), s.cores);
         state.epoch = epoch;
-        // The drift pass runs while a per-core drift window is active and
-        // once more after the last one leaves, to reset the accumulators.
-        let mut drift_pass = state.drifting;
-        if state.timeline.seek(&s.events, &s.all, epoch) {
-            for &w in state.timeline.left() {
-                state.flags.paint(&s.events[w], false);
+        if state.timeline.seek(&s.sources, epoch) {
+            for &src in state.timeline.left() {
+                state.flags.paint(&s.sources[src], false);
             }
-            let (mut drifting, mut any_dead, mut core_sensor) = (false, false, false);
+            let (mut any_dead, mut core_sensor) = (false, false);
+            let spans = &mut state.drift_spans;
+            let stale = spans.len();
             // Index order: later plan entries override earlier ones.
-            for &w in state.timeline.active() {
-                let ev = &s.events[w];
-                let sensor = !ev.chip && matches!(ev.kind, FaultKind::Sensor(_));
-                core_sensor |= sensor;
-                drifting |=
-                    sensor && matches!(ev.kind, FaultKind::Sensor(SensorFault::Drift { .. }));
-                any_dead |= matches!(ev.kind, FaultKind::Core(CoreFault::Unplug));
-                state.flags.paint(ev, true);
+            for src in state.timeline.active() {
+                let source = &s.sources[src];
+                core_sensor |= !source.chip && matches!(source.kind, FaultKind::Sensor(_));
+                if source.drifts() {
+                    spans.push((source.lo, source.hi));
+                }
+                any_dead |= matches!(source.kind, FaultKind::Core(CoreFault::Unplug));
+                state.flags.paint(source, true);
             }
-            state.drifting = drifting;
+            // Cores that drifted until now and no longer do start over.
+            for &(lo, hi) in &spans[..stale] {
+                for (d, f) in state.drift[lo..hi]
+                    .iter_mut()
+                    .zip(&state.flags.sensor[lo..hi])
+                {
+                    if !matches!(f, Some(SensorFault::Drift { .. })) {
+                        *d = 1.0;
+                    }
+                }
+            }
+            // Merged, so that no accumulator compounds twice an epoch.
+            spans.drain(..stale);
+            spans.sort_unstable();
+            spans.dedup_by(|next, kept| {
+                let overlaps = next.0 <= kept.1;
+                if overlaps {
+                    kept.1 = kept.1.max(next.1);
+                }
+                overlaps
+            });
             state.any_dead = any_dead;
             state.sensors_faulted = core_sensor || any_dead;
-            drift_pass |= drifting;
         }
         // Drift accumulates only across consecutive active epochs and
-        // resets when the window ends.
-        if drift_pass {
-            for (d, f) in state.drift.iter_mut().zip(&state.flags.sensor) {
+        // resets when the window ends; every core outside the spans of
+        // the active drift sources holds 1.0.
+        for &(lo, hi) in &state.drift_spans {
+            for (d, f) in state.drift[lo..hi]
+                .iter_mut()
+                .zip(&state.flags.sensor[lo..hi])
+            {
                 match f {
                     Some(SensorFault::Drift { rate }) => *d *= 1.0 + rate,
                     _ => *d = 1.0,
@@ -304,19 +339,6 @@ impl FaultEngine {
             _ => state.chip_drift = 1.0,
         }
     }
-}
-
-/// How many windows `burst` starts on `cores` cores, four standard
-/// deviations above the mean: each of its core-epochs starts one with
-/// probability `p`, so the count is binomial. Sized by this bound, the
-/// window buffer almost never grows (and copies itself) during expansion.
-/// Invalid bursts count 0; they fail validation later.
-fn expected_windows(burst: &RandomBurst, cores: usize) -> usize {
-    let p = (burst.rate_per_kepoch / 1000.0).clamp(0.0, 1.0);
-    let n = cores as f64 * burst.end.saturating_sub(burst.start) as f64;
-    let mean = n * p;
-    // Casts saturate, and a NaN rate casts to 0.
-    (mean + 4.0 * (mean * (1.0 - p)).sqrt()) as usize
 }
 
 fn validate_kind(kind: &FaultKind) -> Result<(), FaultError> {
@@ -378,7 +400,7 @@ fn resolve_target(target: Target, cores: usize) -> Result<(usize, usize, bool), 
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
     epoch: u64,
-    /// The cursor over the schedule's windows.
+    /// The cursor over the schedule's sources.
     timeline: Timeline,
     flags: Flags,
     /// Multiplicative drift accumulator per core (1.0 when inactive).
@@ -394,13 +416,14 @@ pub struct FaultState {
     effective: Vec<LevelId>,
     /// Whether an unplug window is active.
     any_dead: bool,
-    /// Whether a per-core drift window is active.
-    drifting: bool,
+    /// Core ranges of the active per-core drift sources, sorted and
+    /// merged: the only cores whose drift accumulator can differ from 1.0.
+    drift_spans: Vec<(usize, usize)>,
     /// Whether a per-core sensor window is active or a core is unplugged.
     sensors_faulted: bool,
 }
 
-/// The fault flags of one epoch, painted from the active windows.
+/// The fault flags of one epoch, painted from the active sources.
 #[derive(Debug, Clone, PartialEq)]
 struct Flags {
     sensor: Vec<Option<SensorFault>>,
@@ -412,12 +435,12 @@ struct Flags {
 }
 
 impl Flags {
-    /// Writes `ev`'s fault over its cores (or the chip sensor), or clears
-    /// it back to healthy when `on` is false.
-    fn paint(&mut self, ev: &CompiledEvent, on: bool) {
-        let cores = ev.lo..ev.hi;
-        match ev.kind {
-            FaultKind::Sensor(f) if ev.chip => self.chip_sensor = on.then_some(f),
+    /// Writes `source`'s fault over its cores (or the chip sensor), or
+    /// clears it back to healthy when `on` is false.
+    fn paint(&mut self, source: &Source, on: bool) {
+        let cores = source.lo..source.hi;
+        match source.kind {
+            FaultKind::Sensor(f) if source.chip => self.chip_sensor = on.then_some(f),
             FaultKind::Sensor(f) => self.sensor[cores].fill(on.then_some(f)),
             FaultKind::Actuator(f) => self.actuator[cores].fill(on.then_some(f)),
             FaultKind::Budget(f) => self.budget[cores].fill(on.then_some(f)),
@@ -854,31 +877,37 @@ mod tests {
         }
     }
 
-    /// FNV-1a over every compiled window, in schedule order.
+    /// FNV-1a over every window of the schedule, replayed in override
+    /// order.
     fn window_digest(engine: &FaultEngine) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for ev in &engine.schedule.events {
-            fnv(&mut h, format!("{:?}", ev.kind).as_bytes());
-            fnv(&mut h, &(ev.lo as u64).to_le_bytes());
-            fnv(&mut h, &(ev.hi as u64).to_le_bytes());
-            fnv(&mut h, &[u8::from(ev.chip)]);
-            fnv(&mut h, &ev.start.to_le_bytes());
-            fnv(&mut h, &ev.end.to_le_bytes());
+        for (s, start) in engine.schedule.windows() {
+            fnv(&mut h, format!("{:?}", s.kind).as_bytes());
+            fnv(&mut h, &(s.lo as u64).to_le_bytes());
+            fnv(&mut h, &(s.hi as u64).to_le_bytes());
+            fnv(&mut h, &[u8::from(s.chip)]);
+            fnv(&mut h, &start.to_le_bytes());
+            fnv(&mut h, &s.end(start).to_le_bytes());
         }
         h
     }
 
-    /// [`window_digest`] extended with both edge lists of the schedule
-    /// and their largest active sets.
-    fn schedule_digest(engine: &FaultEngine) -> u64 {
-        let mut h = window_digest(engine);
-        let s = &engine.schedule;
-        for edges in [&s.all, s.budget_edges()] {
-            let (starts, ends, max_active) = edges.parts();
-            for &w in starts.iter().chain(ends) {
-                fnv(&mut h, &(w as u64).to_le_bytes());
+    /// FNV-1a over every link's fault, epoch by epoch, as a fresh budget
+    /// channel walks `epochs`.
+    fn channel_digest(engine: &FaultEngine, epochs: std::ops::Range<u64>) -> u64 {
+        let mut channel = engine.budget_channel();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for epoch in epochs {
+            channel.begin_epoch(epoch);
+            for i in 0..channel.num_cores() {
+                let code: u64 = match channel.fault(i) {
+                    None => 0,
+                    Some(BudgetFault::Lost) => 1,
+                    Some(BudgetFault::Stale) => 2,
+                    Some(BudgetFault::Delayed { epochs }) => 3 + epochs,
+                };
+                fnv(&mut h, &code.to_le_bytes());
             }
-            fnv(&mut h, &(max_active as u64).to_le_bytes());
         }
         h
     }
@@ -888,7 +917,8 @@ mod tests {
         // The chip fault workload's plan: five bursts of every family over
         // 20,500 epochs on 256 cores. Pinned when burst expansion moved to
         // geometric gaps; any change to the streams, the gap rule or the
-        // window order moves the digest.
+        // window order moves the digest. The windows are replayed from the
+        // sources, as the cursor draws them.
         let burst = |kind, rate_per_kepoch, duration| RandomBurst {
             kind,
             start: 0,
@@ -920,8 +950,9 @@ mod tests {
     fn fleet_link_plan_compiles_to_its_golden_schedule() {
         // The fleet workloads' lossy links: budget-lost bursts at 20 per
         // kilo-epoch, 5 epochs each, over 5,500 epochs on 64 cores, as two
-        // chips of a fleet compile them. Every window is budget-class, so
-        // the budget edge lists cover the whole schedule.
+        // chips of a fleet compile them: the window count and digest, and
+        // the faults a budget channel shows on every link at every epoch
+        // up to the last window's end.
         let plan = FaultPlan::new().with_burst(RandomBurst {
             kind: FaultKind::Budget(BudgetFault::Lost),
             start: 0,
@@ -931,16 +962,74 @@ mod tests {
             chip: ChipScope::All,
         });
         let golden = [
-            (0, 0x1111, 6_989, 0x01a5_2a75_956c_b955),
-            (9, 0x2222, 6_865, 0x3d7b_9598_534c_5f92),
+            (
+                0,
+                0x1111,
+                6_989,
+                0xe6c3_050d_85eb_1615,
+                0xa4a9_a0bb_c96e_43e4,
+            ),
+            (
+                9,
+                0x2222,
+                6_865,
+                0x5787_08c7_92ab_8a52,
+                0xb1c2_249b_9453_7dc4,
+            ),
         ];
-        for (chip, seed, events, digest) in golden {
+        for (chip, seed, events, windows, links) in golden {
             let engine =
                 FaultEngine::compile_for_chip(&plan, chip, 64, seed ^ 0xFA17_FA17_FA17_FA17)
                     .unwrap();
             assert_eq!(engine.num_events(), events, "chip {chip}");
-            assert_eq!(schedule_digest(&engine), digest, "chip {chip}");
+            assert_eq!(window_digest(&engine), windows, "chip {chip}");
+            assert_eq!(channel_digest(&engine, 0..5_510), links, "chip {chip}");
         }
+    }
+
+    #[test]
+    fn a_burst_without_end_compiles_to_one_source_per_core() {
+        // Billions of windows: a plan whose windows were stored before the
+        // first epoch could not compile. The sources hold one stream per
+        // core, and both cursors draw only as far as the run goes.
+        let plan = FaultPlan::new().with_burst(RandomBurst {
+            kind: FaultKind::Budget(BudgetFault::Lost),
+            start: 0,
+            end: u64::MAX,
+            rate_per_kepoch: 500.0,
+            duration: 3,
+            chip: ChipScope::All,
+        });
+        let engine = FaultEngine::compile(&plan, 64, 9).unwrap();
+        assert_eq!(engine.schedule.sources.len(), 64);
+        assert!(!engine.is_empty());
+        let mut st = engine.state();
+        let mut channel = engine.budget_channel();
+        // Each core's stream read directly: its next onset, and the end of
+        // its latest window.
+        let mut replay: Vec<(Onsets, Option<u64>, u64)> = (0..64)
+            .map(|core| {
+                let mut onsets = Onsets::burst(9, core, 0..u64::MAX, 0.5);
+                let next = onsets.next();
+                (onsets, next, 0)
+            })
+            .collect();
+        let mut changes = 0;
+        for epoch in 0..10_000 {
+            engine.begin_epoch(epoch, &mut st);
+            channel.begin_epoch(epoch);
+            for (i, (onsets, next, end)) in replay.iter_mut().enumerate() {
+                while let Some(start) = next.filter(|&t| t <= epoch) {
+                    *end = start + 3;
+                    *next = onsets.next();
+                }
+                let want = (*end > epoch).then_some(BudgetFault::Lost);
+                assert_eq!(st.budget_fault(i), want, "core {i} @ {epoch}");
+                assert_eq!(channel.fault(i), want, "link {i} @ {epoch}");
+                changes += usize::from(*end == epoch);
+            }
+        }
+        assert!(changes > 10_000, "only {changes} windows closed");
     }
 
     #[test]
@@ -1118,10 +1207,10 @@ mod tests {
         };
         let ea = FaultEngine::compile_for_chip(&a, 1, 8, 7).unwrap();
         let eb = FaultEngine::compile_for_chip(&b, 1, 8, 7).unwrap();
-        // Plan A's chip-1 schedule is burst-0's events followed by
+        // Plan A's chip-1 schedule is burst-0's sources followed by
         // burst-1's; plan B's is burst-1's alone. The tail must match.
-        let half = ea.num_events() - eb.num_events();
-        assert_eq!(&ea.schedule.events[half..], &eb.schedule.events[..]);
+        let half = ea.schedule.sources.len() - eb.schedule.sources.len();
+        assert_eq!(&ea.schedule.sources[half..], &eb.schedule.sources[..]);
         assert!(eb.num_events() > 0);
     }
 }

@@ -6,9 +6,10 @@
 //! telemetry, over *unreliable* actuators, across *partially failing*
 //! hardware. This crate provides the misbehaving environment that claim is
 //! tested against. A declarative, serde-friendly [`FaultPlan`] is compiled
-//! once — [`FaultEngine::compile`] — into concrete per-epoch fault
-//! schedules, and the engine is then driven by the simulator's epoch loop
-//! with **zero heap allocations** and **no runtime randomness**:
+//! once — [`FaultEngine::compile`] — into a seeded per-epoch fault
+//! schedule, and the engine is then driven by the simulator's epoch loop
+//! with **zero heap allocations** and a schedule that depends on nothing
+//! but `(plan, cores, seed, epoch)`:
 //!
 //! * **Sensor faults** ([`SensorFault`]) — a power reading sticks at its
 //!   last value or at zero, spikes by a gain, or drifts multiplicatively.
@@ -21,28 +22,24 @@
 //! * **Core faults** ([`CoreFault`]) — a core hot-unplugs (and rejoins when
 //!   the event window ends) or is force-throttled below a level ceiling.
 //!
-//! # Determinism
+//! # Determinism and cost
 //!
-//! All randomness happens at *compile* time: [`RandomBurst`] specs are
-//! expanded into concrete `(core, start, duration)` events by a seeded
-//! generator, after which the schedule is a pure function of the epoch
-//! index. [`FaultEngine::begin_epoch`] refreshes flat per-core flag arrays
-//! in a [`FaultState`] scratch, and every injection point reads those flags
-//! without touching an RNG — so a faulted run is bit-identical at every
-//! shard count, and the same plan + seed always reproduces the same run.
-//!
-//! # Cost
-//!
-//! The compiled schedule is a timeline: the windows in plan order (later
-//! entries win on overlap) plus start- and end-sorted edge lists, shared
-//! behind an `Arc` by every clone of the engine and every
-//! [`BudgetChannel`] built from it. Each [`FaultState`] and each channel
-//! keeps a cursor into it, so `begin_epoch` costs O(edges crossed + active
-//! windows) rather than O(compiled windows): it moves forward by any jump,
-//! re-seeks from scratch when the epoch goes backwards, and repaints the
-//! flags only when the active set changes. Compiling draws each seeded
-//! burst's onsets as geometric gaps, one draw per window rather than one
-//! per core-epoch.
+//! [`FaultEngine::compile`] resolves a plan into *sources*: each explicit
+//! event (one window) and each (burst, core) pair of a [`RandomBurst`],
+//! which owns a seeded RNG stream of its own. It draws nothing, so a plan
+//! costs O(events + cores × bursts), however many windows it opens. Each
+//! [`FaultState`] and [`BudgetChannel`] keeps a cursor over the sources —
+//! a min-heap of their next onsets, and the active ones — and draws each
+//! source's next onset, in order, when the run reaches the last. The
+//! schedule is therefore a pure function of the epoch: a faulted run is
+//! bit-identical at every shard count, and the same plan + seed always
+//! reproduces it. [`FaultEngine::begin_epoch`] costs two compares when no
+//! window starts or ends, and otherwise one draw and one heap step per
+//! onset plus a pass over the active sources; it refreshes flat per-core
+//! flag arrays, which every injection point reads, and repaints them only
+//! when the active set changes. An earlier epoch restarts the streams.
+//! [`FaultEngine::num_events`] and [`FaultEngine::active_at`] are
+//! diagnostics that replay the streams, O(windows).
 //!
 //! # Example
 //!

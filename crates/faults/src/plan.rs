@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is plain serde-friendly data — deterministic
 //! [`FaultEvent`] windows plus seeded [`RandomBurst`] generators — with no
 //! behaviour of its own. [`crate::FaultEngine::compile`] validates it
-//! against a concrete core count and expands the bursts into concrete
-//! events.
+//! against a concrete core count and resolves it into the sources of
+//! windows a run draws from.
 
 use serde::{Deserialize, Serialize};
 
@@ -165,12 +165,11 @@ pub struct FaultEvent {
 /// A seeded generator of fault events: within `start..end`, each epoch
 /// independently starts a `kind` fault on each core with probability
 /// `rate_per_kepoch / 1000` (every epoch at 1000 and above); each
-/// generated event lasts `duration` epochs. Expansion into concrete
-/// [`FaultEvent`]s happens once, inside [`crate::FaultEngine::compile`],
-/// from the compile seed — runs need no randomness. It draws the
-/// geometric gaps between a core's onsets, one draw and one `ln` per
-/// event, so the onsets depend on the platform's `ln` as sensor noise
-/// does on its float functions.
+/// generated event lasts `duration` epochs. Each core's events come from
+/// its own stream, seeded from the compile seed: the run draws the
+/// geometric gaps between a core's onsets as it reaches them, one draw
+/// and one `ln` per event, so the onsets depend on the platform's `ln` as
+/// sensor noise does on its float functions, and on nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RandomBurst {
     /// What goes wrong.
@@ -200,7 +199,7 @@ pub struct FaultPlan {
     /// Deterministic fault windows.
     #[serde(default)]
     pub events: Vec<FaultEvent>,
-    /// Seeded stochastic fault generators, expanded at compile time.
+    /// Seeded stochastic fault generators, drawn as the run reaches them.
     #[serde(default)]
     pub bursts: Vec<RandomBurst>,
 }
