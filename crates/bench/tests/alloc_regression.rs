@@ -12,6 +12,10 @@
 //! so the measured window exercises both the every-epoch path and the
 //! every-`realloc_period` path.
 //!
+//! One test also bounds construction: what `System::new` and
+//! `OdRlController::new` allocate at the `chip1024` benchmark shape. Those
+//! are counts, not timings, so they hold on any host.
+//!
 //! The tests run one at a time, through [`serial`], so that the
 //! process-wide count the sharded arms also assert sees no other test's
 //! allocations: it covers the chunks shard-pool workers run, which the
@@ -664,4 +668,43 @@ fn fleet_epoch_allocations(parallelism: Parallelism) -> Windows {
             fleet.step_epoch().expect("fleet epoch completes");
         }
     })
+}
+
+/// Construction footprint at the `chip1024` benchmark shape (1,024 cores,
+/// round-robin mix, default OD-RL config): per-core state holds only what
+/// differs per core. Workload streams share one spec per benchmark, so the
+/// system's allocation count does not grow with the core count's spec
+/// copies, and scalar Q-table visit counts are `u32`, which keeps each
+/// agent's table requests under 3.6 KiB.
+#[test]
+fn chip1024_construction_footprint_is_bounded() {
+    let _serial = serial();
+    let scenario = Scenario {
+        cores: 1024,
+        budget_frac: 0.6,
+        epochs: 0,
+        mix: MixPolicy::RoundRobin,
+        seed: 1,
+        parallelism: Parallelism::Serial,
+    };
+    let config = scenario
+        .try_system_config()
+        .expect("scenario parameters are valid");
+    let budget = Watts::new(scenario.budget_frac * config.max_power().value());
+    let (system_allocs, system_bytes, system) =
+        allocs::counting(|| System::new(config).expect("valid scenario config"));
+    assert!(
+        system_allocs <= 256,
+        "System::new made {system_allocs} allocations ({system_bytes} bytes) for 1,024 cores"
+    );
+    let spec = system.spec();
+    let (controller_allocs, controller_bytes, _controller) = allocs::counting(|| {
+        OdRlController::new(OdRlConfig::default(), &spec, budget).expect("valid config")
+    });
+    let per_core = controller_bytes / 1024;
+    assert!(
+        per_core <= 3_686,
+        "OdRlController::new requested {per_core} bytes per core \
+         ({controller_allocs} allocations, {controller_bytes} bytes in all)"
+    );
 }

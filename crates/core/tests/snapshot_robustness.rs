@@ -6,7 +6,9 @@
 //! the head of one snapshot and the tail of another — must make both
 //! [`Agent::from_snapshot_bytes`] and [`PolicySnapshot::from_bytes`]
 //! either return `Err` or decode to a value that re-encodes to exactly the
-//! input bytes. A panic fails the test.
+//! input bytes. A panic fails the test. Scalar visit counts are written as
+//! `u64` but held as `u32`, so a count past `u32::MAX` must be refused,
+//! never truncated or saturated.
 
 use odrl_core::PolicySnapshot;
 use odrl_rl::snapshot::{header, put_u64};
@@ -31,12 +33,17 @@ const SET_PREFIX: usize = 16 + 8 + 8 + 8 + 8;
 /// A policy set holding one agent per fixture, framed as
 /// [`PolicySnapshot::to_bytes`] frames it.
 fn policy_set() -> Vec<u8> {
-    let agent = Agent::from_snapshot_bytes(FIXTURES[0]).unwrap();
+    policy_set_of(&FIXTURES)
+}
+
+/// A policy set holding one agent per entry of `fixtures`, in order.
+fn policy_set_of(fixtures: &[&[u8]]) -> Vec<u8> {
+    let agent = Agent::from_snapshot_bytes(fixtures[0]).unwrap();
     let mut out = header(KIND_POLICY_SET);
     put_u64(&mut out, agent.q().states() as u64);
     put_u64(&mut out, agent.q().actions() as u64);
-    put_u64(&mut out, FIXTURES.len() as u64);
-    for fixture in FIXTURES {
+    put_u64(&mut out, fixtures.len() as u64);
+    for fixture in fixtures {
         put_u64(&mut out, u64::from(fixture[12]));
         out.extend_from_slice(&fixture[16..]);
     }
@@ -120,8 +127,64 @@ fn retired_policy_tags_are_rejected() {
     }
 }
 
+/// The inputs that end with a scalar visit count: the two scalar agent
+/// fixtures and a policy set whose last agent is scalar.
+fn scalar_tailed() -> [Vec<u8>; 3] {
+    [
+        FIXTURES[0].to_vec(),
+        FIXTURES[2].to_vec(),
+        policy_set_of(&[FIXTURES[1], FIXTURES[2]]),
+    ]
+}
+
+/// Overwrites the trailing `u64` of `bytes`, a scalar visit count in every
+/// [`scalar_tailed`] input, with `count`.
+fn with_last_visit(mut bytes: Vec<u8>, count: u64) -> Vec<u8> {
+    let at = bytes.len() - 8;
+    bytes[at..].copy_from_slice(&count.to_le_bytes());
+    bytes
+}
+
+/// Checks that `bytes` decodes exactly when `count` fits in `u32` and is
+/// refused with the visit-count error otherwise, by both decoders.
+fn check_visit_count(bytes: &[u8], count: u64) {
+    let wide = RlError::Snapshot {
+        reason: "scalar visit count exceeds u32",
+    };
+    if u32::try_from(count).is_ok() {
+        assert_eq!(decode_both(bytes), 1, "count {count}");
+    } else if bytes[12] == KIND_POLICY_SET {
+        assert_eq!(PolicySnapshot::from_bytes(bytes).unwrap_err(), wide);
+    } else {
+        assert_eq!(Agent::from_snapshot_bytes(bytes).unwrap_err(), wide);
+    }
+}
+
+#[test]
+fn scalar_visit_counts_past_u32_are_rejected() {
+    for count in [u64::from(u32::MAX), 1 << 32, u64::MAX] {
+        for bytes in scalar_tailed() {
+            check_visit_count(&with_last_visit(bytes, count), count);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Any scalar visit count decodes exactly if it fits in `u32` and is
+    /// refused with [`RlError::Snapshot`] if it does not.
+    #[test]
+    fn scalar_visit_counts_decode_only_within_u32(
+        input in 0usize..3,
+        wide in prop::bool::ANY,
+        low in 0u64..1 << 32,
+        high in 1u64..1 << 32,
+    ) {
+        let count = if wide { high << 32 | low } else { low };
+        let bytes = with_last_visit(scalar_tailed()[input].clone(), count);
+        check_visit_count(&bytes, count);
+    }
 
     /// Flipping any one to four bits never panics, and whatever still
     /// decodes is exact.

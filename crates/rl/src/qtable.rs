@@ -6,6 +6,10 @@ use crate::storage::RowStats;
 
 /// A dense `|S| × |A|` table of action values with visit counts.
 ///
+/// Visit counts are held as saturating `u32`s (the learning-rate schedules
+/// stop reading them long before they could saturate) and read back as
+/// `u64`; snapshots still write them as `u64`.
+///
 /// ```
 /// use odrl_rl::QTable;
 /// let mut q = QTable::new(4, 2)?;
@@ -20,7 +24,7 @@ pub struct QTable {
     states: usize,
     actions: usize,
     values: Vec<f64>,
-    visits: Vec<u64>,
+    visits: Vec<u32>,
 }
 
 impl QTable {
@@ -124,8 +128,8 @@ impl QTable {
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices.
     pub fn visit(&mut self, s: usize, a: usize) -> Result<u64, RlError> {
         let i = self.idx(s, a)?;
-        self.visits[i] += 1;
-        Ok(self.visits[i])
+        self.visits[i] = self.visits[i].saturating_add(1);
+        Ok(u64::from(self.visits[i]))
     }
 
     /// Fused TD update: one bounds check covers the visit bump, the
@@ -145,8 +149,8 @@ impl QTable {
         target: f64,
     ) -> Result<f64, RlError> {
         let i = self.idx(s, a)?;
-        self.visits[i] += 1;
-        let alpha = alpha.value(self.visits[i] - 1);
+        self.visits[i] = self.visits[i].saturating_add(1);
+        let alpha = alpha.value(u64::from(self.visits[i]) - 1);
         let old = self.values[i];
         let value = old + alpha * (target - old);
         if !value.is_finite() {
@@ -165,7 +169,7 @@ impl QTable {
     ///
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices.
     pub fn visits(&self, s: usize, a: usize) -> Result<u64, RlError> {
-        Ok(self.visits[self.idx(s, a)?])
+        Ok(u64::from(self.visits[self.idx(s, a)?]))
     }
 
     /// The action values of state `s`.
@@ -244,7 +248,7 @@ impl QTable {
             let v = self.values[i];
             stats.q_min = stats.q_min.min(v);
             stats.q_max = stats.q_max.max(v);
-            let n = self.visits[i];
+            let n = u64::from(self.visits[i]);
             stats.visit_min = stats.visit_min.min(n);
             stats.visit_max = stats.visit_max.max(n);
         }
@@ -258,7 +262,7 @@ impl QTable {
     }
 
     /// Raw snapshot parts: `(values, visits)`.
-    pub(crate) fn parts(&self) -> (&[f64], &[u64]) {
+    pub(crate) fn parts(&self) -> (&[f64], &[u32]) {
         (&self.values, &self.visits)
     }
 
@@ -267,7 +271,7 @@ impl QTable {
         states: usize,
         actions: usize,
         values: Vec<f64>,
-        visits: Vec<u64>,
+        visits: Vec<u32>,
     ) -> Result<Self, RlError> {
         if states == 0 || actions == 0 {
             return Err(RlError::Snapshot {
@@ -289,7 +293,7 @@ impl QTable {
 
     /// Total number of `(s, a)` visits recorded.
     pub fn total_visits(&self) -> u64 {
-        self.visits.iter().sum()
+        self.visits.iter().map(|&v| u64::from(v)).sum()
     }
 
     /// Fraction of `(s, a)` pairs visited at least once.

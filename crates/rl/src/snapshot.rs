@@ -29,9 +29,10 @@
 //! tag 0 (greedy) ends there, tag 1 (ε-greedy) is followed by its
 //! schedule. Tags 2 (softmax) and 3 (UCB1) are retired and rejected. A
 //! **storage block** is `layout u8 · pad[7] · states u64 · actions u64`
-//! followed by the raw banks: `f64` values then `u64` visits for the
-//! scalar layout; `stride u64`, `f32` row scales, `i16` lanes and `u32`
-//! visits (each section zero-padded to 8 bytes) for the quantized layout.
+//! followed by the raw banks: `f64` values then `u64` visits (each at
+//! most `u32::MAX`, the in-memory counter's width) for the scalar layout;
+//! `stride u64`, `f32` row scales, `i16` lanes and `u32` visits (each
+//! section zero-padded to 8 bytes) for the quantized layout.
 //!
 //! Decoders validate magic, version, every tag, dimension consistency and
 //! exact buffer length, rejecting corrupt, truncated or version-mismatched
@@ -421,7 +422,7 @@ pub(crate) fn write_storage(out: &mut Vec<u8>, storage: &QTableStorage) {
                 put_f64(out, v);
             }
             for &v in visits {
-                put_u64(out, v);
+                put_u64(out, u64::from(v));
             }
         }
         QTableStorage::Quantized(t) => {
@@ -465,7 +466,10 @@ pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, Rl
             cur.expect_section(cells, 8)?;
             let mut visits = Vec::with_capacity(cells);
             for _ in 0..cells {
-                visits.push(cur.take_u64()?);
+                let v = cur.take_u64()?;
+                visits.push(u32::try_from(v).map_err(|_| RlError::Snapshot {
+                    reason: "scalar visit count exceeds u32",
+                })?);
             }
             Ok(QTableStorage::Scalar(QTable::from_parts(
                 states, actions, values, visits,

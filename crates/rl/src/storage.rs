@@ -8,8 +8,8 @@
 //! scan in the decide hot path is a wide integer max/compare (see
 //! [`crate::kernel`]). A row occupies `actions.next_multiple_of(16)` lanes —
 //! 32 bytes for the 8-action OD-RL tables, half a cache line instead of
-//! the 64-byte `f64` row — and visit counts narrow from `u64` to `u32`,
-//! roughly halving the memory the per-epoch decide+learn walk touches.
+//! the 64-byte `f64` row. Both layouts count visits in saturating `u32`,
+//! so the `i16` bank is the only difference in what they hold.
 //!
 //! Because every lane in a row shares one positive scale, the integer
 //! argmax over the banked row equals the argmax over the dequantized

@@ -7,6 +7,7 @@ use crate::suite::{by_name, suite};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How benchmarks are assigned to the cores of a many-core system.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,6 +24,11 @@ pub enum MixPolicy {
 
 /// A reproducible assignment of benchmarks to `n` cores.
 ///
+/// The mix holds one shared [`BenchmarkSpec`] per distinct benchmark: every
+/// core assigned that benchmark, and every stream built for such a core,
+/// holds a clone of the same [`Arc`], so a mix costs one spec per benchmark
+/// rather than one per core.
+///
 /// ```
 /// use odrl_workload::{WorkloadMix, MixPolicy};
 /// let mix = WorkloadMix::from_suite(8, MixPolicy::RoundRobin, 42)?;
@@ -33,7 +39,7 @@ pub enum MixPolicy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadMix {
-    assignments: Vec<BenchmarkSpec>,
+    assignments: Vec<Arc<BenchmarkSpec>>,
     seed: u64,
 }
 
@@ -64,6 +70,7 @@ impl WorkloadMix {
         if n == 0 || pool.is_empty() {
             return Err(WorkloadError::NoPhases);
         }
+        let pool: Vec<Arc<BenchmarkSpec>> = pool.iter().cloned().map(Arc::new).collect();
         let assignments = match policy {
             MixPolicy::RoundRobin => (0..n).map(|i| pool[i % pool.len()].clone()).collect(),
             MixPolicy::Random => {
@@ -77,7 +84,7 @@ impl WorkloadMix {
                     .iter()
                     .find(|b| b.name() == name)
                     .cloned()
-                    .or_else(|| by_name(&name).ok())
+                    .or_else(|| by_name(&name).ok().map(Arc::new))
                     .ok_or(WorkloadError::UnknownBenchmark { name })?;
                 vec![b; n]
             }
@@ -105,7 +112,7 @@ impl WorkloadMix {
     }
 
     /// Instantiates one [`WorkloadStream`] per core, each with a distinct
-    /// deterministic sub-seed.
+    /// deterministic sub-seed and sharing its core's spec with the mix.
     pub fn streams(&self) -> Vec<WorkloadStream> {
         self.assignments
             .iter()
@@ -165,6 +172,43 @@ mod tests {
     #[test]
     fn zero_cores_errors() {
         assert!(WorkloadMix::from_suite(0, MixPolicy::RoundRobin, 0).is_err());
+    }
+
+    /// Checks that every core on one benchmark, and its stream, shares a
+    /// single spec allocation, and that distinct benchmarks do not.
+    fn assert_shared_per_benchmark(mix: &WorkloadMix) {
+        for (i, stream) in mix.streams().iter().enumerate() {
+            assert!(std::ptr::eq(stream.spec(), mix.benchmark(i)));
+            for j in 0..i {
+                let same = mix.benchmark(i).name() == mix.benchmark(j).name();
+                assert_eq!(
+                    Arc::ptr_eq(&mix.assignments[i], &mix.assignments[j]),
+                    same,
+                    "cores {j} and {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cores_on_one_benchmark_share_its_spec() {
+        for policy in [
+            MixPolicy::RoundRobin,
+            MixPolicy::Random,
+            MixPolicy::Homogeneous("ferret".into()),
+        ] {
+            assert_shared_per_benchmark(&WorkloadMix::from_suite(40, policy, 3).unwrap());
+        }
+        let pool = [by_name("dedup").unwrap(), by_name("x264").unwrap()];
+        for policy in [MixPolicy::RoundRobin, MixPolicy::Random] {
+            let mix = WorkloadMix::from_benchmarks(9, &pool, policy, 5).unwrap();
+            assert_shared_per_benchmark(&mix);
+        }
+        // A name missing from the pool falls back to the suite, still shared.
+        let mix =
+            WorkloadMix::from_benchmarks(5, &pool, MixPolicy::Homogeneous("canneal".into()), 0)
+                .unwrap();
+        assert_shared_per_benchmark(&mix);
     }
 
     #[test]

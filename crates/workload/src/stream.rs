@@ -5,6 +5,7 @@ use crate::benchmark::BenchmarkSpec;
 use crate::phase::PhaseParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A running instance of a [`BenchmarkSpec`] on one core.
 ///
@@ -15,7 +16,10 @@ use rand::{Rng, SeedableRng};
 /// sampled exponentially around each phase's mean, giving the bursty,
 /// non-stationary behaviour an on-line learner has to track.
 ///
-/// Streams are deterministic per seed.
+/// Streams are deterministic per seed. The spec is read-only and shared:
+/// streams on the same benchmark (every core of a [`crate::WorkloadMix`]
+/// assigned it) hold one [`Arc`] to it, and only the per-core cursor — RNG,
+/// phase, remaining dwell and counters — is owned by the stream.
 ///
 /// ```
 /// use odrl_workload::{suite, WorkloadStream};
@@ -28,7 +32,7 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
-    spec: BenchmarkSpec,
+    spec: Arc<BenchmarkSpec>,
     rng: StdRng,
     phase: usize,
     remaining: f64,
@@ -37,8 +41,10 @@ pub struct WorkloadStream {
 }
 
 impl WorkloadStream {
-    /// Instantiates a benchmark with a deterministic seed.
-    pub fn new(spec: BenchmarkSpec, seed: u64) -> Self {
+    /// Instantiates a benchmark with a deterministic seed. Takes either an
+    /// owned [`BenchmarkSpec`] or an [`Arc`] to one already shared.
+    pub fn new(spec: impl Into<Arc<BenchmarkSpec>>, seed: u64) -> Self {
+        let spec = spec.into();
         let mut rng = StdRng::seed_from_u64(seed);
         let phase = 0;
         let remaining = Self::sample_dwell(&spec, phase, &mut rng);
@@ -174,6 +180,31 @@ mod tests {
             b.advance(3e5);
             assert_eq!(a.phase_index(), b.phase_index());
             assert_eq!(a.params(), b.params());
+        }
+    }
+
+    #[test]
+    fn shared_spec_follows_a_deep_clone_bit_for_bit() {
+        for spec in crate::suite::suite() {
+            let shared = Arc::new(spec.clone());
+            let mut a = WorkloadStream::new(Arc::clone(&shared), 17);
+            let mut b = WorkloadStream::new(spec, 17);
+            assert!(std::ptr::eq(a.spec(), &*shared));
+            // Epochs of 0.2–5.2 M instructions, a few per dwell, so every
+            // multi-phase benchmark switches phases many times.
+            for k in 0..10_000u32 {
+                let instr = 2e5 + f64::from(k.wrapping_mul(2_654_435_761) % 5_000) * 1e3;
+                a.advance(instr);
+                b.advance(instr);
+                assert_eq!(a.phase_index(), b.phase_index(), "step {k}");
+                assert_eq!(a.params(), b.params(), "step {k}");
+                assert_eq!(a.remaining.to_bits(), b.remaining.to_bits(), "step {k}");
+            }
+            assert_eq!(a.phase_switches(), b.phase_switches());
+            assert_eq!(
+                a.total_instructions().to_bits(),
+                b.total_instructions().to_bits()
+            );
         }
     }
 
