@@ -158,9 +158,9 @@ fn demo_recorder() -> RecorderConfig {
 
 /// The second allocation window of the observability gate: a fleet
 /// whose rack links lose every budget message from epoch 10 on, so each
-/// arbiter round out of cooldown trips the loss-spike rule. After the
-/// first trip has grown the dump buffers, every later trip must allocate
-/// at most once — the dump bytes the recorder keeps.
+/// arbiter round out of cooldown trips the loss-spike rule. Every trip
+/// in the window must allocate at most once — the dump bytes the
+/// recorder keeps.
 fn trip_window(knobs: &Knobs) {
     let plan =
         FaultPlan::new().with_event(FaultKind::Budget(BudgetFault::Lost), Target::All, 10, 1_000);

@@ -149,8 +149,8 @@ pub fn run_scenario_observed(
         .expect("valid scenario, fault plan and controller configuration");
     let traced = run_loop(&mut system, controller.as_mut(), budget, scenario.epochs);
     let mut records = Vec::new();
-    controller.extend_trace_into(0, &mut records);
-    system.extend_trace_into(0, &mut records);
+    controller.extend_trace_into(0..u64::MAX, &mut records);
+    system.extend_trace_into(0..u64::MAX, &mut records);
     merge_records(&mut records);
     let system_counts = system
         .tracer()

@@ -421,10 +421,11 @@ fn diagnosed_fleet_steady_state_allocates_nothing() {
 #[test]
 fn recorder_trips_allocate_only_their_dump() {
     let _serial = serial();
-    // The flight recorder's trip path: a trip reads only the last
-    // `window` epochs of every trace ring and renders the dump into
-    // buffers the fleet reuses, so once one trip has grown them, each
-    // later trip allocates exactly once — the dump bytes it keeps.
+    // The flight recorder's trip path: a trip streams the last `window`
+    // epochs of every trace ring through one epoch batch the fleet
+    // reserved at build, and renders the dump into a buffer of exactly
+    // its size, so every trip, the first included, allocates exactly
+    // once — the dump bytes it keeps.
     // Budget messages are lost from epoch 25 on, so every arbiter round
     // (every 10 epochs) out of cooldown trips the loss-spike rule. The
     // warm-up trip at epoch 30 follows a stuck-sensor window on every
@@ -463,14 +464,26 @@ fn recorder_trips_allocate_only_their_dump() {
         .build_fleet(4)
         .expect("valid diagnosed fleet configuration");
 
-    for _ in 0..45 {
+    for _ in 0..30 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    assert!(fleet.anomaly_dumps().is_empty(), "a trip before epoch 30");
+    let a0 = allocs::allocations();
+    let b0 = allocs::allocated_bytes();
+    fleet.step_epoch().expect("fleet epoch completes");
+    let (da, db) = (allocs::allocations() - a0, allocs::allocated_bytes() - b0);
+    let first = fleet.anomaly_dumps().first().expect("the warm-up trip");
+    assert_eq!(first.epoch, 30);
+    assert_eq!(
+        (da, db),
+        (1, first.bytes.len() as u64),
+        "the first trip must allocate once, exactly its dump"
+    );
+    for _ in 31..45 {
         fleet.step_epoch().expect("fleet epoch completes");
     }
     let warm_trips = fleet.anomaly_dumps().len();
-    assert_eq!(
-        warm_trips, 1,
-        "exactly one trip sizes the buffers in warm-up"
-    );
+    assert_eq!(warm_trips, 1, "exactly one trip in warm-up");
 
     let a0 = allocs::allocations();
     let b0 = allocs::allocated_bytes();

@@ -287,7 +287,7 @@ fn windowed_and_whole_run_rings_dump_identical_bytes() {
             2 * WINDOW
         );
         let mut held = Vec::new();
-        whole.extend_trace_into(first, &mut held);
+        whole.extend_trace_into(first..u64::MAX, &mut held);
         odrl_obs::merge_fleet_records(&mut held);
         assert_eq!(
             trace, held,

@@ -66,6 +66,7 @@ pub use steepest::SteepestDrop;
 use odrl_manycore::Observation;
 use odrl_obs::{EventCounts, EventRecord, LearnDiag, MetricsSnapshot};
 use odrl_power::LevelId;
+use std::ops::Range;
 
 /// A per-epoch DVFS power-capping policy.
 ///
@@ -107,13 +108,13 @@ pub trait PowerController {
         None
     }
 
-    /// Appends every trace record this controller holds with
-    /// `epoch >= since` onto `out` (see `odrl-obs`); `since = 0` for the
-    /// whole trace. The default — and the baselines, which record
-    /// nothing — is a no-op; pass the result through
-    /// `odrl_obs::merge_records` before export.
-    fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
-        let _ = (since, out);
+    /// Appends every trace record this controller holds whose epoch lies
+    /// in the half-open range `epochs` onto `out` (see `odrl-obs`);
+    /// `0..u64::MAX` for the whole trace. The default — and the
+    /// baselines, which record nothing — is a no-op; pass the result
+    /// through `odrl_obs::merge_records` before export.
+    fn extend_trace_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
+        let _ = (epochs, out);
     }
 
     /// The controller's most recent per-epoch metrics snapshot, when it is

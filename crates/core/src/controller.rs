@@ -18,6 +18,7 @@ use odrl_rl::snapshot as rl_snapshot;
 use odrl_rl::{Agent, EpsCache, Policy, RlError, SnapshotError, UpdateMask, KIND_POLICY_SET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -291,13 +292,13 @@ impl OdRlController {
         self.tracer.as_deref()
     }
 
-    /// Appends every trace record this controller holds with
-    /// `epoch >= since` onto `out` (`since = 0` for the whole trace; no-op
-    /// when tracing is disabled). Pass the result through
-    /// [`odrl_obs::merge_records`] for the canonical order.
-    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+    /// Appends every trace record this controller holds whose epoch lies
+    /// in the half-open range `epochs` onto `out` (`0..u64::MAX` for the
+    /// whole trace; no-op when tracing is disabled). Pass the result
+    /// through [`odrl_obs::merge_records`] for the canonical order.
+    pub fn extend_trace_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
         if let Some(tr) = self.tracer.as_deref() {
-            tr.extend_into(since, out);
+            tr.extend_into(epochs, out);
         }
     }
 
@@ -931,8 +932,8 @@ impl PowerController for OdRlController {
         self.tracer.as_deref().map(CtrlTracer::counts)
     }
 
-    fn extend_trace_into(&self, since: u64, out: &mut Vec<EventRecord>) {
-        OdRlController::extend_trace_into(self, since, out);
+    fn extend_trace_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
+        OdRlController::extend_trace_into(self, epochs, out);
     }
 
     fn metrics_snapshot(&self) -> Option<&odrl_obs::MetricsSnapshot> {
@@ -1089,7 +1090,7 @@ mod tests {
         assert!(ctrl.tracer().is_none());
         assert!(ctrl.event_counts().is_none());
         let mut recs = Vec::new();
-        ctrl.extend_trace_into(0, &mut recs);
+        ctrl.extend_trace_into(0..u64::MAX, &mut recs);
         assert!(recs.is_empty());
     }
 
@@ -1126,7 +1127,7 @@ mod tests {
             assert!(c.reallocations > 0, "realloc every 10 epochs");
             counts.push(c);
             let mut recs = Vec::new();
-            ctrl.extend_trace_into(0, &mut recs);
+            ctrl.extend_trace_into(0..u64::MAX, &mut recs);
             merge_records(&mut recs);
             traces.push(recs);
         }

@@ -20,6 +20,7 @@ use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, GaugeId, HistogramId, LearnDiag, MetricsRegistry,
     MetricsSnapshot, ObsConfig, SummaryId, TraceRing, WatchdogFlag, CHIP,
 };
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -81,6 +82,18 @@ pub struct CtrlTracer {
 }
 
 impl CtrlTracer {
+    /// Most records the serial ring takes in one epoch on `cores` cores.
+    const fn serial_records(cores: usize) -> usize {
+        2 * cores + 4
+    }
+
+    /// Most records the tracer writes in one epoch on `cores` cores, over
+    /// all its rings: the serial ring's bound plus one exploration per
+    /// core across the shard rings.
+    pub const fn epoch_records(cores: usize) -> usize {
+        Self::serial_records(cores) + cores
+    }
+
     /// Preallocates a tracer for `cores` cores split over at most
     /// `max_shards` RL shards, its rings sized by `config` (see
     /// [`ObsConfig::ring`]) for their writers' per-epoch bounds: the
@@ -128,7 +141,7 @@ impl CtrlTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: config.ring(2 * cores + 4),
+            ring: config.ring(Self::serial_records(cores)),
             shard_rings: (0..max_shards.max(1))
                 .map(|_| Mutex::new(config.ring(cores.div_ceil(max_shards.max(1)))))
                 .collect(),
@@ -373,16 +386,16 @@ impl CtrlTracer {
             .sum()
     }
 
-    /// Appends every held record with `epoch >= since` — serial ring
-    /// first, then each shard ring — onto `out` (`since = 0` for the whole
-    /// trace). Pass the result through `odrl_obs::merge_records` for the
-    /// canonical order.
-    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
-        self.ring.extend_into(since, out);
+    /// Appends every held record whose epoch lies in the half-open range
+    /// `epochs` — serial ring first, then each shard ring — onto `out`
+    /// (`0..u64::MAX` for the whole trace). Pass the result through
+    /// `odrl_obs::merge_records` for the canonical order.
+    pub fn extend_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
+        self.ring.extend_into(epochs.clone(), out);
         for r in &self.shard_rings {
             r.lock()
                 .expect("shard ring poisoned")
-                .extend_into(since, out);
+                .extend_into(epochs.clone(), out);
         }
     }
 

@@ -28,16 +28,19 @@ use crate::builder::ChipRun;
 use crate::config::FleetConfig;
 use crate::error::FleetError;
 use odrl_controllers::PowerController;
+use odrl_core::CtrlTracer;
 use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed};
-use odrl_manycore::{Observation, Parallelism, System, SystemError, Telemetry};
+use odrl_manycore::{Observation, Parallelism, SysTracer, System, SystemError, Telemetry};
 use odrl_obs::{
-    merge_fleet_records, window_start, write_fleet_jsonl, AnomalyDump, AnomalyKind, CounterId,
-    Event, EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId, HealthSample,
-    MetricsSnapshot, RecorderConfig, TraceRing, RACK,
+    merge_fleet_records, merge_records, window_start, write_fleet_jsonl, AnomalyDump, AnomalyKind,
+    CounterId, Event, EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId,
+    HealthSample, MetricsSnapshot, RecorderConfig, TraceRing, RACK,
 };
 use odrl_power::{Joules, LevelId, Seconds, Watts};
 use serde::Serialize;
+use std::io::{self, Write};
+use std::ops::Range;
 
 /// Salt decorrelating the fleet-level budget channel's fault schedule from
 /// the per-chip schedules derived from the same master seed.
@@ -109,6 +112,13 @@ impl FleetChip {
             }
         }
         self.system.observation_into(self.budget, &mut self.obs);
+    }
+
+    /// Appends the chip's trace records whose epoch lies in `epochs`:
+    /// the controller's rings, then the system's, unmerged.
+    fn extend_trace_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
+        self.controller.extend_trace_into(epochs.clone(), out);
+        self.system.extend_trace_into(epochs, out);
     }
 }
 
@@ -291,18 +301,17 @@ struct FleetObs {
     prev_flips: u64,
     /// Cumulative max |TD error| as of last epoch (new-high detection).
     prev_td_max: f64,
-    /// Dump scratch, reused across trips: one chip's trace window, the
-    /// merged fleet window, and the rendered dump. Once they have grown to
-    /// the largest dump so far, a trip allocates only the bytes it keeps.
-    chip_scratch: Vec<EventRecord>,
-    trace_scratch: Vec<FleetEventRecord>,
-    render: Vec<u8>,
+    /// One chip's (or the rack's) records of one epoch, which a trip
+    /// sorts and writes. Reserved at build for the most records a chip
+    /// writes in an epoch, so a trip allocates only the dump it keeps.
+    batch: Vec<EventRecord>,
 }
 
 impl FleetObs {
-    /// Rack observability for `recorder`; `window` is the trace window of
-    /// a recorder-only fleet (the field `Fleet::trace_window`).
-    fn new(recorder: RecorderConfig, window: Option<u64>) -> Self {
+    /// Rack observability for `recorder` over chips of at most `cores`
+    /// cores; `window` is the trace window of a recorder-only fleet (the
+    /// field `Fleet::trace_window`).
+    fn new(recorder: RecorderConfig, window: Option<u64>, cores: usize) -> Self {
         let mut metrics = FleetMetrics::new();
         let reg = metrics.rack_mut();
         let ids = RackIds {
@@ -324,11 +333,48 @@ impl FleetObs {
             prev_delivered: 0,
             prev_flips: 0,
             prev_td_max: 0.0,
-            chip_scratch: Vec::new(),
-            trace_scratch: Vec::new(),
-            render: Vec::new(),
+            batch: Vec::with_capacity(
+                CtrlTracer::epoch_records(cores) + SysTracer::epoch_records(cores),
+            ),
         }
     }
+}
+
+/// A writer that only counts the bytes written to it: a dump's first
+/// rendering pass, which sizes the buffer the second pass fills.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Writes one chip's records of one epoch in the canonical merge order
+/// (`merge_records`: rank, core, input position), their `seq` numbered on
+/// from `*seq`: the lines a whole-window `merge_fleet_records` would give
+/// them.
+fn write_batch<W: Write>(
+    w: &mut W,
+    chip: u32,
+    batch: &mut [EventRecord],
+    seq: &mut u32,
+) -> io::Result<()> {
+    merge_records(batch);
+    for &record in batch.iter() {
+        let record = EventRecord {
+            seq: *seq + record.seq,
+            ..record
+        };
+        write_fleet_jsonl(w, &[FleetEventRecord { chip, record }])?;
+    }
+    *seq += batch.len() as u32;
+    Ok(())
 }
 
 /// N chips stepped concurrently under one rack-level budget arbiter.
@@ -409,6 +455,11 @@ impl Fleet {
                 .assemble_chip(k as u32, sys_config, budget, warm.as_ref())
                 .map(FleetChip::new)
         })?;
+        let cores = chips
+            .iter()
+            .map(|c| c.system.num_cores())
+            .max()
+            .unwrap_or(0);
         Ok(Self {
             chips,
             arbiter,
@@ -417,7 +468,9 @@ impl Fleet {
             parallelism: config.parallelism,
             epoch: 0,
             telemetry: FleetTelemetry::default(),
-            obs: config.recorder.map(|r| FleetObs::new(r, trace_window)),
+            obs: config
+                .recorder
+                .map(|r| FleetObs::new(r, trace_window, cores)),
             trace_window,
         })
     }
@@ -577,10 +630,10 @@ impl Fleet {
 
     /// One epoch of rack-scope observability (see [`FleetObs`]). Reads
     /// only; allocation-free in steady state — the merge and snapshot
-    /// reuse their buffers. An anomaly trip reads only the last `window`
-    /// epochs of each trace ring and renders the dump into reused
-    /// buffers, so it costs O(window) and allocates only the dump bytes
-    /// the recorder keeps.
+    /// reuse their buffers. An anomaly trip renders its dump (see
+    /// [`Fleet::write_dump`]) twice: once to count its bytes, once into a
+    /// buffer of exactly that size. It costs O(window) and allocates only
+    /// the dump the recorder keeps.
     fn observe_epoch(&mut self, fo: &mut FleetObs, fleet_power: Watts) {
         let epoch = self.epoch;
         fo.metrics.begin_epoch(epoch);
@@ -658,37 +711,70 @@ impl Fleet {
         };
         fo.metrics.rack_mut().inc(ids.c_anomalies);
         fo.ring.record(epoch, 0, Event::Anomaly { kind, value });
-        // Assemble the dump: header, combined snapshot, then the
-        // last-window merged trace (chips + rack, canonical
-        // `(epoch, chip, rank, core)` order → bytes are shard-invariant).
-        let window = fo.recorder.config().window;
-        let since = (epoch + 1).saturating_sub(window);
-        fo.trace_scratch.clear();
-        self.collect_trace(
-            Some(&fo.ring),
-            since,
-            &mut fo.chip_scratch,
-            &mut fo.trace_scratch,
-        );
-        merge_fleet_records(&mut fo.trace_scratch);
-        use std::io::Write as _;
-        let out = &mut fo.render;
-        out.clear();
-        writeln!(
-            out,
-            "# odrl_flight_record epoch {epoch} rule {} window {window}",
-            kind.name()
-        )
-        .expect("write to Vec cannot fail");
-        fo.snapshot
-            .write_prometheus(out)
+        let mut size = ByteCount(0);
+        self.write_dump(&mut size, epoch, kind, fo)
+            .expect("counting bytes cannot fail");
+        let mut bytes = Vec::with_capacity(size.0);
+        self.write_dump(&mut bytes, epoch, kind, fo)
             .expect("write to Vec cannot fail");
-        writeln!(out, "# odrl_trace").expect("write to Vec cannot fail");
-        write_fleet_jsonl(out, &fo.trace_scratch).expect("write to Vec cannot fail");
-        fo.recorder.record_dump(epoch, kind, out.clone());
+        debug_assert_eq!(bytes.len(), size.0, "both passes write one dump");
+        fo.recorder.record_dump(epoch, kind, bytes);
         // Re-snapshot so the exported combined snapshot reflects the
         // anomaly counter bump.
         fo.metrics.snapshot_into(&mut fo.snapshot);
+    }
+
+    /// Writes the dump of a trip at `epoch`: a header, the combined
+    /// snapshot, then the last-window trace in the canonical fleet merge
+    /// order `(epoch, chip, rank, core)`, so the bytes are
+    /// shard-invariant. The trace is streamed epoch by epoch, each chip's
+    /// records and then the rack's passing through `fo.batch`: the order
+    /// a whole-window `merge_fleet_records` gives, with no window-sized
+    /// buffer.
+    fn write_dump<W: Write>(
+        &self,
+        w: &mut W,
+        epoch: u64,
+        kind: AnomalyKind,
+        fo: &mut FleetObs,
+    ) -> io::Result<()> {
+        let window = fo.recorder.config().window;
+        writeln!(
+            w,
+            "# odrl_flight_record epoch {epoch} rule {} window {window}",
+            kind.name()
+        )?;
+        fo.snapshot.write_prometheus(w)?;
+        writeln!(w, "# odrl_trace")?;
+        let batch = &mut fo.batch;
+        let mut seq = 0;
+        for e in self.held_epochs((epoch + 1).saturating_sub(window)..epoch + 1) {
+            for (k, chip) in self.chips.iter().enumerate() {
+                batch.clear();
+                chip.extend_trace_into(e..e + 1, batch);
+                write_batch(w, k as u32, batch, &mut seq)?;
+            }
+            // Rack-scope events (anomaly trips) ride along under the RACK
+            // sentinel chip index, after every real chip of the epoch.
+            batch.clear();
+            fo.ring.extend_into(e..e + 1, batch);
+            write_batch(w, RACK, batch, &mut seq)?;
+        }
+        Ok(())
+    }
+
+    /// `epochs` with its start floored, on a recorder-only fleet, at the
+    /// oldest epoch every trace ring still holds in full. Windowed rings
+    /// cut their segments at the same epochs, but a sparse one may still
+    /// hold a block the others have cleared.
+    fn held_epochs(&self, epochs: Range<u64>) -> Range<u64> {
+        let start = match self.trace_window {
+            Some(window) if self.epoch > 0 => {
+                epochs.start.max(window_start(self.epoch - 1, window))
+            }
+            _ => epochs.start,
+        };
+        start..epochs.end
     }
 
     /// Steps the fleet for `epochs` epochs.
@@ -731,53 +817,31 @@ impl Fleet {
         }
     }
 
-    /// Appends every chip's structured-event records with
-    /// `epoch >= since` (controller and system sides), tagged with the
-    /// chip's fleet index, **unmerged**; `since = 0` for the whole trace.
-    /// On a recorder-only fleet the trace starts no earlier than the
-    /// oldest epoch every ring still holds in full, one to two recorder
-    /// windows back (see [`FleetConfig::recorder`]). Each ring is
-    /// binary-searched for the window start, so the cost is O(records
-    /// copied). Export path — may allocate.
-    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<FleetEventRecord>) {
-        let rack = self.obs.as_ref().map(|fo| &fo.ring);
-        self.collect_trace(rack, since, &mut Vec::new(), out);
-    }
-
-    /// [`Fleet::extend_trace_into`] with the rack ring passed in (the
-    /// dump path holds the fleet obs outside `self`) and each ring's
-    /// records staged in the caller's reusable `scratch`.
-    fn collect_trace(
-        &self,
-        rack: Option<&TraceRing>,
-        since: u64,
-        scratch: &mut Vec<EventRecord>,
-        out: &mut Vec<FleetEventRecord>,
-    ) {
-        // Windowed rings cut their segments at the same epochs, but a
-        // sparse one may still hold a block the others have cleared: read
-        // from the oldest block they all keep whole.
-        let since = match self.trace_window {
-            Some(window) if self.epoch > 0 => since.max(window_start(self.epoch - 1, window)),
-            _ => since,
-        };
+    /// Appends every chip's structured-event records whose epoch lies in
+    /// the half-open range `epochs` (controller and system sides), tagged
+    /// with the chip's fleet index, then the rack's anomaly records under
+    /// [`RACK`], **unmerged**; `0..u64::MAX` for the whole trace. On a
+    /// recorder-only fleet the trace starts no earlier than the oldest
+    /// epoch every ring still holds in full, one to two recorder windows
+    /// back (see [`FleetConfig::recorder`]). Each ring is binary-searched
+    /// for the range, so the cost is O(records copied). Export path — may
+    /// allocate.
+    pub fn extend_trace_into(&self, epochs: Range<u64>, out: &mut Vec<FleetEventRecord>) {
+        let epochs = self.held_epochs(epochs);
+        let mut records = Vec::new();
         for (k, chip) in self.chips.iter().enumerate() {
-            scratch.clear();
-            chip.controller.extend_trace_into(since, scratch);
-            chip.system.extend_trace_into(since, scratch);
-            out.extend(scratch.iter().map(|&record| FleetEventRecord {
+            records.clear();
+            chip.extend_trace_into(epochs.clone(), &mut records);
+            out.extend(records.iter().map(|&record| FleetEventRecord {
                 chip: k as u32,
                 record,
             }));
         }
-        // Rack-scope events (anomaly trips) ride along under the RACK
-        // sentinel chip index, which sorts after every real chip within
-        // an epoch in the canonical merge order.
-        if let Some(ring) = rack {
-            scratch.clear();
-            ring.extend_into(since, scratch);
+        if let Some(fo) = &self.obs {
+            records.clear();
+            fo.ring.extend_into(epochs, &mut records);
             out.extend(
-                scratch
+                records
                     .iter()
                     .map(|&record| FleetEventRecord { chip: RACK, record }),
             );
@@ -789,7 +853,7 @@ impl Fleet {
     /// count. Post-run export path — allocates.
     pub fn merged_trace(&self) -> Vec<FleetEventRecord> {
         let mut records = Vec::new();
-        self.extend_trace_into(0, &mut records);
+        self.extend_trace_into(0..u64::MAX, &mut records);
         merge_fleet_records(&mut records);
         records
     }

@@ -12,6 +12,7 @@ use odrl_obs::{
     CounterId, Event, EventCounts, EventRecord, FaultClass, MetricsRegistry, MetricsSnapshot,
     ObsConfig, TraceRing, CHIP,
 };
+use std::ops::Range;
 
 /// Flight recorder for the simulator's events, plus per-kind counters.
 #[derive(Debug, Clone)]
@@ -31,10 +32,16 @@ pub struct SysTracer {
 }
 
 impl SysTracer {
-    /// Preallocates a tracer for `cores` cores, its ring sized by
-    /// `config` (see [`ObsConfig::ring`]) for at most `7·(cores + 1)`
-    /// records an epoch: one VF switch and six fault-class edges per core,
+    /// Most records the tracer writes in one epoch on `cores` cores,
+    /// `7·(cores + 1)`: one VF switch and six fault-class edges per core,
     /// six chip fault-class edges and the epoch marker.
+    pub const fn epoch_records(cores: usize) -> usize {
+        7 * (cores + 1)
+    }
+
+    /// Preallocates a tracer for `cores` cores, its ring sized by
+    /// `config` (see [`ObsConfig::ring`]) for
+    /// [`SysTracer::epoch_records`] records an epoch.
     pub fn new(config: &ObsConfig, cores: usize) -> Self {
         let mut metrics = MetricsRegistry::new();
         let c_class_injected = [
@@ -51,7 +58,7 @@ impl SysTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: config.ring(7 * (cores + 1)),
+            ring: config.ring(Self::epoch_records(cores)),
             prev_mask: vec![0; cores],
             prev_chip_mask: 0,
             metrics,
@@ -117,10 +124,11 @@ impl SysTracer {
         self.metrics.snapshot_into(epoch, &mut self.snapshot);
     }
 
-    /// Appends the held records with `epoch >= since` (oldest → newest)
-    /// onto `out`; `since = 0` for the whole trace.
-    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
-        self.ring.extend_into(since, out);
+    /// Appends the held records whose epoch lies in the half-open range
+    /// `epochs` (oldest → newest) onto `out`; `0..u64::MAX` for the whole
+    /// trace.
+    pub fn extend_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
+        self.ring.extend_into(epochs, out);
     }
 
     /// The tracer's ring (len/capacity/dropped introspection).

@@ -77,6 +77,7 @@ pub struct CoreObservation {
 
 impl CoreObservation {
     /// Memory-boundedness of the last epoch's workload, in `[0, 1]`.
+    #[inline]
     pub fn memory_boundedness(&self) -> f64 {
         self.counters.memory_boundedness()
     }

@@ -259,13 +259,18 @@ impl System {
         self.tracer.as_deref()
     }
 
-    /// Appends the system-side trace records with `epoch >= since`
-    /// (oldest → newest) onto `out`; `since = 0` for the whole trace, and
-    /// a no-op when tracing is disabled. Merge with the controller's
-    /// records via `odrl_obs::merge_records` for the canonical stream.
-    pub fn extend_trace_into(&self, since: u64, out: &mut Vec<odrl_obs::EventRecord>) {
+    /// Appends the system-side trace records whose epoch lies in the
+    /// half-open range `epochs` (oldest → newest) onto `out`;
+    /// `0..u64::MAX` for the whole trace, and a no-op when tracing is
+    /// disabled. Merge with the controller's records via
+    /// `odrl_obs::merge_records` for the canonical stream.
+    pub fn extend_trace_into(
+        &self,
+        epochs: std::ops::Range<u64>,
+        out: &mut Vec<odrl_obs::EventRecord>,
+    ) {
         if let Some(tr) = &self.tracer {
-            tr.extend_into(since, out);
+            tr.extend_into(epochs, out);
         }
     }
 

@@ -12,8 +12,9 @@
 //! ring, streak/cooldown state is a few integers, and rule evaluation is a
 //! linear scan. The dump list is preallocated to `max_dumps`, so
 //! [`FlightRecorder::record_dump`] only moves the owner's bytes in; the
-//! owner renders each dump into reused buffers, and the retained bytes are
-//! a trip's one allocation. Cooldown and `max_dumps` bound the trips.
+//! owner renders each dump into a buffer of exactly its size, and those
+//! bytes are a trip's one allocation. Cooldown and `max_dumps` bound the
+//! trips.
 //!
 //! Determinism: every input to `observe` derives from the simulated run
 //! (no wall clock), rules are evaluated in their configured order with the

@@ -279,7 +279,8 @@ impl MetricsSnapshot {
 
     /// Writes [`MetricsSnapshot::to_prometheus`]'s text onto `out`.
     /// Allocation-free into a `Vec<u8>` with enough capacity (the
-    /// flight recorder renders every dump into one reused buffer).
+    /// flight recorder renders every dump into a buffer of exactly its
+    /// size).
     ///
     /// # Errors
     ///

@@ -25,12 +25,13 @@
 //!
 //! Records are appended in epoch order, so the held records are sorted by
 //! epoch oldest → newest, and [`TraceRing::extend_into`] binary-searches
-//! each segment for the start of a trailing epoch window instead of
-//! copying the whole ring: a flight-recorder dump costs O(window), not
-//! O(capacity).
+//! each segment for the bounds of a half-open epoch range instead of
+//! copying the whole ring: a flight-recorder dump reads one epoch at a
+//! time at O(log capacity) a read, and copies only the records it writes.
 
 use crate::config::RING_CAPACITY;
 use crate::event::{Event, EventRecord};
+use std::ops::Range;
 
 /// Segments of a count-capped ring, besides its spare.
 const SEGMENTS: usize = 16;
@@ -62,8 +63,8 @@ fn block_end(epoch: u64, keep: Option<u64>) -> u64 {
 
 /// The oldest epoch a [`TraceRing::windowed`] ring of `keep` epochs still
 /// holds in full once it has recorded `newest`: the start of the block
-/// before `newest`'s. A reader that floors its `since` here gets the same
-/// epoch range from every windowed ring of a run, sparse ones included.
+/// before `newest`'s. A reader that floors its range's start here gets the
+/// same epochs from every windowed ring of a run, sparse ones included.
 pub fn window_start(newest: u64, keep: u64) -> u64 {
     let keep = keep.max(1);
     (newest - newest % keep).saturating_sub(keep)
@@ -177,14 +178,16 @@ impl TraceRing {
         self.segs[self.cur].last()
     }
 
-    /// Appends the held records with `epoch >= since`, oldest → newest,
-    /// onto `out` (`since = 0` copies the whole ring). Every segment is
-    /// epoch-sorted, so each one's window start is found by binary search
-    /// and only the window is copied.
-    pub fn extend_into(&self, since: u64, out: &mut Vec<EventRecord>) {
+    /// Appends the held records whose epoch lies in the half-open range
+    /// `epochs`, oldest → newest, onto `out`; `0..u64::MAX` copies the
+    /// whole ring (no run reaches epoch `u64::MAX`), and an empty range
+    /// copies nothing. Every segment is epoch-sorted, so each one's range
+    /// is found by binary search and only the range is copied.
+    pub fn extend_into(&self, epochs: Range<u64>, out: &mut Vec<EventRecord>) {
         for seg in self.segments() {
-            let from = seg.partition_point(|r| r.epoch < since);
-            out.extend_from_slice(&seg[from..]);
+            let from = seg.partition_point(|r| r.epoch < epochs.start);
+            let to = from + seg[from..].partition_point(|r| r.epoch < epochs.end);
+            out.extend_from_slice(&seg[from..to]);
         }
     }
 
@@ -262,10 +265,16 @@ mod tests {
         assert_eq!((r.len(), r.dropped()), (65, 4));
         assert_eq!(epochs(&r), (4..69).collect::<Vec<_>>());
         let mut out = Vec::new();
-        r.extend_into(66, &mut out);
+        r.extend_into(66..u64::MAX, &mut out);
         assert_eq!(
             out.iter().map(|e| e.epoch).collect::<Vec<_>>(),
             [66, 67, 68]
+        );
+        out.clear();
+        r.extend_into(63..66, &mut out);
+        assert_eq!(
+            out.iter().map(|e| e.epoch).collect::<Vec<_>>(),
+            [63, 64, 65]
         );
     }
 
@@ -283,8 +292,11 @@ mod tests {
         assert_eq!(epochs(&r).first(), Some(&4));
         assert_eq!(r.len(), 14);
         let mut out = Vec::new();
-        r.extend_into(7, &mut out);
+        r.extend_into(7..u64::MAX, &mut out);
         assert_eq!(out.len(), 8);
+        out.clear();
+        r.extend_into(7..8, &mut out);
+        assert_eq!(out.len(), 2);
         // A sparse writer keeps only its last two non-empty blocks.
         r.record(40, 0, ev(0.0));
         assert_eq!(epochs(&r)[..1], [8]);
@@ -417,21 +429,33 @@ mod tests {
             }
         };
         let Some(from) = from else { return Ok(()) };
-        let mut sinces: Vec<u64> = held
+        let mut starts: Vec<u64> = held
             .iter()
             .map(|r| r.epoch)
             .filter(|&e| e >= from)
             .collect();
-        sinces.extend([from, newest, newest.saturating_add(1), u64::MAX]);
-        for since in sinces {
-            let mut got = Vec::new();
-            r.extend_into(since, &mut got);
-            let want: Vec<EventRecord> = written
-                .iter()
-                .filter(|rec| rec.epoch >= since)
-                .copied()
-                .collect();
-            prop_assert_eq!(&got, &want, "since {}", since);
+        starts.extend([from, newest, newest.saturating_add(1), u64::MAX]);
+        starts.dedup();
+        for start in starts {
+            // One epoch (the dump's read), an empty and an inverted range,
+            // up to just past the newest record, and open-ended.
+            let ends = [
+                start.saturating_add(1),
+                start,
+                start.saturating_sub(1),
+                newest.saturating_add(1),
+                u64::MAX,
+            ];
+            for end in ends {
+                let mut got = Vec::new();
+                r.extend_into(start..end, &mut got);
+                let want: Vec<EventRecord> = written
+                    .iter()
+                    .filter(|rec| (start..end).contains(&rec.epoch))
+                    .copied()
+                    .collect();
+                prop_assert_eq!(&got, &want, "epochs {}..{}", start, end);
+            }
         }
         Ok(())
     }

@@ -247,31 +247,37 @@ fn ring(cap: usize, start: u64, steps: &[u64]) -> TraceRing {
     r
 }
 
-/// Checks `extend_into(since)` against copy-then-retain at every cutoff
-/// kind: 0, just before the oldest record, on every held epoch (so on
-/// each boundary of a run of duplicated epochs), between held epochs,
-/// and past the newest record. Also checks that it appends rather than
-/// overwrites.
+/// Checks `extend_into(start..end)` against copy-then-retain at every
+/// start kind: 0, just before the oldest record, on every held epoch (so
+/// on each boundary of a run of duplicated epochs), between held epochs,
+/// and past the newest record; each start is paired with the bound below
+/// it (an inverted range), itself (empty), the next three bounds and the
+/// open end. Also checks that it appends rather than overwrites.
 fn check_windows(r: &TraceRing) -> Result<(), TestCaseError> {
     let mut whole = Vec::new();
-    r.extend_into(0, &mut whole);
-    let mut cutoffs = vec![0, u64::MAX];
+    r.extend_into(0..u64::MAX, &mut whole);
+    let mut bounds = vec![0, u64::MAX];
     for rec in &whole {
-        cutoffs.extend([rec.epoch.saturating_sub(1), rec.epoch, rec.epoch + 1]);
+        bounds.extend([rec.epoch.saturating_sub(1), rec.epoch, rec.epoch + 1]);
     }
+    bounds.sort_unstable();
+    bounds.dedup();
     let sentinel = EventRecord {
         epoch: 0,
         core: CHIP,
         seq: 0,
         event: Event::Epoch { power_w: 1.0 },
     };
-    for since in cutoffs {
-        let mut expected = whole.clone();
-        expected.retain(|rec| rec.epoch >= since);
-        expected.insert(0, sentinel);
-        let mut got = vec![sentinel];
-        r.extend_into(since, &mut got);
-        prop_assert_eq!(&got, &expected, "since {}", since);
+    for (i, &start) in bounds.iter().enumerate() {
+        let near = &bounds[i.saturating_sub(1)..(i + 4).min(bounds.len())];
+        for &end in near.iter().chain([&u64::MAX]) {
+            let mut expected = whole.clone();
+            expected.retain(|rec| (start..end).contains(&rec.epoch));
+            expected.insert(0, sentinel);
+            let mut got = vec![sentinel];
+            r.extend_into(start..end, &mut got);
+            prop_assert_eq!(&got, &expected, "epochs {}..{}", start, end);
+        }
     }
     Ok(())
 }

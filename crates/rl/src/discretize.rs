@@ -58,6 +58,7 @@ impl UniformBins {
     }
 
     /// The bin index of `x`, saturating at the range ends. NaN maps to 0.
+    #[inline]
     pub fn bin(&self, x: f64) -> usize {
         // `!(x > lo)` rather than `x <= lo`: NaN must land in bin 0 too.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -134,6 +135,7 @@ impl StateSpace {
     ///
     /// Returns [`RlError::IndexOutOfRange`] if the coordinate count or any
     /// coordinate is out of range.
+    #[inline]
     pub fn index(&self, coords: &[usize]) -> Result<usize, RlError> {
         if coords.len() != self.dims.len() {
             return Err(RlError::IndexOutOfRange {

@@ -76,6 +76,7 @@ impl QTable {
         self.actions
     }
 
+    #[inline]
     fn idx(&self, s: usize, a: usize) -> Result<usize, RlError> {
         if s >= self.states {
             return Err(RlError::IndexOutOfRange {
@@ -141,6 +142,7 @@ impl QTable {
     ///
     /// Returns [`RlError::IndexOutOfRange`] for invalid indices, or
     /// [`RlError::InvalidParameter`] if the updated value is non-finite.
+    #[inline]
     pub fn td_step(
         &mut self,
         s: usize,
@@ -177,6 +179,7 @@ impl QTable {
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
+    #[inline]
     pub fn row(&self, s: usize) -> Result<&[f64], RlError> {
         let start = self.idx(s, 0)?;
         Ok(&self.values[start..start + self.actions])
@@ -216,6 +219,7 @@ impl QTable {
     /// # Errors
     ///
     /// Returns [`RlError::IndexOutOfRange`] for an invalid state.
+    #[inline]
     pub fn best_action_and_max(&self, s: usize) -> Result<(usize, f64), RlError> {
         let row = self.row(s)?;
         let mut best = 0;

@@ -73,6 +73,7 @@ impl PhaseParams {
     /// Defined as the fraction of execution time spent waiting on memory at
     /// a 2 GHz reference frequency and 80 ns memory latency. Controllers use
     /// this to bin workloads without knowing the simulator's exact model.
+    #[inline]
     pub fn memory_boundedness(&self) -> f64 {
         const REF_FREQ_GHZ: f64 = 2.0;
         const MEM_LATENCY_NS: f64 = 80.0;

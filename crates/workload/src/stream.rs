@@ -83,6 +83,7 @@ impl WorkloadStream {
     }
 
     /// The current phase signature.
+    #[inline]
     pub fn params(&self) -> PhaseParams {
         self.spec.phases()[self.phase].params
     }
